@@ -25,11 +25,6 @@ STEPS = [
     ("blocks", "blocks.yaml"),
 ]
 
-QUICK_OVERRIDES = {
-    "pickands.yaml": ["--seed", "7"],
-}
-
-
 def run(out_root: Path, quick: bool) -> int:
     import yaml
 

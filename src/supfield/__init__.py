@@ -11,13 +11,11 @@ Subpackage map:
               mc | blocks | sweep)
 """
 
-from .asymptotics import KNOWN_H, predict, predict_trend, regime_sweep
+from .asymptotics import KNOWN_H, predict, regime_sweep
 from .fieldsim import (
     BlockSpec,
-    GridField,
     LatticeField,
     MCEstimate,
-    build_grid,
     build_lattice,
     mc_block_exceedance,
     mc_excursion,
@@ -36,9 +34,7 @@ from .model import (
 )
 from .pickands import (
     ExtrapolationProtocol,
-    FbmGrid,
     PickandsEstimate,
-    fbm_sample,
     pickands_constant,
     pickands_finite,
 )

@@ -10,10 +10,10 @@ satisfies, as u -> infinity,
     Classical       (a > b/2):         H^2 G_b^2 * u^(4/alpha - 4/beta) * Psi(u)
 
 with b = beta, H the Pickands constant of the correlation exponent alpha,
-and G_b, K_b the constants from `quad`.  The trend variant (beta = 2,
-nonnegative slopes c1, c2) replaces the side and product constants by L(c)
-and K(c1, c2); in the log regime a fixed trend moves only bounded terms and
-leaves the prefactor unchanged.
+and G_b, K_b the constants from `quad`.  With a trend (beta = 2,
+nonnegative slopes c1, c2, not both zero) `predict` replaces the side and
+product constants by L(c) and K(c1, c2); in the log regime a fixed trend
+moves only bounded terms and leaves the prefactor unchanged.
 
 H is an input here, not computed inline: pass a `pickands` estimate or use
 the known-values table (only H = 1 at alpha = 1 ships, via h_alpha=None).
@@ -34,7 +34,6 @@ __all__ = [
     "KNOWN_H",
     "lookup_h",
     "predict",
-    "predict_trend",
     "regime_sweep",
     "SweepRow",
 ]
@@ -66,53 +65,34 @@ def predict(
     h_alpha: float | None = None,
     cfg: QuadratureConfig = quad.DEFAULT_CONFIG,
 ) -> AsymptoticPrediction:
-    """Leading-order form of p(u) for the trend-free field."""
-    h = lookup_h(p.alpha, h_alpha)
-    regime = classify_regime(p)
-    if regime is Regime.SIDE_DOMINATED:
-        return AsymptoticPrediction(
-            2.0 * h * quad.g_beta(p.beta), 2.0 / p.alpha - 2.0 / p.beta, 0
-        )
-    if regime is Regime.LOG_PRODUCT:
-        return AsymptoticPrediction(
-            h * h * _log_prefactor(p.beta, p.a), 4.0 / p.alpha - 2.0 / p.a, 1
-        )
-    if regime is Regime.CRITICAL_PRODUCT:
-        return AsymptoticPrediction(
-            h * h * quad.k_beta(p.beta, cfg), 4.0 / p.alpha - 4.0 / p.beta, 0
-        )
-    gb = quad.g_beta(p.beta)
-    return AsymptoticPrediction(h * h * gb * gb, 4.0 / p.alpha - 4.0 / p.beta, 0)
+    """Leading-order form of p(u) = P(sup(X - c1 t1 - c2 t2) > u).
 
-
-def predict_trend(
-    p: ModelParams,
-    h_alpha: float | None = None,
-    cfg: QuadratureConfig = quad.DEFAULT_CONFIG,
-) -> AsymptoticPrediction:
-    """Leading-order form of the trended tail P(sup(X - c1 t1 - c2 t2) > u).
-
-    Stated for beta = 2 only: a fixed linear trend and the quadratic
-    variance loss act on the same u^(-1) scale there, so the trend shifts
-    constants without changing powers.  Other beta are rejected.
+    Without a trend the side constant is G_beta and the critical constant
+    K_beta.  A nonzero trend is stated for beta = 2 only: a fixed linear
+    trend and the quadratic variance loss act on the same u^(-1) scale
+    there, so the trend replaces them by L(c1), L(c2) and K(c1, c2) without
+    changing powers.  Trended params with other beta are rejected.
     """
-    if p.beta != 2.0:
-        raise ValueError(f"trend predictions require beta = 2 exactly, got beta={p.beta}")
+    b = p.beta
+    trended = (p.c1, p.c2) != (0.0, 0.0)
+    if trended and b != 2.0:
+        raise ValueError(f"trend predictions require beta = 2 exactly, got beta={b}")
     h = lookup_h(p.alpha, h_alpha)
     regime = classify_regime(p)
-    if regime is Regime.SIDE_DOMINATED:
-        pref = h * (quad.trend_l(p.c1, cfg) + quad.trend_l(p.c2, cfg))
-        return AsymptoticPrediction(pref, 2.0 / p.alpha - 1.0, 0)
     if regime is Regime.LOG_PRODUCT:
         return AsymptoticPrediction(
-            h * h * _log_prefactor(2.0, p.a), 4.0 / p.alpha - 2.0 / p.a, 1
+            h * h * _log_prefactor(b, p.a), 4.0 / p.alpha - 2.0 / p.a, 1
         )
     if regime is Regime.CRITICAL_PRODUCT:
-        return AsymptoticPrediction(
-            h * h * quad.trend_k(p.c1, p.c2, cfg), 4.0 / p.alpha - 2.0, 0
-        )
-    pref = h * h * quad.trend_l(p.c1, cfg) * quad.trend_l(p.c2, cfg)
-    return AsymptoticPrediction(pref, 4.0 / p.alpha - 2.0, 0)
+        k = quad.trend_k(p.c1, p.c2, cfg) if trended else quad.k_beta(b, cfg)
+        return AsymptoticPrediction(h * h * k, 4.0 / p.alpha - 4.0 / b, 0)
+    if trended:
+        s1, s2 = quad.trend_l(p.c1, cfg), quad.trend_l(p.c2, cfg)
+    else:
+        s1 = s2 = quad.g_beta(b)
+    if regime is Regime.SIDE_DOMINATED:
+        return AsymptoticPrediction(h * (s1 + s2), 2.0 / p.alpha - 2.0 / b, 0)
+    return AsymptoticPrediction(h * h * s1 * s2, 4.0 / p.alpha - 4.0 / b, 0)
 
 
 @dataclass(frozen=True)

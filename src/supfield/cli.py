@@ -50,6 +50,15 @@ def _print_table(header: list[str], rows: list[list]) -> None:
         print("  ".join(s.rjust(w) for s, w in zip(r, widths)))
 
 
+def _write_table(
+    out: Path, manifest: Manifest, name: str, header: list[str], rows: list[list]
+) -> None:
+    """Write rows as a CSV, record it in the manifest and print it."""
+    write_csv(out / name, header, rows)
+    manifest.add_output(name)
+    _print_table(header, rows)
+
+
 def run_constants(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
     params = cfg.model.to_params()
     qc = _quad_config(cfg)
@@ -85,11 +94,9 @@ def run_integrals(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
             val = quad.i_gamma(spec, qc)
             asym = quad.i_gamma_asymptote(spec, qc).evaluate(u)
             rows.append([u, val, asym, val / asym])
-        name = f"integrals_{label}.csv"
-        write_csv(out / name, ["u", "I_quadrature", "I_asymptote", "ratio"], rows)
-        manifest.add_output(name)
         print(f"[{label}] gamma={branch.gamma} a={branch.a} delta={branch.delta}")
-        _print_table(["u", "I_quadrature", "I_asymptote", "ratio"], rows)
+        header = ["u", "I_quadrature", "I_asymptote", "ratio"]
+        _write_table(out, manifest, f"integrals_{label}.csv", header, rows)
 
 
 def run_pickands(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
@@ -107,8 +114,7 @@ def run_pickands(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
         [s, v, se]
         for s, v, se in zip(est.rungs, est.rung_values, est.rung_std_errs)
     ]
-    write_csv(out / "pickands.csv", ["S", "H_hat", "std_err"], rows)
-    manifest.add_output("pickands.csv")
+    _write_table(out, manifest, "pickands.csv", ["S", "H_hat", "std_err"], rows)
     report = {
         "alpha": params.alpha,
         "slope_estimate": est.value,
@@ -122,7 +128,6 @@ def run_pickands(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
     }
     write_json(out / "pickands.json", report)
     manifest.add_output("pickands.json")
-    _print_table(["S", "H_hat", "std_err"], rows)
     print(f"slope estimate: {est.value:.6f} +- {est.std_err:.6f}")
     print(f"naive H(S_max)/S_max: {est.naive:.6f} +- {est.naive_std_err:.6f}")
 
@@ -141,10 +146,8 @@ def run_mc(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
         workers=cfg.workers,
     )
     rows = [[r.u, r.p_hat, r.std_err, r.prediction, r.ratio] for r in rows_obj]
-    write_csv(out / "mc.csv", ["u", "p_hat", "std_err", "prediction", "ratio"], rows)
-    manifest.add_output("mc.csv")
     print(f"grid: {field.describe()}  samples: {cfg.n_samples}")
-    _print_table(["u", "p_hat", "std_err", "prediction", "ratio"], rows)
+    _write_table(out, manifest, "mc.csv", ["u", "p_hat", "std_err", "prediction", "ratio"], rows)
 
 
 def run_blocks(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
@@ -171,13 +174,8 @@ def run_blocks(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
         est = res.estimate
         ratio = est.p_hat / res.prediction if res.prediction > 0 else float("inf")
         rows.append([u, est.p_hat, est.std_err, res.prediction, ratio, res.h1, res.h2])
-    write_csv(
-        out / "blocks.csv",
-        ["u", "p_hat", "std_err", "prediction", "ratio", "H_S1", "H_S2"],
-        rows,
-    )
-    manifest.add_output("blocks.csv")
-    _print_table(["u", "p_hat", "std_err", "prediction", "ratio", "H_S1", "H_S2"], rows)
+    header = ["u", "p_hat", "std_err", "prediction", "ratio", "H_S1", "H_S2"]
+    _write_table(out, manifest, "blocks.csv", header, rows)
 
 
 def run_sweep(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:

@@ -1,22 +1,15 @@
 """Exact lattice simulation of the field and excursion Monte Carlo.
 
-Two exact sampling routes:
+`LatticeField` samples the field exactly on a tensor lattice xs x ys.  The
+correlation factorizes, r = r1(x, x') * r2(y, y'), so the correlation Gram
+is the Kronecker product R1 (x) R2 and a field sample is
 
- * `GridField` (reference): the full covariance Gram matrix of an arbitrary
-   finite point set, factorized densely with jitter escalation.  Memory is
-   quadratic in the point count, so grids are capped (default 4096 points,
-   i.e. 64 per axis for a square lattice).
+    X = sigma .* (L1 G L2'),   G iid standard normal,
 
- * `LatticeField` (fast path): on a tensor lattice xs x ys the correlation
-   factorizes, r = r1(x, x') * r2(y, y'), so the correlation Gram is the
-   Kronecker product R1 (x) R2 and a field sample is
-
-       X = sigma .* (L1 G L2'),   G iid standard normal,
-
-   with L1, L2 the small per-axis Cholesky factors.  This is the same
-   Gaussian law as the dense route (no truncation, no approximation) at a
-   per-sample cost of two thin matrix products, which is what makes
-   10^6-sample runs affordable.
+with L1, L2 the small per-axis Cholesky factors.  This is the Gaussian law
+of the dense lattice covariance (no truncation, no approximation) at a
+per-sample cost of two thin matrix products, which is what makes
+10^6-sample runs affordable.
 
 Monte Carlo estimates are issued in fixed Philox-indexed batches (see
 `streams`), so a run is a pure function of (seed, n_samples, batch size)
@@ -35,17 +28,15 @@ import numpy as np
 
 from . import asymptotics, pickands, quad
 from .factorization import chol_with_jitter
-from .model import ModelParams, Point2, correlation_scale
+from .model import ModelParams, Point2, correlation_scale, variance_loss_at
 from .streams import DEFAULT_BATCH, batch_generator, run_batches
 
 __all__ = [
-    "GridField",
     "LatticeField",
     "MCEstimate",
     "BlockSpec",
     "BlockResult",
     "RatioRow",
-    "build_grid",
     "build_lattice",
     "side_emphasis_axis",
     "mc_excursion",
@@ -54,62 +45,13 @@ __all__ = [
     "ratio_harness",
 ]
 
-DENSE_POINT_CAP = 4096
-
-
-def _sigma_values(params: ModelParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.exp(-(x ** params.beta + y ** params.beta + (x * y) ** params.a))
-
-
 def _axis_correlation(params: ModelParams, coords: np.ndarray) -> np.ndarray:
     d = np.abs(coords[:, None] - coords[None, :])
     return np.exp(-(d ** params.alpha))
 
 
-class GridField:
-    """Dense-factorized field on an arbitrary point set (reference path)."""
-
-    def __init__(self, params: ModelParams, points: np.ndarray, point_cap: int = DENSE_POINT_CAP):
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != 2:
-            raise ValueError("points must be an (n, 2) array")
-        n = points.shape[0]
-        if n < 1:
-            raise ValueError("need at least one point")
-        if n > point_cap:
-            raise ValueError(
-                f"{n} points exceeds the dense-grid cap {point_cap} "
-                f"({point_cap}^2 Gram entries); use a LatticeField or raise the cap"
-            )
-        for t1, t2 in points[: min(n, 4096)]:
-            params.check_point(Point2(t1, t2))
-        self.params = params
-        self.points = points
-        x, y = points[:, 0], points[:, 1]
-        sig = _sigma_values(params, x, y)
-        corr = np.exp(
-            -np.abs(x[:, None] - x[None, :]) ** params.alpha
-            - np.abs(y[:, None] - y[None, :]) ** params.alpha
-        )
-        # outer(sig, sig) * corr keeps the matrix symmetric to the last bit
-        self.gram = np.outer(sig, sig) * corr
-        self.factor, self.jitter = chol_with_jitter(self.gram, 1e-14, 1e-9)
-        self.n_points = n
-
-    def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """(n, n_points) exact field samples."""
-        return (self.factor @ rng.standard_normal((self.n_points, n))).T
-
-    def maxima_batch(self, rng: np.random.Generator, n: int, trend: tuple[float, float]) -> np.ndarray:
-        drift = trend[0] * self.points[:, 0] + trend[1] * self.points[:, 1]
-        return (self.sample_batch(rng, n) - drift).max(axis=1)
-
-    def describe(self) -> str:
-        return f"dense grid ({self.n_points} pts, jitter={self.jitter:g})"
-
-
 class LatticeField:
-    """Kronecker-factorized field on a tensor lattice xs x ys (fast path)."""
+    """Kronecker-factorized field on a tensor lattice xs x ys."""
 
     def __init__(self, params: ModelParams, xs: np.ndarray, ys: np.ndarray):
         xs = np.asarray(xs, dtype=float)
@@ -127,7 +69,7 @@ class LatticeField:
         self.l1, self.jitter1 = chol_with_jitter(_axis_correlation(params, xs), 1e-14, 1e-9)
         self.l2, self.jitter2 = chol_with_jitter(_axis_correlation(params, ys), 1e-14, 1e-9)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
-        self.sigma_grid = _sigma_values(params, X, Y)
+        self.sigma_grid = np.exp(-variance_loss_at(params, X, Y))
         self._X, self._Y = X, Y
         self.n_points = len(xs) * len(ys)
 
@@ -153,17 +95,6 @@ class LatticeField:
 
     def describe(self) -> str:
         return f"lattice {len(self.xs)}x{len(self.ys)}"
-
-
-def build_grid(
-    params: ModelParams, n_per_axis: int, point_cap: int = DENSE_POINT_CAP
-) -> GridField:
-    """Dense-factorized uniform n x n lattice over [0, T]^2."""
-    if n_per_axis < 2:
-        raise ValueError("n_per_axis must be at least 2")
-    xs = np.linspace(0.0, params.T, n_per_axis)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    return GridField(params, np.column_stack([X.ravel(), Y.ravel()]), point_cap)
 
 
 def build_lattice(
@@ -263,7 +194,7 @@ class RatioRow:
 
 
 def excursion_maxima(
-    field: GridField | LatticeField,
+    field: LatticeField,
     n_samples: int,
     seed: int,
     trend: tuple[float, float] = (0.0, 0.0),
@@ -297,7 +228,7 @@ def _estimate_from_maxima(
 
 
 def mc_excursion(
-    field: GridField | LatticeField,
+    field: LatticeField,
     u: float,
     trend: tuple[float, float] = (0.0, 0.0),
     n_samples: int = 100_000,
@@ -347,14 +278,9 @@ def mc_block_exceedance(
 
     h1 = h_of(spec.s1, len(xs), seed + 1)
     h2 = h1 if (spec.s2 == spec.s1) else h_of(spec.s2, len(ys), seed + 2)
-    v_base = (
-        x0 ** params.beta + y0 ** params.beta + (x0 * y0) ** params.a
-    )
+    v_base = variance_loss_at(params, x0, y0)
     prediction = h1 * h2 * quad.normal_survival(u) * math.exp(-u * u * v_base)
     return BlockResult(estimate=est, prediction=prediction, h1=h1, h2=h2, spec=spec)
-
-
-_H_CACHE: dict[tuple, float] = {}
 
 
 def pickands_finite_cached(
@@ -366,19 +292,20 @@ def pickands_finite_cached(
     batch_size: int = DEFAULT_BATCH,
     workers: int = 1,
 ) -> float:
-    """pickands_finite value, memoized on its full argument tuple."""
-    key = (alpha, S, n_points, n_replicates, seed, batch_size)
-    if key not in _H_CACHE:
-        _H_CACHE[key] = pickands.pickands_finite(
-            alpha, S, n_points, n_replicates, seed, "auto", batch_size, workers
-        ).value
-    return _H_CACHE[key]
+    """pickands_finite value at the automatic sampler choice.
+
+    The block runner's H(S) factors go through this name so the benchmark's
+    tracer can time them as their own layer.
+    """
+    return pickands.pickands_finite(
+        alpha, S, n_points, n_replicates, seed, "auto", batch_size, workers
+    ).value
 
 
 def ratio_harness(
     params: ModelParams,
     u_ladder: list[float],
-    field: GridField | LatticeField,
+    field: LatticeField,
     n_samples: int,
     seed: int,
     h_alpha: float | None = None,
@@ -389,17 +316,14 @@ def ratio_harness(
 
     One pass of field samples serves every level: the per-sample maxima are
     computed once and compared against each u.  The prediction column uses
-    `asymptotics.predict` (or the trend variant when the params carry a
-    trend); agreement is asymptotic, so callers should assert trends of the
-    ratio column, not equality.
+    `asymptotics.predict`, trended or not as the params say; agreement is
+    asymptotic, so callers should assert trends of the ratio column, not
+    equality.
     """
     if not u_ladder or any(b <= a for a, b in zip(u_ladder, u_ladder[1:])):
         raise ValueError("u_ladder must be nonempty and strictly increasing")
     trend = (params.c1, params.c2)
-    if trend == (0.0, 0.0):
-        pred = asymptotics.predict(params, h_alpha)
-    else:
-        pred = asymptotics.predict_trend(params, h_alpha)
+    pred = asymptotics.predict(params, h_alpha)
     maxima = excursion_maxima(field, n_samples, seed, trend, batch_size, workers)
     rows = []
     for u in u_ladder:

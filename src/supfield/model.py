@@ -31,11 +31,11 @@ __all__ = [
     "Point2",
     "Regime",
     "variance_loss",
+    "variance_loss_at",
     "sigma",
     "correlation",
     "covariance",
     "classify_regime",
-    "regime_threshold",
     "correlation_scale",
 ]
 
@@ -112,14 +112,22 @@ class ModelParams:
         return t
 
 
+def variance_loss_at(p: ModelParams, t1, t2):
+    """V(t) = t1^beta + t2^beta + (t1*t2)^a, elementwise on floats or arrays.
+
+    Unchecked: callers keep the coordinates inside [0, T]^2.
+    """
+    return t1 ** p.beta + t2 ** p.beta + (t1 * t2) ** p.a
+
+
 def variance_loss(p: ModelParams, t: Point2) -> float:
-    """V(t) = t1^beta + t2^beta + (t1*t2)^a.
+    """V(t) at one checked location.
 
     Nonnegative, zero only at the origin, and coordinatewise nondecreasing
     on the positive quadrant.
     """
     t = p.check_point(t)
-    return t.t1 ** p.beta + t.t2 ** p.beta + (t.t1 * t.t2) ** p.a
+    return variance_loss_at(p, t.t1, t.t2)
 
 
 def sigma(p: ModelParams, t: Point2) -> float:
@@ -144,11 +152,6 @@ def _boundary_cmp(a: float, threshold: float) -> int:
     if math.isclose(a, threshold, rel_tol=BOUNDARY_RTOL, abs_tol=0.0):
         return 0
     return -1 if a < threshold else 1
-
-
-def regime_threshold(p: ModelParams) -> float:
-    """a0 = alpha*beta/(alpha+beta), below which the sides dominate."""
-    return p.a0
 
 
 def classify_regime(p: ModelParams) -> Regime:

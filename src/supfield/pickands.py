@@ -17,7 +17,7 @@ difference with far smaller variance than independent rungs would give.
 
 Sampling of the paths is exact:
 
- * "cholesky":     dense factorization of the fBm covariance (reference path)
+ * "cholesky":     dense factorization of the fBm covariance, any alpha
  * "brownian":     alpha = 1 only; independent Gaussian increments
  * "davies-harte": circulant embedding of the increments, O(n log n); exact
                    whenever the embedding eigenvalues are nonnegative, which
@@ -45,73 +45,18 @@ from .factorization import chol_with_jitter
 from .streams import DEFAULT_BATCH, batch_generator, run_batches
 
 __all__ = [
-    "FbmGrid",
     "PickandsEstimate",
     "ExtrapolationProtocol",
-    "fbm_sample",
     "pickands_finite",
     "pickands_constant",
 ]
 
-
-class FbmGrid:
-    """Uniform-grid fBm covariance with its dense Cholesky factor.
-
-    The grid is 0 = t_0 < t_1 < ... < t_{n-1} = S.  The factor covers the
-    n-1 strictly positive times; B(0) = 0 holds exactly in every sample.
-    """
-
-    def __init__(self, alpha: float, horizon: float, n_points: int):
-        if not (0.0 < alpha <= 2.0):
-            raise ValueError(f"alpha must be in (0, 2], got {alpha}")
-        if not (horizon > 0):
-            raise ValueError(f"horizon must be positive, got {horizon}")
-        if n_points < 2:
-            raise ValueError(f"need at least 2 grid points, got {n_points}")
-        self.alpha = float(alpha)
-        self.horizon = float(horizon)
-        self.n_points = int(n_points)
-        self.times = np.linspace(0.0, self.horizon, self.n_points)
-        t = self.times[1:]
-        gram = 0.5 * (
-            t[:, None] ** self.alpha
-            + t[None, :] ** self.alpha
-            - np.abs(t[:, None] - t[None, :]) ** self.alpha
-        )
-        self.factor, self.jitter = chol_with_jitter(gram, 1e-14, 1e-10)
-
-    def describe(self) -> str:
-        h = self.times[1] - self.times[0]
-        return f"uniform[0,{self.horizon:g}] h={h:g} ({self.n_points} pts)"
-
-
-def fbm_sample(grid: FbmGrid, rng: np.random.Generator) -> np.ndarray:
-    """One exact fBm path on the grid (up to factorization jitter); B(0) = 0."""
-    out = np.zeros(grid.n_points)
-    out[1:] = grid.factor @ rng.standard_normal(grid.n_points - 1)
-    return out
+_SAMPLERS = ("cholesky", "brownian", "davies-harte")
 
 
 # ---------------------------------------------------------------------------
 # Batch path samplers (each returns an (n_paths, n_points) array)
 # ---------------------------------------------------------------------------
-
-
-def _sample_cholesky(grid: FbmGrid, rng: np.random.Generator, n_paths: int) -> np.ndarray:
-    out = np.zeros((n_paths, grid.n_points))
-    out[:, 1:] = (grid.factor @ rng.standard_normal((grid.n_points - 1, n_paths))).T
-    return out
-
-
-def _sample_brownian(
-    alpha: float, horizon: float, n_points: int, rng: np.random.Generator, n_paths: int
-) -> np.ndarray:
-    # alpha = 1 is Brownian motion: increments are iid N(0, h).
-    h = horizon / (n_points - 1)
-    out = np.empty((n_paths, n_points))
-    out[:, 0] = 0.0
-    np.cumsum(rng.standard_normal((n_paths, n_points - 1)) * math.sqrt(h), axis=1, out=out[:, 1:])
-    return out
 
 
 def _dh_eigenvalues(alpha: float, n_incr: int) -> np.ndarray:
@@ -129,33 +74,15 @@ def _dh_eigenvalues(alpha: float, n_incr: int) -> np.ndarray:
     return np.clip(lam, 0.0, None)
 
 
-def _sample_davies_harte(
-    alpha: float,
-    horizon: float,
-    n_points: int,
-    lam: np.ndarray,
-    rng: np.random.Generator,
-    n_paths: int,
-) -> np.ndarray:
-    n_incr = n_points - 1
-    m = 2 * n_incr
-    h = horizon / n_incr
-    raw = rng.standard_normal((n_paths, m))
-    Z = np.empty((n_paths, m), dtype=complex)
-    Z[:, 0] = raw[:, 0]
-    Z[:, n_incr] = raw[:, 1]
-    Z[:, 1:n_incr] = (raw[:, 2::2] + 1j * raw[:, 3::2]) / math.sqrt(2.0)
-    Z[:, n_incr + 1 :] = np.conj(Z[:, 1:n_incr][:, ::-1])
-    fgn = np.fft.ifft(np.sqrt(lam) * Z, axis=1).real[:, :n_incr] * math.sqrt(m)
-    fgn *= h ** (alpha / 2.0)
-    out = np.empty((n_paths, n_points))
-    out[:, 0] = 0.0
-    np.cumsum(fgn, axis=1, out=out[:, 1:])
-    return out
+def _check_alpha(alpha: float) -> None:
+    if not (0.0 < alpha <= 2.0):
+        raise ValueError(f"alpha must be in (0, 2], got {alpha}")
 
 
 def _resolve_sampler(sampler: str, alpha: float, n_points: int) -> str:
     if sampler != "auto":
+        if sampler not in _SAMPLERS:
+            raise ValueError(f"unknown sampler {sampler!r}; expected 'auto' or one of {_SAMPLERS}")
         return sampler
     if alpha == 1.0:
         return "brownian"
@@ -165,28 +92,61 @@ def _resolve_sampler(sampler: str, alpha: float, n_points: int) -> str:
 
 
 class _PathSampler:
-    """Bundles the per-batch path generator for one (alpha, S, n_points)."""
+    """Exact fBm paths on the uniform grid 0 = t_0 < t_1 < ... < t_{n-1} = S.
+
+    B(0) = 0 holds exactly in every sample.  The cholesky method factors the
+    covariance of the n-1 strictly positive times densely (`factor`, with
+    the diagonal `jitter` it needed); the other methods have no factor.
+    """
 
     def __init__(self, alpha: float, horizon: float, n_points: int, sampler: str = "auto"):
-        self.alpha = alpha
-        self.horizon = horizon
-        self.n_points = n_points
+        _check_alpha(alpha)
+        if not (horizon > 0):
+            raise ValueError(f"horizon must be positive, got {horizon}")
+        if n_points < 2:
+            raise ValueError(f"need at least 2 grid points, got {n_points}")
+        self.alpha = float(alpha)
+        self.horizon = float(horizon)
+        self.n_points = int(n_points)
         self.method = _resolve_sampler(sampler, alpha, n_points)
         if self.method == "brownian" and alpha != 1.0:
             raise ValueError("brownian sampler is exact only for alpha = 1")
-        self._grid = FbmGrid(alpha, horizon, n_points) if self.method == "cholesky" else None
-        self._lam = (
-            _dh_eigenvalues(alpha, n_points - 1) if self.method == "davies-harte" else None
-        )
+        self.factor = self.jitter = self._lam = None
+        if self.method == "cholesky":
+            t = np.linspace(0.0, self.horizon, self.n_points)[1:]
+            gram = 0.5 * (
+                t[:, None] ** self.alpha
+                + t[None, :] ** self.alpha
+                - np.abs(t[:, None] - t[None, :]) ** self.alpha
+            )
+            self.factor, self.jitter = chol_with_jitter(gram, 1e-14, 1e-10)
+        elif self.method == "davies-harte":
+            self._lam = _dh_eigenvalues(self.alpha, self.n_points - 1)
 
     def sample(self, rng: np.random.Generator, n_paths: int) -> np.ndarray:
+        """(n_paths, n_points) paths, each starting at B(0) = 0."""
+        n_incr = self.n_points - 1
+        h = self.horizon / n_incr
+        out = np.empty((n_paths, self.n_points))
+        out[:, 0] = 0.0
         if self.method == "cholesky":
-            return _sample_cholesky(self._grid, rng, n_paths)
+            out[:, 1:] = (self.factor @ rng.standard_normal((n_incr, n_paths))).T
+            return out
         if self.method == "brownian":
-            return _sample_brownian(self.alpha, self.horizon, self.n_points, rng, n_paths)
-        return _sample_davies_harte(
-            self.alpha, self.horizon, self.n_points, self._lam, rng, n_paths
-        )
+            # alpha = 1 is Brownian motion: increments are iid N(0, h).
+            incr = rng.standard_normal((n_paths, n_incr)) * math.sqrt(h)
+        else:
+            m = 2 * n_incr
+            raw = rng.standard_normal((n_paths, m))
+            Z = np.empty((n_paths, m), dtype=complex)
+            Z[:, 0] = raw[:, 0]
+            Z[:, n_incr] = raw[:, 1]
+            Z[:, 1:n_incr] = (raw[:, 2::2] + 1j * raw[:, 3::2]) / math.sqrt(2.0)
+            Z[:, n_incr + 1 :] = np.conj(Z[:, 1:n_incr][:, ::-1])
+            incr = np.fft.ifft(np.sqrt(self._lam) * Z, axis=1).real[:, :n_incr] * math.sqrt(m)
+            incr *= h ** (self.alpha / 2.0)
+        np.cumsum(incr, axis=1, out=out[:, 1:])
+        return out
 
     def describe(self) -> str:
         h = self.horizon / (self.n_points - 1)
@@ -250,6 +210,7 @@ class ExtrapolationProtocol:
 
     def grid_for(self, alpha: float) -> tuple[int, list[int]]:
         """(n_points, rung indices) with every rung exactly on the grid."""
+        _check_alpha(alpha)
         s_max = self.s_ladder[-1]
         h_target = self.spacing_factor ** (2.0 / alpha)
         n_incr = max(int(math.ceil(s_max / h_target)), len(self.s_ladder))
@@ -272,6 +233,59 @@ class ExtrapolationProtocol:
 DEFAULT_PROTOCOL = ExtrapolationProtocol()
 
 
+def _mean_se(s1: float, s2: float, n: int) -> tuple[float, float]:
+    m = float(s1) / n
+    v = max(float(s2) / n - m * m, 0.0)
+    return m, math.sqrt(v / n)
+
+
+def _ladder_sums(
+    ps: _PathSampler,
+    rungs: tuple[float, ...],
+    rung_idx: list[int],
+    n_replicates: int,
+    seed: int,
+    batch_size: int,
+    workers: int,
+) -> np.ndarray:
+    """Sums over all paths of each per-path statistic, then of its square.
+
+    The statistics are exp(max of sqrt(2) B(t) - t^alpha up to each rung),
+    read off the prefix maxima of one path per replicate.  With two or more
+    rungs, six more entries follow: the slope across the top two rungs, the
+    naive ratio at the top rung and their difference, each with its square.
+    """
+    drift = np.linspace(0.0, ps.horizon, ps.n_points) ** ps.alpha
+    k = len(rungs)
+    width = 2 * k + 6 if k > 1 else 2
+
+    def work(b: int, take: int) -> np.ndarray:
+        paths = ps.sample(batch_generator(seed, b), take)
+        running = np.maximum.accumulate(math.sqrt(2.0) * paths - drift, axis=1)
+        vals = np.exp(running[:, rung_idx])
+        acc = np.empty(width)
+        acc[:k] = vals.sum(axis=0)
+        acc[k : 2 * k] = (vals * vals).sum(axis=0)
+        if k > 1:
+            slope_i = (vals[:, -1] - vals[:, -2]) / (rungs[-1] - rungs[-2])
+            naive_i = vals[:, -1] / rungs[-1]
+            cons_i = slope_i - naive_i
+            acc[-6:] = (
+                slope_i.sum(),
+                (slope_i * slope_i).sum(),
+                naive_i.sum(),
+                (naive_i * naive_i).sum(),
+                cons_i.sum(),
+                (cons_i * cons_i).sum(),
+            )
+        return acc
+
+    acc = np.zeros(width)
+    for part in run_batches(work, n_replicates, batch_size, workers):
+        acc += part
+    return acc
+
+
 def pickands_finite(
     alpha: float,
     S: float,
@@ -286,26 +300,14 @@ def pickands_finite(
 
     The discrete maximum understates the continuous supremum, so the
     estimate carries a negative bias that shrinks as the grid refines.
+    This is the one-rung case of the ladder behind `pickands_constant`.
     """
-    if not (S > 0):
-        raise ValueError(f"S must be positive, got {S}")
     ps = _PathSampler(alpha, S, n_points, sampler)
-    drift = np.linspace(0.0, S, n_points) ** alpha
-
-    def work(b: int, take: int) -> tuple[float, float]:
-        rng = batch_generator(seed, b)
-        paths = ps.sample(rng, take)
-        vals = np.exp((math.sqrt(2.0) * paths - drift).max(axis=1))
-        return float(vals.sum()), float((vals * vals).sum())
-
-    parts = run_batches(work, n_replicates, batch_size, workers)
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    mean = s1 / n_replicates
-    var = max(s2 / n_replicates - mean * mean, 0.0)
+    acc = _ladder_sums(ps, (S,), [ps.n_points - 1], n_replicates, seed, batch_size, workers)
+    value, std_err = _mean_se(acc[0], acc[1], n_replicates)
     return PickandsEstimate(
-        value=mean,
-        std_err=math.sqrt(var / n_replicates),
+        value=value,
+        std_err=std_err,
         n_replicates=n_replicates,
         grid=ps.describe(),
         seed=seed,
@@ -329,50 +331,15 @@ def pickands_constant(
     """
     n_points, rung_idx = protocol.grid_for(alpha)
     s_ladder = protocol.s_ladder
-    ps = _PathSampler(alpha, s_ladder[-1], n_points, protocol.sampler)
-    drift = np.linspace(0.0, s_ladder[-1], n_points) ** alpha
-    n_rungs = len(s_ladder)
-    d_s = s_ladder[-1] - s_ladder[-2]
     s_max = s_ladder[-1]
-
-    def work(b: int, take: int) -> np.ndarray:
-        rng = batch_generator(seed, b)
-        paths = ps.sample(rng, take)
-        running = np.maximum.accumulate(math.sqrt(2.0) * paths - drift, axis=1)
-        vals = np.exp(running[:, rung_idx])
-        slope_i = (vals[:, -1] - vals[:, -2]) / d_s
-        naive_i = vals[:, -1] / s_max
-        cons_i = slope_i - naive_i
-        acc = np.empty(2 * n_rungs + 6)
-        acc[:n_rungs] = vals.sum(axis=0)
-        acc[n_rungs : 2 * n_rungs] = (vals * vals).sum(axis=0)
-        acc[-6:] = (
-            slope_i.sum(),
-            (slope_i * slope_i).sum(),
-            naive_i.sum(),
-            (naive_i * naive_i).sum(),
-            cons_i.sum(),
-            (cons_i * cons_i).sum(),
-        )
-        return acc
-
     n = protocol.n_replicates
-    parts = run_batches(work, n, protocol.batch_size, workers)
-    acc = np.zeros(2 * n_rungs + 6)
-    for p in parts:
-        acc += p
-
-    def mean_se(s1: float, s2: float) -> tuple[float, float]:
-        m = float(s1) / n
-        v = max(float(s2) / n - m * m, 0.0)
-        return m, math.sqrt(v / n)
-
-    rung_means, rung_ses = zip(
-        *(mean_se(acc[i], acc[n_rungs + i]) for i in range(n_rungs))
-    )
-    slope, slope_se = mean_se(acc[-6], acc[-5])
-    naive, naive_se = mean_se(acc[-4], acc[-3])
-    cons, cons_se = mean_se(acc[-2], acc[-1])
+    k = len(s_ladder)
+    ps = _PathSampler(alpha, s_max, n_points, protocol.sampler)
+    acc = _ladder_sums(ps, s_ladder, rung_idx, n, seed, protocol.batch_size, workers)
+    rung_means, rung_ses = zip(*(_mean_se(acc[i], acc[k + i], n) for i in range(k)))
+    slope, slope_se = _mean_se(acc[-6], acc[-5], n)
+    naive, naive_se = _mean_se(acc[-4], acc[-3], n)
+    cons, cons_se = _mean_se(acc[-2], acc[-1], n)
     consistent = bool(abs(cons) <= 3.0 * cons_se) if cons_se > 0 else True
     if not consistent:
         warnings.warn(

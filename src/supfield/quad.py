@@ -39,6 +39,8 @@ from typing import Callable, Sequence
 from scipy import integrate as _sint
 from scipy import special as _spec
 
+from .model import _boundary_cmp
+
 __all__ = [
     "QuadratureConfig",
     "IntegralSpec",
@@ -61,8 +63,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-# Relative tolerance on branch boundaries a = beta/2, matching model.BOUNDARY_RTOL.
-_BRANCH_RTOL = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -403,14 +403,6 @@ class AsymptoticPrediction:
         return val
 
 
-def _branch(a: float, beta: float) -> int:
-    """-1 below, 0 at, +1 above the branch boundary a = beta/2."""
-    half = beta / 2.0
-    if math.isclose(a, half, rel_tol=_BRANCH_RTOL, abs_tol=0.0):
-        return 0
-    return -1 if a < half else 1
-
-
 def _square_integral(
     spec: IntegralSpec,
     exponent: Callable[[float, float], float],
@@ -454,7 +446,7 @@ def i_gamma_asymptote(
     u^(-4/beta); above like gamma^(-2/beta) G_beta^2 u^(-4/beta).
     """
     a, beta, gamma = spec.a, spec.beta, spec.gamma
-    br = _branch(a, beta)
+    br = _boundary_cmp(a, beta / 2.0)
     if br < 0:
         pref = (
             2.0
@@ -497,7 +489,7 @@ def i_trend_asymptote(
     if spec.beta != 2.0:
         raise ValueError(f"trend asymptote requires beta = 2, got {spec.beta}")
     a = spec.a
-    br = _branch(a, 2.0)
+    br = _boundary_cmp(a, 1.0)
     if br < 0:
         pref = 2.0 * (1.0 - a) * float(_spec.gamma(1.0 / a)) / (a * a)
         return AsymptoticPrediction(pref, -2.0 / a, 1, uses_psi=False)

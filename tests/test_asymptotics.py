@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from supfield.asymptotics import lookup_h, predict, predict_trend, regime_sweep
+from supfield.asymptotics import lookup_h, predict, regime_sweep
 from supfield.model import ModelParams, Regime
 from supfield.quad import g_beta, k_beta, trend_k, trend_l
 
@@ -82,37 +82,42 @@ class TestOrderStructure:
 class TestPredictTrend:
     @pytest.mark.parametrize("a", [0.5, 2.0 / 3.0, 1.0, 2.0])
     def test_zero_trend_reduces_to_predict(self, a):
-        p = ModelParams(1.0, 2.0, a)
-        base = predict(p)
-        trend = predict_trend(p)
+        # the trend constants L(c), K(c1, c2) join G_2, K_2 as c -> 0
+        base = predict(ModelParams(1.0, 2.0, a))
+        trend = predict(ModelParams(1.0, 2.0, a, c1=1e-12, c2=1e-12))
         assert abs(trend.prefactor - base.prefactor) <= 1e-10 * base.prefactor
         assert trend.u_power == base.u_power
         assert trend.log_power == base.log_power
 
     def test_rejects_beta_not_two(self):
         with pytest.raises(ValueError, match="beta = 2"):
-            predict_trend(ModelParams(1.0, 2.5, 1.0))
+            predict(ModelParams(1.0, 2.5, 1.0, c1=1.0))
 
     def test_side_dominated_sum_of_sides(self):
         p = ModelParams(1.0, 2.0, 0.5, c1=1.0, c2=2.0)
-        pred = predict_trend(p)
+        pred = predict(p)
         assert pred.prefactor == pytest.approx(trend_l(1.0) + trend_l(2.0), rel=1e-10)
         assert (pred.u_power, pred.log_power) == (1.0, 0)
 
     def test_log_regime_trend_free(self):
-        base = predict_trend(ModelParams(1.0, 2.0, 0.8))
-        trended = predict_trend(ModelParams(1.0, 2.0, 0.8, c1=3.0, c2=7.0))
+        base = predict(ModelParams(1.0, 2.0, 0.8))
+        trended = predict(ModelParams(1.0, 2.0, 0.8, c1=3.0, c2=7.0))
         assert base.prefactor == trended.prefactor
 
     def test_critical_uses_trend_constant(self):
         p = ModelParams(1.0, 2.0, 1.0, c1=0.5, c2=1.5)
-        assert predict_trend(p).prefactor == pytest.approx(trend_k(0.5, 1.5), rel=1e-10)
+        assert predict(p).prefactor == pytest.approx(trend_k(0.5, 1.5), rel=1e-10)
 
     def test_classical_uses_product_of_sides(self):
         p = ModelParams(1.0, 2.0, 1.5, c1=0.5, c2=1.5)
-        assert predict_trend(p).prefactor == pytest.approx(
+        assert predict(p).prefactor == pytest.approx(
             trend_l(0.5) * trend_l(1.5), rel=1e-10
         )
+
+    def test_one_sided_trend_uses_trend_constants(self):
+        # one zero slope still selects L: the untrended side is L(0), not G_2
+        p = ModelParams(1.0, 2.0, 1.5, c1=0.0, c2=1.5)
+        assert predict(p).prefactor == trend_l(0.0) * trend_l(1.5)
 
 
 class TestRegimeSweep:

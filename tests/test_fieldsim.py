@@ -5,9 +5,7 @@ import pytest
 
 from supfield.fieldsim import (
     BlockSpec,
-    GridField,
     LatticeField,
-    build_grid,
     build_lattice,
     excursion_maxima,
     mc_block_exceedance,
@@ -19,47 +17,10 @@ from supfield.model import ModelParams, Point2, correlation_scale, covariance
 from supfield.quad import normal_survival
 from supfield.streams import batch_generator
 
+from oracles import spectral_excursion_probability
+
 P_CLASSICAL = ModelParams(alpha=1.0, beta=2.0, a=2.0)
 P_SIDE = ModelParams(alpha=1.0, beta=2.0, a=0.4)
-
-
-class TestGridField:
-    def test_two_by_two_gram_diagonal(self):
-        grid = build_grid(P_CLASSICAL, 2)
-        assert grid.gram.shape == (4, 4)
-        for k, (x, y) in enumerate(grid.points):
-            sig2 = math.exp(-2.0 * (x ** 2 + y ** 2 + (x * y) ** 2))
-            assert grid.gram[k, k] == pytest.approx(sig2, rel=1e-14)
-
-    def test_gram_matches_model_covariance(self):
-        grid = build_grid(P_CLASSICAL, 5)
-        for i in range(0, 25, 7):
-            for j in range(0, 25, 5):
-                t = Point2(*grid.points[i])
-                s = Point2(*grid.points[j])
-                assert abs(grid.gram[i, j] - covariance(P_CLASSICAL, t, s)) <= 1e-14
-
-    def test_gram_bitwise_symmetric(self):
-        grid = build_grid(ModelParams(0.8, 2.0, 0.7), 6)
-        assert np.array_equal(grid.gram, grid.gram.T)
-
-    def test_sixteen_point_grid_psd(self):
-        grid = build_grid(P_CLASSICAL, 4)
-        assert np.linalg.eigvalsh(grid.gram).min() >= -1e-10
-
-    def test_factorization_residual(self):
-        grid = build_grid(ModelParams(1.5, 2.5, 1.0), 8)
-        recon = grid.factor @ grid.factor.T
-        assert np.abs(recon - grid.gram).max() <= 1e-8
-
-    def test_point_cap(self):
-        with pytest.raises(ValueError):
-            build_grid(P_CLASSICAL, 70)  # 4900 > 4096
-        build_grid(P_CLASSICAL, 70, point_cap=4900)
-
-    def test_rejects_outside_points(self):
-        with pytest.raises(ValueError):
-            GridField(P_CLASSICAL, np.array([[0.5, 1.5]]))
 
 
 class TestLatticeField:
@@ -73,15 +34,14 @@ class TestLatticeField:
             )
 
     def test_matches_dense_distribution(self):
-        # same model, same lattice: dense Cholesky and Kronecker sampling
-        # target the identical Gaussian law
+        # same model, same lattice: Kronecker sampling and the spectral
+        # oracle's dense eigendecomposition target the identical Gaussian law
         n, reps, u = 12, 40_000, 2.0
         lat = build_lattice(P_CLASSICAL, n_per_axis=n)
-        dense = build_grid(P_CLASSICAL, n)
         p1 = mc_excursion(lat, u, (0, 0), reps, seed=101)
-        p2 = mc_excursion(dense, u, (0, 0), reps, seed=202)
-        joint = math.hypot(p1.std_err, p2.std_err)
-        assert abs(p1.p_hat - p2.p_hat) <= 4.0 * joint
+        p2, se2 = spectral_excursion_probability(P_CLASSICAL, n, u, reps, seed=202)
+        joint = math.hypot(p1.std_err, se2)
+        assert abs(p1.p_hat - p2) <= 4.0 * joint
 
     def test_origin_variance_and_cross_correlation(self):
         lat = build_lattice(P_CLASSICAL, n_per_axis=16)

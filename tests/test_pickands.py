@@ -5,9 +5,7 @@ import pytest
 
 from supfield.pickands import (
     ExtrapolationProtocol,
-    FbmGrid,
     _PathSampler,
-    fbm_sample,
     pickands_constant,
     pickands_finite,
 )
@@ -21,32 +19,53 @@ def empirical_paths(alpha, S, n_points, n_reps, seed, sampler="auto"):
     return ps.sample(batch_generator(seed, 0), n_reps)
 
 
-class TestFbmGrid:
+class TestCholeskySampler:
     def test_increment_variance_reconstruction(self):
-        grid = FbmGrid(alpha=1.4, horizon=2.0, n_points=65)
-        cov = grid.factor @ grid.factor.T
-        t = grid.times[1:]
+        ps = _PathSampler(alpha=1.4, horizon=2.0, n_points=65, sampler="cholesky")
+        cov = ps.factor @ ps.factor.T
+        t = np.linspace(0.0, 2.0, 65)[1:]
         for i in range(0, 64, 7):
             for j in range(0, 64, 11):
                 var = cov[i, i] + cov[j, j] - 2.0 * cov[i, j]
                 assert var == pytest.approx(abs(t[i] - t[j]) ** 1.4, abs=1e-8)
 
     def test_jitter_within_budget(self):
-        grid = FbmGrid(alpha=0.8, horizon=1.0, n_points=129)
-        assert grid.jitter <= 1e-10
+        ps = _PathSampler(alpha=0.8, horizon=1.0, n_points=129, sampler="cholesky")
+        assert ps.jitter <= 1e-10
 
     def test_sample_starts_at_zero(self, rng):
-        grid = FbmGrid(alpha=1.0, horizon=1.0, n_points=33)
-        for _ in range(5):
-            assert fbm_sample(grid, rng)[0] == 0.0
+        ps = _PathSampler(alpha=1.0, horizon=1.0, n_points=33, sampler="cholesky")
+        assert np.all(ps.sample(rng, 5)[:, 0] == 0.0)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FbmGrid(alpha=2.5, horizon=1.0, n_points=8)
-        with pytest.raises(ValueError):
-            FbmGrid(alpha=1.0, horizon=0.0, n_points=8)
-        with pytest.raises(ValueError):
-            FbmGrid(alpha=1.0, horizon=1.0, n_points=1)
+
+class TestSamplerValidation:
+    # every sampler, and both estimators, reject impossible fBm grids up front
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: _PathSampler(2.5, 1.0, 8, "cholesky"), "alpha must be in"),
+            (lambda: _PathSampler(1.0, 0.0, 8, "cholesky"), "horizon must be positive"),
+            (lambda: _PathSampler(1.0, 1.0, 1, "cholesky"), "at least 2 grid points"),
+            (lambda: _PathSampler(1.2, 0.0, 2000, "davies-harte"), "horizon must be positive"),
+            (lambda: _PathSampler(1.0, 1.0, 1, "brownian"), "at least 2 grid points"),
+            (lambda: _PathSampler(1.0, 1.0, 8, "spectral"), "unknown sampler"),
+            (lambda: pickands_finite(0.0, 1.0, 2000, 2000, seed=1), "alpha must be in"),
+            (lambda: pickands_constant(0.0), "alpha must be in"),
+        ],
+        ids=[
+            "cholesky-alpha",
+            "cholesky-horizon",
+            "cholesky-points",
+            "davies-harte-horizon",
+            "brownian-points",
+            "unknown-sampler",
+            "finite-alpha-zero",
+            "constant-alpha-zero",
+        ],
+    )
+    def test_rejects_invalid_grid(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 class TestSamplerDistribution:
