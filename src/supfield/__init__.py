@@ -46,16 +46,14 @@ from .quad import (
     g_beta,
     i_gamma,
     i_gamma_asymptote,
-    i_trend,
-    i_trend_asymptote,
     inner_a,
     integrate_1d,
     j_lambda_ratio,
     k_beta,
     normal_survival,
+    side_constants,
     trend_k,
     trend_l,
-    trend_side_asymptote,
 )
 
 __version__ = "0.1.0"

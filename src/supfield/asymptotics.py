@@ -13,7 +13,10 @@ with b = beta, H the Pickands constant of the correlation exponent alpha,
 and G_b, K_b the constants from `quad`.  With a trend (beta = 2,
 nonnegative slopes c1, c2, not both zero) `predict` replaces the side and
 product constants by L(c) and K(c1, c2); in the log regime a fixed trend
-moves only bounded terms and leaves the prefactor unchanged.
+moves only bounded terms and leaves the prefactor unchanged.  The three
+product regimes are H^2 u^(4/alpha) Psi(u) times the leading term of the
+corner integral, so their constants are `quad.i_gamma_asymptote` at
+gamma = 1.
 
 H is an input here, not computed inline: pass a `pickands` estimate or use
 the known-values table (only H = 1 at alpha = 1 ships, via h_alpha=None).
@@ -22,9 +25,7 @@ the known-values table (only H = 1 at alpha = 1 ships, via h_alpha=None).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-from scipy import special as _spec
+from dataclasses import dataclass, replace
 
 from . import quad
 from .model import ModelParams, Regime, classify_regime
@@ -56,10 +57,6 @@ def lookup_h(alpha: float, h_alpha: float | None) -> float:
     )
 
 
-def _log_prefactor(beta: float, a: float) -> float:
-    return 2.0 * (beta - 2.0 * a) * float(_spec.gamma(1.0 / a)) / (a * a * beta)
-
-
 def predict(
     p: ModelParams,
     h_alpha: float | None = None,
@@ -71,28 +68,19 @@ def predict(
     K_beta.  A nonzero trend is stated for beta = 2 only: a fixed linear
     trend and the quadratic variance loss act on the same u^(-1) scale
     there, so the trend replaces them by L(c1), L(c2) and K(c1, c2) without
-    changing powers.  Trended params with other beta are rejected.
+    changing powers.  Trended params with other beta are rejected.  The
+    product regimes scale the asymptote of the corner integral (gamma = 1).
     """
-    b = p.beta
-    trended = (p.c1, p.c2) != (0.0, 0.0)
-    if trended and b != 2.0:
-        raise ValueError(f"trend predictions require beta = 2 exactly, got beta={b}")
+    # built before branching: the spec rejects a trend with beta != 2 in every regime
+    corner = quad.IntegralSpec(1.0, p.beta, p.a, p.T, 1.0, p.c1, p.c2)
     h = lookup_h(p.alpha, h_alpha)
-    regime = classify_regime(p)
-    if regime is Regime.LOG_PRODUCT:
-        return AsymptoticPrediction(
-            h * h * _log_prefactor(b, p.a), 4.0 / p.alpha - 2.0 / p.a, 1
-        )
-    if regime is Regime.CRITICAL_PRODUCT:
-        k = quad.trend_k(p.c1, p.c2, cfg) if trended else quad.k_beta(b, cfg)
-        return AsymptoticPrediction(h * h * k, 4.0 / p.alpha - 4.0 / b, 0)
-    if trended:
-        s1, s2 = quad.trend_l(p.c1, cfg), quad.trend_l(p.c2, cfg)
-    else:
-        s1 = s2 = quad.g_beta(b)
-    if regime is Regime.SIDE_DOMINATED:
-        return AsymptoticPrediction(h * (s1 + s2), 2.0 / p.alpha - 2.0 / b, 0)
-    return AsymptoticPrediction(h * h * s1 * s2, 4.0 / p.alpha - 4.0 / b, 0)
+    if classify_regime(p) is Regime.SIDE_DOMINATED:
+        s1, s2 = quad.side_constants(p.beta, p.c1, p.c2, cfg)
+        return AsymptoticPrediction(h * (s1 + s2), 2.0 / p.alpha - 2.0 / p.beta, 0)
+    asym = quad.i_gamma_asymptote(corner, cfg)
+    return AsymptoticPrediction(
+        h * h * asym.prefactor, 4.0 / p.alpha + asym.u_power, asym.log_power
+    )
 
 
 @dataclass(frozen=True)
@@ -108,15 +96,13 @@ class SweepRow:
 
 
 def regime_sweep(
-    alpha: float,
-    beta: float,
+    params: ModelParams,
     a_values: list[float],
     u: float,
     h_alpha: float | None = None,
-    T: float = 1.0,
     cfg: QuadratureConfig = quad.DEFAULT_CONFIG,
 ) -> list[SweepRow]:
-    """Prediction structure across a range of product exponents.
+    """Prediction structure of `params` across a range of product exponents.
 
     The u-power is continuous at a = a0 (where the side and log orders
     coincide: 4/alpha - 2/a0 = 2/alpha - 2/beta) and at a = beta/2 (where
@@ -125,7 +111,7 @@ def regime_sweep(
     """
     rows = []
     for a in a_values:
-        p = ModelParams(alpha=alpha, beta=beta, a=a, T=T)
+        p = replace(params, a=a)
         pred = predict(p, h_alpha, cfg)
         rows.append(
             SweepRow(

@@ -28,11 +28,6 @@ from .svgplot import line_plot
 __all__ = ["main"]
 
 
-def _quad_config(cfg: ExperimentConfig) -> quad.QuadratureConfig:
-    q = cfg.quad
-    return quad.QuadratureConfig(q.abs_tol, q.rel_tol, q.max_subdivisions, q.tail_cut_tol)
-
-
 def _build_field(cfg: ExperimentConfig, params: ModelParams) -> fieldsim.LatticeField:
     g = cfg.grid
     if g.kind == "square":
@@ -61,7 +56,7 @@ def _write_table(
 
 def run_constants(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
     params = cfg.model.to_params()
-    qc = _quad_config(cfg)
+    qc = cfg.quad
     report = {
         "alpha": params.alpha,
         "beta": params.beta,
@@ -83,7 +78,7 @@ def run_constants(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
 
 def run_integrals(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
     params = cfg.model.to_params()
-    qc = _quad_config(cfg)
+    qc = cfg.quad
     for i, branch in enumerate(cfg.integrals):
         label = branch.label or f"branch{i}"
         rows = []
@@ -184,9 +179,7 @@ def run_sweep(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
     a_values = list(np.linspace(s.a_min, s.a_max, s.n_points))
     boundaries = sorted({params.a0, params.beta / 2.0})
     a_values = sorted(set(a_values) | set(boundaries))
-    rows_obj = asymptotics.regime_sweep(
-        params.alpha, params.beta, a_values, s.u, cfg.h_alpha, params.T, _quad_config(cfg)
-    )
+    rows_obj = asymptotics.regime_sweep(params, a_values, s.u, cfg.h_alpha, cfg.quad)
     rows = [
         [r.a, str(r.regime), r.u_power, r.log_power, r.prefactor] for r in rows_obj
     ]

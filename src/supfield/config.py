@@ -17,11 +17,11 @@ from typing import Any
 import yaml
 
 from .model import ModelParams
+from .quad import QuadratureConfig
 
 __all__ = [
     "ExperimentConfig",
     "ModelSection",
-    "QuadSection",
     "GridSection",
     "PickandsSection",
     "BlocksSection",
@@ -51,14 +51,6 @@ class ModelSection:
 
     def to_params(self) -> ModelParams:
         return ModelParams(self.alpha, self.beta, self.a, self.T, self.c1, self.c2)
-
-
-@dataclass
-class QuadSection:
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
-    tail_cut_tol: float = 1e-16
 
 
 @dataclass
@@ -119,7 +111,7 @@ class ExperimentConfig:
     u_ladder: list = field(default_factory=lambda: [2.0, 2.5, 3.0])
     h_alpha: float | None = None  # None -> known-value table (alpha = 1)
     model: ModelSection = field(default_factory=ModelSection)
-    quad: QuadSection = field(default_factory=QuadSection)
+    quad: QuadratureConfig = field(default_factory=QuadratureConfig)
     grid: GridSection = field(default_factory=GridSection)
     pickands: PickandsSection = field(default_factory=PickandsSection)
     blocks: BlocksSection = field(default_factory=BlocksSection)
@@ -149,7 +141,7 @@ class ExperimentConfig:
 # Nested sections, by field name (annotations are strings at runtime).
 _SECTION_TYPES = {
     "model": ModelSection,
-    "quad": QuadSection,
+    "quad": QuadratureConfig,
     "grid": GridSection,
     "pickands": PickandsSection,
     "blocks": BlocksSection,

@@ -73,12 +73,6 @@ class LatticeField:
         self._X, self._Y = X, Y
         self.n_points = len(xs) * len(ys)
 
-    def covariance_entry(self, i1: int, j1: int, i2: int, j2: int) -> float:
-        """Model covariance implied by the factorization, for contract tests."""
-        r1 = math.exp(-abs(self.xs[i1] - self.xs[i2]) ** self.params.alpha)
-        r2 = math.exp(-abs(self.ys[j1] - self.ys[j2]) ** self.params.alpha)
-        return self.sigma_grid[i1, j1] * self.sigma_grid[i2, j2] * r1 * r2
-
     def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """(len(xs), n, len(ys)) exact field samples."""
         n1, n2 = len(self.xs), len(self.ys)

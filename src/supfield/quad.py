@@ -6,13 +6,13 @@ critical two-dimensional constant
 
     K_beta = int_0^inf int_0^inf exp(-x^beta - y^beta - (x y)^(beta/2)) dx dy,
 
-the trend constants L(c) and K(c1, c2), the finite-domain integrals
+the trend constants L(c) and K(c1, c2), the finite-domain integral
 
-    i_gamma:  int_0^delta int_0^delta exp(-gamma u^2 (x^beta + y^beta + (xy)^a))
-    i_trend:  int_0^delta int_0^delta exp(-u^2 (x^2 + y^2 + (xy)^a) - u(c1 x + c2 y))
+    i_gamma:  int_0^delta int_0^delta exp(-gamma u^2 (x^beta + y^beta + (xy)^a) - u(c1 x + c2 y))
 
-together with their closed-form leading asymptotes as u -> infinity, and the
-nested-integral family
+(a nonzero trend slope c1, c2 requires beta = 2) together with its leading
+asymptote as u -> infinity, whose prefactors are the product-regime
+constants of `asymptotics.predict`, and the nested-integral family
 
     J(lam) = int int X^(q-1) Y^(q-1) exp(-g X - g Y - g lam (XY)^p) dX dY
     A(Z)   = int_0^inf X^(-1) exp(-g X - g Z/X - c1 X - c2 Z/X) dX,
@@ -55,9 +55,7 @@ __all__ = [
     "trend_k",
     "i_gamma",
     "i_gamma_asymptote",
-    "i_trend",
-    "i_trend_asymptote",
-    "trend_side_asymptote",
+    "side_constants",
     "inner_a",
     "j_lambda_ratio",
 ]
@@ -265,33 +263,25 @@ def _exp_form_integral(
     prod_exp: float,
     c1: float,
     c2: float,
-    gamma: float,
     cfg: QuadratureConfig,
 ) -> float:
-    """integral over [0,inf)^2 of exp(-gamma(x^beta + y^beta + (xy)^prod_exp) - c1 x - c2 y).
+    """integral over [0,inf)^2 of exp(-(x^beta + y^beta + (xy)^prod_exp) - c1 x - c2 y).
 
     Computed on the triangle {x <= y} with the integrand symmetrized,
     f(x, y) + f(y, x), which covers the full quadrant and makes the swap
     symmetry in (c1, c2) exact.  The outer variable is truncated by the
-    gamma * y^beta envelope.
+    y^beta envelope.
     """
-    env = DecayEnvelope(rate=gamma, power=beta)
+    env = DecayEnvelope(rate=1.0, power=beta)
     R = max(env.cutoff(cfg.tail_cut_tol), 1.0)
-    # discarded region {y > R, x <= y}: integrand <= 2 e^{-gamma y^beta} on a
-    # strip of width y, so the remainder is bounded by the y-weighted tail
-    # 2 int_R^inf y e^{-gamma y^beta} dy = 2 Gamma(2/beta, gamma R^beta) / (beta gamma^{2/beta})
+    # discarded region {y > R, x <= y}: integrand <= 2 e^{-y^beta} on a strip
+    # of width y, so the remainder is bounded by the y-weighted tail
+    # 2 int_R^inf y e^{-y^beta} dy = 2 Gamma(2/beta, R^beta) / beta
     s = 2.0 / beta
-    tail = (
-        2.0
-        * float(_spec.gamma(s))
-        * float(_spec.gammaincc(s, gamma * R ** beta))
-        / (beta * gamma ** s)
-    )
+    tail = 2.0 * float(_spec.gamma(s)) * float(_spec.gammaincc(s, R ** beta)) / beta
 
     def f(x: float, y: float) -> float:
-        return math.exp(
-            -gamma * (x ** beta + y ** beta + (x * y) ** prod_exp) - c1 * x - c2 * y
-        )
+        return math.exp(-(x ** beta + y ** beta + (x * y) ** prod_exp) - c1 * x - c2 * y)
 
     inner_epsabs = cfg.abs_tol / (8.0 * R)
 
@@ -318,7 +308,7 @@ def k_beta(beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """
     if not (beta > 0):
         raise ValueError(f"beta must be positive, got {beta}")
-    return _exp_form_integral(beta, beta / 2.0, 0.0, 0.0, 1.0, cfg)
+    return _exp_form_integral(beta, beta / 2.0, 0.0, 0.0, cfg)
 
 
 def trend_l(c: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -340,7 +330,18 @@ def trend_k(c1: float, c2: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> flo
     """
     if c1 < 0 or c2 < 0:
         raise ValueError(f"trend slopes must be nonnegative, got ({c1}, {c2})")
-    return _exp_form_integral(2.0, 1.0, c1, c2, 1.0, cfg)
+    return _exp_form_integral(2.0, 1.0, c1, c2, cfg)
+
+
+def side_constants(
+    beta: float, c1: float, c2: float, cfg: QuadratureConfig = DEFAULT_CONFIG
+) -> tuple[float, float]:
+    """The one-dimensional constants of the two sides: L(c1), L(c2) when a
+    slope is nonzero (a trend is stated for beta = 2), else G_beta for both."""
+    if (c1, c2) == (0.0, 0.0):
+        gb = g_beta(beta)
+        return gb, gb
+    return trend_l(c1, cfg), trend_l(c2, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +358,7 @@ class IntegralSpec:
     a     : product exponent (> 0); a vs beta/2 selects the asymptotic branch
     delta : upper limit of the square integration domain (> 0)
     u     : level (> 0)
-    c1,c2 : trend slopes (>= 0), used by the trend variants
+    c1,c2 : trend slopes (>= 0); a nonzero slope requires beta = 2
     """
 
     gamma: float
@@ -374,6 +375,8 @@ class IntegralSpec:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.c1 < 0 or self.c2 < 0:
             raise ValueError("trend slopes must be nonnegative")
+        if (self.c1, self.c2) != (0.0, 0.0) and self.beta != 2.0:
+            raise ValueError(f"a trend requires beta = 2 exactly, got beta={self.beta}")
 
 
 @dataclass(frozen=True)
@@ -429,10 +432,18 @@ def _square_integral(
 
 
 def i_gamma(spec: IntegralSpec, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Direct quadrature of int_0^delta int_0^delta exp(-gamma u^2 (x^b + y^b + (xy)^a))."""
+    """Direct quadrature of
+    int_0^delta int_0^delta exp(-gamma u^2 (x^b + y^b + (xy)^a) - u(c1 x + c2 y))."""
     g2 = spec.gamma * spec.u * spec.u
     b, a = spec.beta, spec.a
-    return _square_integral(spec, lambda x, y: -g2 * (x ** b + y ** b + (x * y) ** a), cfg)
+    if (spec.c1, spec.c2) == (0.0, 0.0):
+        return _square_integral(spec, lambda x, y: -g2 * (x ** b + y ** b + (x * y) ** a), cfg)
+    u, c1, c2 = spec.u, spec.c1, spec.c2
+    return _square_integral(
+        spec,
+        lambda x, y: -g2 * (x * x + y * y + (x * y) ** a) - u * (c1 * x + c2 * y),
+        cfg,
+    )
 
 
 def i_gamma_asymptote(
@@ -441,9 +452,12 @@ def i_gamma_asymptote(
     """Leading u -> infinity form of i_gamma as (prefactor, u-power, log-power).
 
     Branches on a vs beta/2: below, the integral behaves like
-    2(beta - 2a) Gamma(1/a) / (a^2 beta gamma^(1/a)) * u^(-2/a) * log u;
-    at the boundary like the critical constant at rate gamma times
-    u^(-4/beta); above like gamma^(-2/beta) G_beta^2 u^(-4/beta).
+    2(beta - 2a) Gamma(1/a) / (a^2 beta gamma^(1/a)) * u^(-2/a) * log u,
+    whatever the trend, since a fixed trend moves only bounded terms.  At
+    and above the boundary it behaves like gamma^(-2/beta) C u^(-4/beta):
+    substituting x -> x / (gamma u^2)^(1/beta) scales the slopes to
+    c' = c / sqrt(gamma), and C is the critical constant K(c1', c2') (K_beta
+    without a trend) at a = beta/2, or L(c1') L(c2') (G_beta^2) above it.
     """
     a, beta, gamma = spec.a, spec.beta, spec.gamma
     br = _boundary_cmp(a, beta / 2.0)
@@ -455,57 +469,13 @@ def i_gamma_asymptote(
             / (a * a * beta * gamma ** (1.0 / a))
         )
         return AsymptoticPrediction(pref, -2.0 / a, 1, uses_psi=False)
+    c1, c2 = spec.c1 / math.sqrt(gamma), spec.c2 / math.sqrt(gamma)
     if br == 0:
-        pref = _exp_form_integral(beta, beta / 2.0, 0.0, 0.0, gamma, cfg)
-        return AsymptoticPrediction(pref, -4.0 / beta, 0, uses_psi=False)
-    gb = g_beta(beta)
-    return AsymptoticPrediction(gamma ** (-2.0 / beta) * gb * gb, -4.0 / beta, 0, uses_psi=False)
-
-
-def i_trend(spec: IntegralSpec, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Quadrature of int_0^delta int_0^delta exp(-u^2(x^2 + y^2 + (xy)^a) - u(c1 x + c2 y)).
-
-    The trend variant is defined for beta = 2 only.
-    """
-    if spec.beta != 2.0:
-        raise ValueError(f"trend integral requires beta = 2, got {spec.beta}")
-    u, a, c1, c2 = spec.u, spec.a, spec.c1, spec.c2
-    g2 = spec.gamma * u * u
-    return _square_integral(
-        spec,
-        lambda x, y: -g2 * (x * x + y * y + (x * y) ** a) - u * (c1 * x + c2 * y),
-        cfg,
-    )
-
-
-def i_trend_asymptote(
-    spec: IntegralSpec, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> AsymptoticPrediction:
-    """Leading form of i_trend: log branch below a = 1, K(c1,c2) at 1, L(c1)L(c2) above.
-
-    In the log branch the trend affects only bounded terms, so the prefactor
-    is independent of (c1, c2).
-    """
-    if spec.beta != 2.0:
-        raise ValueError(f"trend asymptote requires beta = 2, got {spec.beta}")
-    a = spec.a
-    br = _boundary_cmp(a, 1.0)
-    if br < 0:
-        pref = 2.0 * (1.0 - a) * float(_spec.gamma(1.0 / a)) / (a * a)
-        return AsymptoticPrediction(pref, -2.0 / a, 1, uses_psi=False)
-    if br == 0:
-        return AsymptoticPrediction(trend_k(spec.c1, spec.c2, cfg), -2.0, 0, uses_psi=False)
-    return AsymptoticPrediction(
-        trend_l(spec.c1, cfg) * trend_l(spec.c2, cfg), -2.0, 0, uses_psi=False
-    )
-
-
-def trend_side_asymptote(
-    c: float, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> AsymptoticPrediction:
-    """Leading form L(c) * u^(-1) of the one-dimensional trend integral
-    int_0^delta exp(-u^2 x^2 - u c x) dx."""
-    return AsymptoticPrediction(trend_l(c, cfg), -1.0, 0, uses_psi=False)
+        const = _exp_form_integral(beta, beta / 2.0, c1, c2, cfg)
+    else:
+        s1, s2 = side_constants(beta, c1, c2, cfg)
+        const = s1 * s2
+    return AsymptoticPrediction(gamma ** (-2.0 / beta) * const, -4.0 / beta, 0, uses_psi=False)
 
 
 # ---------------------------------------------------------------------------

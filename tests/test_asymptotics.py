@@ -63,7 +63,7 @@ class TestOrderStructure:
             rhs = 2.0 / alpha - 2.0 / beta
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
-    def test_log_prefactor_vanishes_at_half_beta(self):
+    def test_log_regime_prefactor_vanishes_at_half_beta(self):
         beta = 2.0
         prev = math.inf
         for eps in (0.1, 0.03, 0.01, 0.003, 0.001):
@@ -123,7 +123,7 @@ class TestPredictTrend:
 class TestRegimeSweep:
     def test_order_continuous_at_boundaries(self):
         a_values = [0.5, 0.66, 2.0 / 3.0, 0.7, 0.9, 1.0, 1.2, 2.0]
-        rows = regime_sweep(1.0, 2.0, a_values, u=10.0)
+        rows = regime_sweep(ModelParams(1.0, 2.0, 1.0), a_values, u=10.0)
         by_a = {r.a: r for r in rows}
         # below and at a0 the u-power is 1; the log flag switches on at a0
         assert by_a[0.5].u_power == 1.0 and by_a[0.5].log_power == 0
@@ -136,7 +136,7 @@ class TestRegimeSweep:
         assert by_a[2.0].u_power == 2.0
 
     def test_regime_column(self):
-        rows = regime_sweep(1.0, 2.0, [0.5, 0.8, 1.0, 1.5], u=10.0)
+        rows = regime_sweep(ModelParams(1.0, 2.0, 1.0), [0.5, 0.8, 1.0, 1.5], u=10.0)
         assert [r.regime for r in rows] == [
             Regime.SIDE_DOMINATED,
             Regime.LOG_PRODUCT,
@@ -145,5 +145,11 @@ class TestRegimeSweep:
         ]
 
     def test_values_finite_at_u(self):
-        rows = regime_sweep(1.0, 2.0, list(np.linspace(0.4, 1.4, 11)), u=5.0)
+        rows = regime_sweep(ModelParams(1.0, 2.0, 1.0), list(np.linspace(0.4, 1.4, 11)), u=5.0)
         assert all(r.value_at_u > 0 and math.isfinite(r.value_at_u) for r in rows)
+
+    def test_keeps_the_trend(self):
+        p = ModelParams(1.0, 2.0, 1.0, c1=0.7, c2=1.3)
+        side, critical = regime_sweep(p, [0.5, 1.0], u=10.0, h_alpha=1.37)
+        assert side.prefactor == pytest.approx(1.37 * (trend_l(0.7) + trend_l(1.3)), rel=1e-12)
+        assert critical.prefactor == pytest.approx(1.37 ** 2 * trend_k(0.7, 1.3), rel=1e-12)

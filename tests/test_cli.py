@@ -87,6 +87,11 @@ class TestMcCommand:
         cfg = write_cfg(tmp_path, self.CFG.replace("n_samples: 4000", "n_samples: 0"))
         assert main(["mc", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_invalid_quad_section_fails_at_load(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, self.CFG + "quad: {rel_tol: -1.0}\n")
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "tolerances must be nonnegative" in capsys.readouterr().err
+
     def test_byte_identical_reruns_across_workers(self, tmp_path):
         cfg = write_cfg(tmp_path, self.CFG)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

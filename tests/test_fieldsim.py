@@ -25,13 +25,14 @@ P_SIDE = ModelParams(alpha=1.0, beta=2.0, a=0.4)
 
 class TestLatticeField:
     def test_covariance_matches_model(self):
+        # the entry the sampler's factors imply, sigma_t sigma_s (L1 L1')_x (L2 L2')_y
         lat = build_lattice(P_CLASSICAL, n_per_axis=7)
+        r1, r2 = lat.l1 @ lat.l1.T, lat.l2 @ lat.l2.T
         for (i1, j1, i2, j2) in [(0, 0, 3, 4), (2, 5, 6, 1), (4, 4, 4, 4)]:
             t = Point2(lat.xs[i1], lat.ys[j1])
             s = Point2(lat.xs[i2], lat.ys[j2])
-            assert lat.covariance_entry(i1, j1, i2, j2) == pytest.approx(
-                covariance(P_CLASSICAL, t, s), abs=1e-14
-            )
+            entry = r1[i1, i2] * r2[j1, j2] * lat.sigma_grid[i1, j1] * lat.sigma_grid[i2, j2]
+            assert entry == pytest.approx(covariance(P_CLASSICAL, t, s), abs=1e-14)
 
     def test_matches_dense_distribution(self):
         # same model, same lattice: Kronecker sampling and the spectral

@@ -7,13 +7,10 @@ from supfield.quad import (
     QuadratureConfig,
     i_gamma,
     i_gamma_asymptote,
-    i_trend,
-    i_trend_asymptote,
     inner_a,
     j_lambda_ratio,
     trend_k,
     trend_l,
-    trend_side_asymptote,
 )
 
 from oracles import (
@@ -150,40 +147,55 @@ class TestJLambdaRatio:
 
 
 class TestITrend:
+    """i_gamma and its asymptote with trend slopes (beta = 2)."""
+
     def test_reduces_to_i_gamma_case(self):
         s = spec(a=2.0, u=100.0)
-        val = i_trend(s, CFG) * 100.0 ** 2
-        g2 = math.gamma(1.5)
-        assert val == pytest.approx(g2 * g2, rel=1e-3)
+        tiny = spec(a=2.0, u=100.0, c1=1e-9, c2=1e-9)
+        assert i_gamma(tiny, CFG) == pytest.approx(i_gamma(s, CFG), rel=1e-6)
 
     def test_critical_with_trend_u100(self):
         s = spec(a=1.0, u=100.0, c1=1.0, c2=1.0)
-        val = i_trend(s, CFG) * 100.0 ** 2
+        val = i_gamma(s, CFG) * 100.0 ** 2
         assert val == pytest.approx(trend_k(1.0, 1.0, CFG), rel=1e-3)
 
+    def test_classical_with_trend_u30(self):
+        # the trend shrinks the integral tenfold: 9.0e-5 against 8.7e-4 untrended
+        s = spec(a=2.0, u=30.0, c1=3.0, c2=3.0)
+        val = i_gamma(s, CFG) * 30.0 ** 2
+        assert val == pytest.approx(trend_l(3.0, CFG) ** 2, rel=2e-3)
+
     def test_requires_beta_two(self):
-        with pytest.raises(ValueError):
-            i_trend(spec(beta=3.0), CFG)
+        with pytest.raises(ValueError, match="beta = 2"):
+            i_gamma(spec(beta=3.0, c1=1.0), CFG)
 
     def test_log_branch_prefactor_trend_free(self):
-        a_lo = i_trend_asymptote(spec(a=0.5), CFG)
-        a_hi = i_trend_asymptote(spec(a=0.5, c1=3.0, c2=7.0), CFG)
+        a_lo = i_gamma_asymptote(spec(a=0.5), CFG)
+        a_hi = i_gamma_asymptote(spec(a=0.5, c1=3.0, c2=7.0), CFG)
         assert a_lo.prefactor == a_hi.prefactor
         assert a_lo.log_power == 1
         assert a_lo.u_power == pytest.approx(-4.0)
 
     def test_classical_asymptote_is_product_of_sides(self):
-        pred = i_trend_asymptote(spec(a=2.0, c1=1.0, c2=2.0), CFG)
+        pred = i_gamma_asymptote(spec(a=2.0, c1=1.0, c2=2.0), CFG)
         assert pred.prefactor == pytest.approx(
             trend_l(1.0, CFG) * trend_l(2.0, CFG), rel=1e-10
         )
         assert (pred.u_power, pred.log_power) == (-2.0, 0)
 
     def test_critical_asymptote(self):
-        pred = i_trend_asymptote(spec(a=1.0, c1=1.0, c2=1.0), CFG)
+        pred = i_gamma_asymptote(spec(a=1.0, c1=1.0, c2=1.0), CFG)
         assert pred.prefactor == pytest.approx(trend_k(1.0, 1.0, CFG), rel=1e-12)
 
-    def test_side_asymptote(self):
-        pred = trend_side_asymptote(2.0, CFG)
-        assert pred.prefactor == pytest.approx(trend_l(2.0, CFG), rel=1e-12)
-        assert (pred.u_power, pred.log_power, pred.uses_psi) == (-1.0, 0, False)
+    @pytest.mark.parametrize("a", [2.0, 1.0])
+    def test_gamma_scales_the_slopes(self, a):
+        # x -> x / (sqrt(gamma) u) turns slope c into c / sqrt(gamma) and
+        # leaves a factor 1/gamma: L(1/sqrt 2)^2 / 2 above a = 1, K(.)/2 at it
+        s = spec(gamma=2.0, a=a, u=300.0, c1=1.0, c2=1.0)
+        c = 1.0 / math.sqrt(2.0)
+        if a == 1.0:
+            closed = trend_k(c, c, CFG) / 2.0
+        else:
+            closed = trend_l(c, CFG) ** 2 / 2.0
+        assert i_gamma_asymptote(s, CFG).prefactor == pytest.approx(closed, rel=1e-10)
+        assert i_gamma(s, CFG) * 300.0 ** 2 == pytest.approx(closed, rel=2e-3)
