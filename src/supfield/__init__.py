@@ -47,7 +47,6 @@ from .quad import (
     i_gamma,
     i_gamma_asymptote,
     inner_a,
-    integrate_1d,
     j_lambda_ratio,
     k_beta,
     normal_survival,

@@ -3,6 +3,7 @@
     supfield <kind> --config cfg.yaml [--seed N] [--workers N] [--out DIR]
 
 with kind one of: constants | integrals | pickands | mc | blocks | sweep.
+The kind comes only from the subcommand; the config file has no kind key.
 
 Every run writes its outputs plus a MANIFEST (config echo, library version,
 seed, wall time) into the output directory.  Reruns with identical config
@@ -55,7 +56,7 @@ def _write_table(
 
 
 def run_constants(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
-    params = cfg.model.to_params()
+    params = cfg.model
     qc = cfg.quad
     report = {
         "alpha": params.alpha,
@@ -77,7 +78,7 @@ def run_constants(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
 
 
 def run_integrals(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
-    params = cfg.model.to_params()
+    params = cfg.model
     qc = cfg.quad
     for i, branch in enumerate(cfg.integrals):
         label = branch.label or f"branch{i}"
@@ -95,16 +96,10 @@ def run_integrals(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
 
 
 def run_pickands(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
-    params = cfg.model.to_params()
-    pc = cfg.pickands
-    protocol = pickands.ExtrapolationProtocol(
-        s_ladder=tuple(pc.s_ladder),
-        spacing_factor=pc.spacing_factor,
-        n_replicates=pc.n_replicates,
-        sampler=pc.sampler,
-        batch_size=pc.batch_size,
+    params = cfg.model
+    est = pickands.pickands_constant(
+        params.alpha, cfg.pickands, seed=cfg.seed, workers=cfg.workers
     )
-    est = pickands.pickands_constant(params.alpha, protocol, seed=cfg.seed, workers=cfg.workers)
     rows = [
         [s, v, se]
         for s, v, se in zip(est.rungs, est.rung_values, est.rung_std_errs)
@@ -128,7 +123,7 @@ def run_pickands(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
 
 
 def run_mc(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
-    params = cfg.model.to_params()
+    params = cfg.model
     field = _build_field(cfg, params)
     rows_obj = fieldsim.ratio_harness(
         params,
@@ -139,6 +134,7 @@ def run_mc(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
         h_alpha=cfg.h_alpha,
         batch_size=cfg.batch_size,
         workers=cfg.workers,
+        cfg=cfg.quad,
     )
     rows = [[r.u, r.p_hat, r.std_err, r.prediction, r.ratio] for r in rows_obj]
     print(f"grid: {field.describe()}  samples: {cfg.n_samples}")
@@ -146,7 +142,7 @@ def run_mc(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
 
 
 def run_blocks(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
-    params = cfg.model.to_params()
+    params = cfg.model
     b = cfg.blocks
     n_samples = list(b.n_samples)
     if len(n_samples) == 1:
@@ -174,7 +170,7 @@ def run_blocks(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
 
 
 def run_sweep(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
-    params = cfg.model.to_params()
+    params = cfg.model
     s = cfg.sweep
     a_values = list(np.linspace(s.a_min, s.a_max, s.n_points))
     boundaries = sorted({params.a0, params.beta / 2.0})
@@ -227,22 +223,16 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(
-            args.config,
-            overrides={
-                "kind": args.kind,
-                "seed": args.seed,
-                "workers": args.workers,
-                "out": args.out,
-            },
+            args.config, overrides={"seed": args.seed, "workers": args.workers, "out": args.out}
         )
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     out = Path(cfg.out)
-    manifest = Manifest(out, cfg.kind, config_to_dict(cfg), __version__)
+    manifest = Manifest(out, args.kind, config_to_dict(cfg), __version__)
     try:
-        _RUNNERS[cfg.kind](cfg, out, manifest)
+        _RUNNERS[args.kind](cfg, out, manifest)
     except (ConfigError, ValueError) as exc:
         manifest.fail(str(exc))
         manifest.write()

@@ -1,10 +1,13 @@
 """Declarative experiment configuration.
 
 Experiments are described by a single commented YAML file with typed keys.
-Every field has a default; unknown keys are rejected at every nesting level
-so a typo cannot silently fall back to a default.  The normalized config is
-echoed into each run's MANIFEST, which together with the seed makes CSV
-outputs byte-reproducible.
+The `model:`, `quad:` and `pickands:` sections are the library's own
+`ModelParams`, `QuadratureConfig` and `ExtrapolationProtocol`; every key
+is optional and keeps the default of `ExperimentConfig()`.  Unknown keys
+and values of the wrong type are rejected at every nesting level, so a typo
+cannot silently fall back to a default.  The normalized config is echoed
+into each run's MANIFEST, which together with the seed makes CSV outputs
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -17,40 +20,23 @@ from typing import Any
 import yaml
 
 from .model import ModelParams
+from .pickands import ExtrapolationProtocol
 from .quad import QuadratureConfig
 
 __all__ = [
     "ExperimentConfig",
-    "ModelSection",
     "GridSection",
-    "PickandsSection",
     "BlocksSection",
     "IntegralBranch",
     "SweepSection",
     "ConfigError",
     "load_config",
     "config_to_dict",
-    "EXPERIMENT_KINDS",
 ]
-
-EXPERIMENT_KINDS = ("constants", "integrals", "pickands", "mc", "blocks", "sweep")
 
 
 class ConfigError(ValueError):
     """Malformed experiment configuration."""
-
-
-@dataclass
-class ModelSection:
-    alpha: float = 1.0
-    beta: float = 2.0
-    a: float = 2.0
-    T: float = 1.0
-    c1: float = 0.0
-    c2: float = 0.0
-
-    def to_params(self) -> ModelParams:
-        return ModelParams(self.alpha, self.beta, self.a, self.T, self.c1, self.c2)
 
 
 @dataclass
@@ -61,15 +47,6 @@ class GridSection:
     n_geo: int = 28  # side grids: geometric strip refinement per axis
     width: float = 0.25  # side grids: strip width receiving the refinement
     inner: float = 1e-4  # side grids: innermost refined coordinate
-
-
-@dataclass
-class PickandsSection:
-    s_ladder: list = field(default_factory=lambda: [0.5, 1.0, 2.0, 4.0])
-    spacing_factor: float = 0.05
-    n_replicates: int = 400_000
-    sampler: str = "auto"
-    batch_size: int = 2048
 
 
 @dataclass
@@ -102,7 +79,6 @@ class SweepSection:
 
 @dataclass
 class ExperimentConfig:
-    kind: str = "constants"
     seed: int = 12345
     workers: int = 1
     out: str = "results"
@@ -110,10 +86,10 @@ class ExperimentConfig:
     batch_size: int = 2048
     u_ladder: list = field(default_factory=lambda: [2.0, 2.5, 3.0])
     h_alpha: float | None = None  # None -> known-value table (alpha = 1)
-    model: ModelSection = field(default_factory=ModelSection)
+    model: ModelParams = field(default_factory=lambda: ModelParams(1.0, 2.0, 2.0))
     quad: QuadratureConfig = field(default_factory=QuadratureConfig)
     grid: GridSection = field(default_factory=GridSection)
-    pickands: PickandsSection = field(default_factory=PickandsSection)
+    pickands: ExtrapolationProtocol = field(default_factory=ExtrapolationProtocol)
     blocks: BlocksSection = field(default_factory=BlocksSection)
     integrals: list = field(default_factory=lambda: [
         IntegralBranch(gamma=1.0, a=2.0, delta=1.0, label="classical"),
@@ -123,8 +99,6 @@ class ExperimentConfig:
     sweep: SweepSection = field(default_factory=SweepSection)
 
     def validate(self) -> None:
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r}; expected one of {EXPERIMENT_KINDS}")
         if self.n_samples < 1:
             raise ConfigError("n_samples must be at least 1")
         if self.workers < 1:
@@ -135,44 +109,65 @@ class ExperimentConfig:
             b <= a for a, b in zip(self.u_ladder, self.u_ladder[1:])
         ):
             raise ConfigError("u_ladder must be strictly increasing")
-        self.model.to_params()  # raises on invalid model parameters
 
 
-# Nested sections, by field name (annotations are strings at runtime).
-_SECTION_TYPES = {
-    "model": ModelSection,
-    "quad": QuadratureConfig,
-    "grid": GridSection,
-    "pickands": PickandsSection,
-    "blocks": BlocksSection,
-    "sweep": SweepSection,
-}
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _build(cls: type, data: Any, where: str) -> Any:
-    """Recursively build a dataclass from a mapping, rejecting unknown keys."""
+def _checked(default: Any, value: Any, where: str) -> Any:
+    """value, if its type fits the default it replaces (an int fits a float,
+    None fits only h_alpha); a list replacing a tuple becomes a tuple."""
+    if isinstance(default, (list, tuple)):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        if default and _is_number(default[0]):
+            for i, item in enumerate(value):
+                _checked(default[0], item, f"{where}[{i}]")
+        return type(default)(value)
+    if default is None or isinstance(default, float):
+        ok = _is_number(value) or (default is None and value is None)
+        expected = "a number"
+    else:
+        ok = isinstance(value, type(default)) and not isinstance(value, bool)
+        expected = type(default).__name__
+    if not ok:
+        hint = "; a YAML float needs a dot: write 1.0e-12, not 1e-12"
+        raise ConfigError(
+            f"{where}: expected {expected}, got {value!r}{hint if isinstance(value, str) else ''}"
+        )
+    return value
+
+
+def _build(default: Any, data: Any, where: str) -> Any:
+    """A copy of the dataclass instance `default` with the keys of the
+    mapping `data` replaced.  A field whose default is a dataclass is a
+    section and is built the same way; unknown keys are rejected."""
     if data is None:
-        return cls()
+        return default
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected a mapping, got {type(data).__name__}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
+    names = [f.name for f in dataclasses.fields(default)]
+    unknown = set(data) - set(names)
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; valid keys: {sorted(fields)}")
-    kwargs = {}
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; valid keys: {sorted(names)}")
+    changes = {}
     for name, value in data.items():
-        if name in _SECTION_TYPES:
-            kwargs[name] = _build(_SECTION_TYPES[name], value, f"{where}.{name}")
+        old, key = getattr(default, name), f"{where}.{name}"
+        if dataclasses.is_dataclass(old):
+            changes[name] = _build(old, value, key)
         elif name == "integrals":
             if not isinstance(value, list):
-                raise ConfigError(f"{where}.integrals: expected a list")
-            kwargs[name] = [
-                _build(IntegralBranch, item, f"{where}.integrals[{i}]")
-                for i, item in enumerate(value)
+                raise ConfigError(f"{key}: expected a list")
+            changes[name] = [
+                _build(IntegralBranch(), item, f"{key}[{i}]") for i, item in enumerate(value)
             ]
         else:
-            kwargs[name] = value
-    return cls(**kwargs)
+            changes[name] = _checked(old, value, key)
+    try:
+        return dataclasses.replace(default, **changes)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> ExperimentConfig:
@@ -186,10 +181,8 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
         data = loaded
-    cfg = _build(ExperimentConfig, data, "config")
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            setattr(cfg, key, value)
+    data.update({k: v for k, v in (overrides or {}).items() if v is not None})
+    cfg = _build(ExperimentConfig(), data, "config")
     cfg.validate()
     return cfg
 
@@ -199,7 +192,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     def convert(obj: Any) -> Any:
         if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
             return {f.name: convert(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-        if isinstance(obj, list):
+        if isinstance(obj, (list, tuple)):
             return [convert(v) for v in obj]
         return obj
 

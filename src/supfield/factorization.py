@@ -13,6 +13,9 @@ import numpy as np
 
 __all__ = ["FactorizationError", "chol_with_jitter"]
 
+_INITIAL_JITTER = 1e-14  # first diagonal shift tried
+_GROWTH = 10.0  # escalation factor between shifts
+
 
 class FactorizationError(RuntimeError):
     """Cholesky failed at the maximum allowed jitter."""
@@ -26,17 +29,13 @@ class FactorizationError(RuntimeError):
         self.max_jitter = max_jitter
 
 
-def chol_with_jitter(
-    mat: np.ndarray,
-    initial_jitter: float = 1e-14,
-    max_jitter: float = 1e-10,
-    factor: float = 10.0,
-) -> tuple[np.ndarray, float]:
+def chol_with_jitter(mat: np.ndarray, max_jitter: float) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of mat (+ jitter * I as needed).
 
     Tries the unmodified matrix first, then escalates the diagonal shift
-    geometrically.  Returns (L, jitter_used).  Raises FactorizationError,
-    reporting the estimated minimum eigenvalue, if the ceiling is reached.
+    geometrically from 1e-14 by factors of 10 up to `max_jitter`.  Returns
+    (L, jitter_used).  Raises FactorizationError, reporting the estimated
+    minimum eigenvalue, if the ceiling is reached.
     """
     mat = np.asarray(mat, dtype=float)
     n = mat.shape[0]
@@ -46,7 +45,7 @@ def chol_with_jitter(
             L = np.linalg.cholesky(mat if jitter == 0.0 else mat + jitter * np.eye(n))
             return L, jitter
         except np.linalg.LinAlgError:
-            jitter = initial_jitter if jitter == 0.0 else jitter * factor
+            jitter = _INITIAL_JITTER if jitter == 0.0 else jitter * _GROWTH
             if jitter > max_jitter:
                 min_eig = float(np.linalg.eigvalsh(mat)[0])
                 raise FactorizationError(

@@ -66,8 +66,8 @@ class LatticeField:
         self.params = params
         self.xs = xs
         self.ys = ys
-        self.l1, self.jitter1 = chol_with_jitter(_axis_correlation(params, xs), 1e-14, 1e-9)
-        self.l2, self.jitter2 = chol_with_jitter(_axis_correlation(params, ys), 1e-14, 1e-9)
+        self.l1, self.jitter1 = chol_with_jitter(_axis_correlation(params, xs), 1e-9)
+        self.l2, self.jitter2 = chol_with_jitter(_axis_correlation(params, ys), 1e-9)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         self.sigma_grid = np.exp(-variance_loss_at(params, X, Y))
         self._X, self._Y = X, Y
@@ -305,19 +305,20 @@ def ratio_harness(
     h_alpha: float | None = None,
     batch_size: int = DEFAULT_BATCH,
     workers: int = 1,
+    cfg: quad.QuadratureConfig = quad.DEFAULT_CONFIG,
 ) -> list[RatioRow]:
     """MC estimate versus leading-order prediction across a ladder of levels.
 
     One pass of field samples serves every level: the per-sample maxima are
     computed once and compared against each u.  The prediction column uses
-    `asymptotics.predict`, trended or not as the params say; agreement is
-    asymptotic, so callers should assert trends of the ratio column, not
-    equality.
+    `asymptotics.predict` at the tolerances `cfg`, trended or not as the
+    params say; agreement is asymptotic, so callers should assert trends of
+    the ratio column, not equality.
     """
     if not u_ladder or any(b <= a for a, b in zip(u_ladder, u_ladder[1:])):
         raise ValueError("u_ladder must be nonempty and strictly increasing")
     trend = (params.c1, params.c2)
-    pred = asymptotics.predict(params, h_alpha)
+    pred = asymptotics.predict(params, h_alpha, cfg)
     maxima = excursion_maxima(field, n_samples, seed, trend, batch_size, workers)
     rows = []
     for u in u_ladder:

@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 _SAMPLERS = ("cholesky", "brownian", "davies-harte")
+MAX_POINTS = 200_000  # largest path grid an ExtrapolationProtocol may ask for
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +120,7 @@ class _PathSampler:
                 + t[None, :] ** self.alpha
                 - np.abs(t[:, None] - t[None, :]) ** self.alpha
             )
-            self.factor, self.jitter = chol_with_jitter(gram, 1e-14, 1e-10)
+            self.factor, self.jitter = chol_with_jitter(gram, 1e-10)
         elif self.method == "davies-harte":
             self._lam = _dh_eigenvalues(self.alpha, self.n_points - 1)
 
@@ -186,7 +187,10 @@ class ExtrapolationProtocol:
     spacing_factor : grid spacing h satisfies h^(alpha/2) <= spacing_factor
     n_replicates   : Monte Carlo paths (all rungs share each path)
     sampler        : "auto" | "cholesky" | "brownian" | "davies-harte"
-    max_points     : refuse grids larger than this (pick a custom protocol)
+    batch_size     : paths per Monte Carlo batch
+
+    It is also the `pickands:` section of an experiment config.  Grids of
+    more than MAX_POINTS points are refused before anything is allocated.
     """
 
     s_ladder: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
@@ -194,7 +198,6 @@ class ExtrapolationProtocol:
     n_replicates: int = 400_000
     sampler: str = "auto"
     batch_size: int = DEFAULT_BATCH
-    max_points: int = 200_000
 
     def __post_init__(self) -> None:
         if len(self.s_ladder) < 2 or any(
@@ -207,6 +210,8 @@ class ExtrapolationProtocol:
             raise ValueError("spacing_factor must be in (0, 1)")
         if self.n_replicates < 2:
             raise ValueError("need at least 2 replicates")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
 
     def grid_for(self, alpha: float) -> tuple[int, list[int]]:
         """(n_points, rung indices) with every rung exactly on the grid."""
@@ -221,10 +226,10 @@ class ExtrapolationProtocol:
             ):
                 break
         n_incr = mult * int(math.ceil(n_incr / mult))
-        if n_incr + 1 > self.max_points:
+        if n_incr + 1 > MAX_POINTS:
             raise ValueError(
                 f"protocol needs {n_incr + 1} grid points for alpha={alpha} "
-                f"(> max_points={self.max_points}); supply a coarser protocol"
+                f"(> MAX_POINTS={MAX_POINTS}); supply a coarser protocol"
             )
         idx = [int(round(s * n_incr / s_max)) for s in self.s_ladder]
         return n_incr + 1, idx

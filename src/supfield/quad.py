@@ -15,18 +15,20 @@ asymptote as u -> infinity, whose prefactors are the product-regime
 constants of `asymptotics.predict`, and the nested-integral family
 
     J(lam) = int int X^(q-1) Y^(q-1) exp(-g X - g Y - g lam (XY)^p) dX dY
-    A(Z)   = int_0^inf X^(-1) exp(-g X - g Z/X - c1 X - c2 Z/X) dX,
+    A(Z)   = int_0^inf X^(-1) exp(-g X - g Z/X) dX,
 
 whose ratio to the Gamma(q/p)/(p^2 g^(q/p)) * lam^(-q/p) * log(lam) leading
 term tends to 1 like O(1/log lam).
 
-Numerical strategy: 1-D integration is QUADPACK behind a tolerance-checking
-wrapper; 2-D integrals are iterated 1-D with the inner integral adaptive per
-outer node; domains [0, delta] whose integrand lives on scales far below
-delta are pre-split dyadically toward 0 so the adaptive routine never has to
-discover the scale separation on its own; infinite domains are truncated
-where a separable exponential envelope drops below `tail_cut_tol`, with the
-truncation remainder bounded by the exact envelope tail integral.
+Numerical strategy: every integral is a sum of QUADPACK panels between
+breakpoints (`_integrate_panels`) whose summed error estimate is checked
+against the tolerances (`_check_converged`); 2-D integrals are iterated
+1-D with the inner integral adaptive per outer node; domains [0, delta]
+whose integrand lives on scales far below delta are pre-split dyadically
+toward 0 so the adaptive routine never has to discover the scale separation
+on its own; infinite domains are cut where the envelope exp(-x^beta) drops
+below `tail_cut_tol` (`_cutoff`), and the exact tail of that envelope is
+added to the error estimate.
 """
 
 from __future__ import annotations
@@ -44,11 +46,9 @@ from .model import _boundary_cmp
 __all__ = [
     "QuadratureConfig",
     "IntegralSpec",
-    "DecayEnvelope",
     "ConvergenceError",
     "AsymptoticPrediction",
     "normal_survival",
-    "integrate_1d",
     "g_beta",
     "k_beta",
     "trend_l",
@@ -104,60 +104,11 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-@dataclass(frozen=True)
-class DecayEnvelope:
-    """Separable decay bound |f(x)| <= coef * exp(-rate * x^power) for large x."""
-
-    rate: float
-    power: float
-    coef: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.rate <= 0 or self.power <= 0 or self.coef <= 0:
-            raise ValueError("envelope rate, power and coef must be positive")
-
-    def cutoff(self, level: float) -> float:
-        """Smallest R with coef * exp(-rate * R^power) <= level."""
-        arg = math.log(self.coef / level)
-        if arg <= 0:
-            return 0.0
-        return (arg / self.rate) ** (1.0 / self.power)
-
-    def tail_integral(self, R: float) -> float:
-        """Exact integral of the envelope over [R, inf)."""
-        s = 1.0 / self.power
-        z = self.rate * R ** self.power
-        return (
-            self.coef
-            * _spec.gamma(s)
-            * float(_spec.gammaincc(s, z))
-            / (self.power * self.rate ** s)
-        )
-
-
 def normal_survival(u: float) -> float:
     """Standard normal survival Psi(u) = P(N(0,1) > u) via erfc."""
     if not math.isfinite(u):
         raise ValueError(f"u must be finite, got {u}")
     return 0.5 * math.erfc(u / _SQRT2)
-
-
-def _quad_panel(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    cfg: QuadratureConfig,
-    epsabs: float,
-    epsrel: float,
-) -> tuple[float, float]:
-    """One QUADPACK call; returns (value, error estimate)."""
-    with warnings.catch_warnings():
-        # Convergence is judged from abserr by the caller, not from warnings.
-        warnings.simplefilter("ignore", _sint.IntegrationWarning)
-        res = _sint.quad(
-            f, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=cfg.max_subdivisions, full_output=1
-        )
-    return float(res[0]), float(res[1])
 
 
 def _integrate_panels(
@@ -167,19 +118,24 @@ def _integrate_panels(
     epsabs: float | None = None,
     epsrel: float | None = None,
 ) -> tuple[float, float]:
-    """Sum QUADPACK panels between consecutive breakpoints."""
+    """Sum of QUADPACK panels between consecutive breakpoints: (value, error estimate)."""
     if epsabs is None:
         epsabs = cfg.abs_tol / max(1, len(breakpoints) - 1)
     if epsrel is None:
         epsrel = cfg.rel_tol
     total = 0.0
     err = 0.0
-    for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
-        if hi <= lo:
-            continue
-        v, e = _quad_panel(f, lo, hi, cfg, epsabs, epsrel)
-        total += v
-        err += e
+    with warnings.catch_warnings():
+        # Convergence is judged from abserr by the caller, not from warnings.
+        warnings.simplefilter("ignore", _sint.IntegrationWarning)
+        for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
+            if hi <= lo:
+                continue
+            res = _sint.quad(
+                f, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=cfg.max_subdivisions, full_output=1
+            )
+            total += float(res[0])
+            err += float(res[1])
     return total, err
 
 
@@ -192,40 +148,10 @@ def _check_converged(value: float, err: float, cfg: QuadratureConfig, what: str)
     return value
 
 
-def integrate_1d(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    envelope: DecayEnvelope | None = None,
-    breakpoints: Sequence[float] | None = None,
-) -> float:
-    """Adaptive integral of f over [lo, hi], hi possibly +inf.
-
-    For an infinite upper limit with an `envelope`, the domain is cut where
-    the envelope falls below cfg.tail_cut_tol and the discarded remainder is
-    bounded by the envelope's exact tail integral (added to the error
-    budget).  Without an envelope, QUADPACK's infinite-interval transform is
-    used directly; f must eventually decay monotonically for that to be
-    reliable.  Optional `breakpoints` pre-split a finite domain.
-
-    Raises ConvergenceError (carrying the best estimate and an error bound)
-    if the tolerance cannot be met within cfg.max_subdivisions.
-    """
-    tail_bound = 0.0
-    if math.isinf(hi):
-        if envelope is not None:
-            hi = max(envelope.cutoff(cfg.tail_cut_tol), lo + 1.0)
-            tail_bound = envelope.tail_integral(hi)
-        else:
-            value, err = _quad_panel(f, lo, hi, cfg, cfg.abs_tol, cfg.rel_tol)
-            return _check_converged(value, err, cfg, "infinite-domain integral")
-    if breakpoints is not None:
-        pts = sorted({float(b) for b in breakpoints if lo < b < hi} | {float(lo), float(hi)})
-    else:
-        pts = [float(lo), float(hi)]
-    value, err = _integrate_panels(f, pts, cfg)
-    return _check_converged(value, err + tail_bound, cfg, "integral")
+def _cutoff(power: float, cfg: QuadratureConfig) -> float:
+    """Smallest R >= 1 with exp(-R^power) <= cfg.tail_cut_tol."""
+    arg = math.log(1.0 / cfg.tail_cut_tol)
+    return max(max(arg, 0.0) ** (1.0 / power), 1.0)
 
 
 def _dyadic_down(hi: float, floor: float, max_levels: int = 80) -> list[float]:
@@ -272,8 +198,7 @@ def _exp_form_integral(
     symmetry in (c1, c2) exact.  The outer variable is truncated by the
     y^beta envelope.
     """
-    env = DecayEnvelope(rate=1.0, power=beta)
-    R = max(env.cutoff(cfg.tail_cut_tol), 1.0)
+    R = _cutoff(beta, cfg)
     # discarded region {y > R, x <= y}: integrand <= 2 e^{-y^beta} on a strip
     # of width y, so the remainder is bounded by the y-weighted tail
     # 2 int_R^inf y e^{-y^beta} dy = 2 Gamma(2/beta, R^beta) / beta
@@ -319,8 +244,11 @@ def trend_l(c: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """
     if c < 0:
         raise ValueError(f"c must be nonnegative, got {c}")
-    env = DecayEnvelope(rate=1.0, power=2.0)
-    return integrate_1d(lambda x: math.exp(-x * x - c * x), 0.0, math.inf, cfg, envelope=env)
+    R = _cutoff(2.0, cfg)
+    value, err = _integrate_panels(lambda x: math.exp(-x * x - c * x), [0.0, R], cfg)
+    # the integrand is at most e^(-x^2), whose tail past R is (sqrt(pi)/2) erfc(R)
+    tail = 0.5 * math.sqrt(math.pi) * math.erfc(R)
+    return _check_converged(value, err + tail, cfg, "integral")
 
 
 def trend_k(c1: float, c2: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -483,33 +411,26 @@ def i_gamma_asymptote(
 # ---------------------------------------------------------------------------
 
 
-def inner_a(
-    Z: float,
-    c1: float = 0.0,
-    c2: float = 0.0,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    gamma: float = 1.0,
-) -> float:
-    """A(Z) = int_0^inf X^(-1) exp(-g X - g Z/X - c1 X - c2 Z/X) dX.
+def inner_a(Z: float, cfg: QuadratureConfig = DEFAULT_CONFIG, gamma: float = 1.0) -> float:
+    """A(Z) = int_0^inf X^(-1) exp(-g X - g Z/X) dX, with g = gamma.
 
     Behaves like -log Z + O(1) as Z -> 0 and decays to 0 exponentially as
     Z -> infinity.  Computed after the substitution X = e^t, which turns the
-    integrand into a smooth plateau with double-exponential tails.
+    integrand into a smooth plateau with double-exponential tails.  A fixed
+    trend would move only bounded terms of the log branch (see
+    `i_gamma_asymptote`), so A carries none.
     """
     if not (Z > 0):
         raise ValueError(f"Z must be positive, got {Z}")
-    if c1 < 0 or c2 < 0:
-        raise ValueError("trend slopes must be nonnegative")
     if not (gamma > 0):
         raise ValueError(f"gamma must be positive, got {gamma}")
-    a_coef = gamma + c1
-    b_coef = (gamma + c2) * Z
+    b_coef = gamma * Z
     tau = math.log(1.0 / cfg.tail_cut_tol)
-    t_hi = math.log(tau / a_coef) + 3.0
+    t_hi = math.log(tau / gamma) + 3.0
     t_lo = -math.log(tau / b_coef) - 3.0
 
     def f(t: float) -> float:
-        return math.exp(-a_coef * math.exp(t) - b_coef * math.exp(-t))
+        return math.exp(-gamma * math.exp(t) - b_coef * math.exp(-t))
 
     mid = sorted({t_lo, min(0.0, 0.5 * (t_lo + t_hi)), 0.0, t_hi})
     value, err = _integrate_panels(f, mid, cfg, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol)
@@ -545,7 +466,7 @@ def j_lambda_ratio(
         if V <= 0.0:
             return 0.0
         W = V ** (1.0 / q)
-        return math.exp(-gamma * W ** p) * inner_a(scale * W, 0.0, 0.0, cfg, gamma=gamma) / q
+        return math.exp(-gamma * W ** p) * inner_a(scale * W, cfg, gamma) / q
 
     w_max = (math.log(1.0 / cfg.tail_cut_tol) / gamma) ** (1.0 / p)
     v_max = w_max ** q

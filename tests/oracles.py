@@ -29,9 +29,9 @@ def trend_l_closed_form(c: float) -> float:
     return 0.5 * math.sqrt(math.pi) * math.exp(c * c / 4.0) * math.erfc(c / 2.0)
 
 
-def inner_a_closed_form(Z: float, c1: float = 0.0, c2: float = 0.0, gamma: float = 1.0) -> float:
-    """2 K0(2 sqrt((gamma+c1)(gamma+c2) Z)) via the modified Bessel function."""
-    return 2.0 * float(special.k0(2.0 * math.sqrt((gamma + c1) * (gamma + c2) * Z)))
+def inner_a_closed_form(Z: float, gamma: float = 1.0) -> float:
+    """2 K0(2 gamma sqrt(Z)) via the modified Bessel function."""
+    return 2.0 * float(special.k0(2.0 * gamma * math.sqrt(Z)))
 
 
 def j_ratio_second_order(lam: float, p: float, q: float, gamma: float) -> float:

@@ -1,9 +1,13 @@
 import json
 
 import pytest
+import yaml
 
+from supfield.asymptotics import predict
 from supfield.cli import main
-from supfield.config import ConfigError, ExperimentConfig, load_config
+from supfield.config import ConfigError, ExperimentConfig, config_to_dict, load_config
+from supfield.model import ModelParams
+from supfield.quad import QuadratureConfig
 
 
 def write_cfg(tmp_path, text, name="cfg.yaml"):
@@ -14,34 +18,75 @@ def write_cfg(tmp_path, text, name="cfg.yaml"):
 
 class TestConfig:
     def test_defaults_load_without_file(self):
-        cfg = load_config(None, {"kind": "constants"})
-        assert cfg.kind == "constants"
-        assert cfg.model.alpha == 1.0
+        cfg = load_config(None)
+        assert cfg.model == ModelParams(1.0, 2.0, 2.0)
+        assert cfg.quad == QuadratureConfig()
+
+    def test_partial_section_keeps_other_defaults(self, tmp_path):
+        path = write_cfg(tmp_path, "model: {a: 0.4}\npickands: {s_ladder: [1.0, 2.0]}\n")
+        cfg = load_config(path)
+        assert cfg.model == ModelParams(1.0, 2.0, 0.4)
+        assert cfg.pickands.s_ladder == (1.0, 2.0)
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
         path = write_cfg(tmp_path, "bogus_key: 3\n")
         with pytest.raises(ConfigError, match="bogus_key"):
-            load_config(path, {"kind": "constants"})
+            load_config(path)
 
     def test_unknown_nested_key_rejected(self, tmp_path):
         path = write_cfg(tmp_path, "model:\n  alpha: 1.0\n  alpa: 2.0\n")
         with pytest.raises(ConfigError, match="alpa"):
-            load_config(path, {"kind": "constants"})
+            load_config(path)
 
     def test_invalid_u_ladder_rejected(self, tmp_path):
         path = write_cfg(tmp_path, "u_ladder: [3.0, 2.0]\n")
         with pytest.raises(ConfigError, match="u_ladder"):
-            load_config(path, {"kind": "mc"})
+            load_config(path)
 
     def test_overrides_apply(self, tmp_path):
         path = write_cfg(tmp_path, "seed: 1\n")
-        cfg = load_config(path, {"kind": "mc", "seed": 99, "workers": 3})
-        assert (cfg.seed, cfg.workers) == (99, 3)
+        cfg = load_config(path, {"seed": 99, "workers": 3, "out": None})
+        assert (cfg.seed, cfg.workers, cfg.out) == (99, 3, "results")
+
+    def test_mistyped_override_rejected(self):
+        with pytest.raises(ConfigError, match="config.seed"):
+            load_config(None, {"seed": "7"})
 
     def test_zero_samples_rejected(self):
-        cfg = ExperimentConfig(kind="mc", n_samples=0)
+        cfg = ExperimentConfig(n_samples=0)
         with pytest.raises(ConfigError, match="n_samples"):
             cfg.validate()
+
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ("quad: {abs_tol: 1e-12}\n", "config.quad.abs_tol"),  # YAML reads a string
+            ("n_samples: 1e5\n", "config.n_samples"),
+            ("seed: 1.5\n", "config.seed"),
+            ("kind: mc\n", "unknown keys ['kind']"),  # the subcommand is the kind
+            ("u_ladder: [2.0, 1e3]\n", "config.u_ladder[1]"),
+        ],
+        ids=["string-float", "string-int", "float-int", "kind-key", "string-list-item"],
+    )
+    def test_wrong_value_exits_2_naming_the_key(self, tmp_path, capsys, text, key):
+        cfg = write_cfg(tmp_path, text)
+        assert main(["constants", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert key in err
+        assert ("write 1.0e-12" in err) == ("1e" in text)
+
+    def test_manifest_echo_reloads_to_the_same_config(self, tmp_path):
+        path = write_cfg(
+            tmp_path,
+            "model: {alpha: 1, beta: 2, a: 0.4, c2: 1.5}\n"
+            "h_alpha: 1.37\n"
+            "quad: {abs_tol: 1.0e-11}\n"
+            "pickands: {s_ladder: [1.0, 3.0], sampler: cholesky}\n"
+            "integrals: [{a: 0.7, label: x}]\n",
+        )
+        echo = yaml.safe_dump(config_to_dict(load_config(path)), sort_keys=True)
+        again = load_config(write_cfg(tmp_path, echo, "echo.yaml"))
+        assert yaml.safe_dump(config_to_dict(again), sort_keys=True) == echo
 
 
 class TestConstantsCommand:
@@ -86,6 +131,21 @@ class TestMcCommand:
     def test_zero_samples_exits_nonzero(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, self.CFG.replace("n_samples: 4000", "n_samples: 0"))
         assert main(["mc", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def test_prediction_uses_the_quad_section(self, tmp_path):
+        text = (
+            "model: {alpha: 1, beta: 2, a: 1}\n"
+            "u_ladder: [2.0]\n"
+            "n_samples: 1000\n"
+            "grid: {n_per_axis: 8}\n"
+            "quad: {abs_tol: 1.0e-3, rel_tol: 1.0e-3, tail_cut_tol: 1.0e-3}\n"
+        )
+        out = tmp_path / "out"
+        assert main(["mc", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+        row = (out / "mc.csv").read_text().splitlines()[1].split(",")
+        qc = QuadratureConfig(abs_tol=1e-3, rel_tol=1e-3, tail_cut_tol=1e-3)
+        expected = predict(ModelParams(1.0, 2.0, 1.0), None, qc).evaluate(2.0)
+        assert float(row[3]) == expected == pytest.approx(0.05500911349494461, rel=1e-15)
 
     def test_invalid_quad_section_fails_at_load(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, self.CFG + "quad: {rel_tol: -1.0}\n")

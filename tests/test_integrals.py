@@ -92,12 +92,6 @@ class TestInnerA:
     def test_matches_bessel_oracle(self, Z):
         assert inner_a(Z, cfg=CFG) == pytest.approx(inner_a_closed_form(Z), rel=1e-10)
 
-    @pytest.mark.parametrize("Z,c1,c2", [(0.01, 1.0, 1.0), (0.5, 0.3, 2.0), (2.0, 5.0, 0.0)])
-    def test_trend_matches_bessel_oracle(self, Z, c1, c2):
-        assert inner_a(Z, c1, c2, CFG) == pytest.approx(
-            inner_a_closed_form(Z, c1, c2), rel=1e-10
-        )
-
     def test_log_law(self):
         for Z in (1e-2, 1e-4, 1e-6):
             assert abs(inner_a(Z, cfg=CFG) + math.log(Z)) <= 5.0
@@ -107,9 +101,6 @@ class TestInnerA:
         val = inner_a(10.0, cfg=CFG)
         assert val < 2e-3
         assert inner_a(100.0, cfg=CFG) < 1e-8
-
-    def test_trend_shrinks_value(self):
-        assert inner_a(0.01, 1.0, 1.0, CFG) < inner_a(0.01, cfg=CFG)
 
     def test_gamma_argument(self):
         assert inner_a(0.5, gamma=2.0, cfg=CFG) == pytest.approx(

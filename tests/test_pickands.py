@@ -181,11 +181,13 @@ class TestProtocol:
             ExtrapolationProtocol(s_ladder=(4.0,))
         with pytest.raises(ValueError):
             ExtrapolationProtocol(spacing_factor=1.5)
+        with pytest.raises(ValueError, match="batch_size"):
+            ExtrapolationProtocol(batch_size=0)
 
     def test_point_cap_enforced(self):
-        proto = ExtrapolationProtocol(max_points=100)
-        with pytest.raises(ValueError):
-            proto.grid_for(0.5)
+        # 4 * 10^6 increments at alpha = 1: refused before any allocation
+        with pytest.raises(ValueError, match="grid points"):
+            ExtrapolationProtocol(spacing_factor=0.001).grid_for(1.0)
 
 
 class TestPickandsConstant:

@@ -1,14 +1,13 @@
 import math
 
 import pytest
+from scipy import integrate
 
 from supfield.quad import (
     AsymptoticPrediction,
     ConvergenceError,
-    DecayEnvelope,
     QuadratureConfig,
     g_beta,
-    integrate_1d,
     k_beta,
     normal_survival,
     trend_k,
@@ -56,45 +55,6 @@ class TestNormalSurvival:
             normal_survival(math.inf)
 
 
-class TestIntegrate1d:
-    def test_exponential_to_infinity(self):
-        assert integrate_1d(math.exp, -math.inf, 0.0, CFG) == pytest.approx(1.0, abs=1e-10)
-        val = integrate_1d(lambda x: math.exp(-x), 0.0, math.inf, CFG)
-        assert val == pytest.approx(1.0, abs=1e-10)
-
-    def test_polynomial(self):
-        assert integrate_1d(lambda x: x * x, 0.0, 1.0, CFG) == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-    def test_gaussian_with_envelope(self):
-        env = DecayEnvelope(rate=1.0, power=2.0)
-        val = integrate_1d(lambda x: math.exp(-x * x), 0.0, math.inf, CFG, envelope=env)
-        assert val == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-10)
-
-    def test_breakpoints_cover_scale_separation(self):
-        # mass at scale 1e-6 inside [0, 1]
-        scale = 1e-6
-        pts = [scale * 2.0 ** k for k in range(0, 21)]
-        val = integrate_1d(
-            lambda x: math.exp(-x / scale) / scale, 0.0, 1.0, CFG, breakpoints=pts
-        )
-        assert val == pytest.approx(1.0, rel=1e-8)
-
-    def test_convergence_error_carries_estimate(self):
-        bad_cfg = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=3)
-        with pytest.raises(ConvergenceError) as exc_info:
-            integrate_1d(lambda x: math.sin(1.0 / x) if x > 0 else 0.0, 0.0, 1.0, bad_cfg)
-        err = exc_info.value
-        assert math.isfinite(err.estimate)
-        assert err.error_bound > 0
-
-    def test_envelope_tail_integral_matches_quadrature(self):
-        env = DecayEnvelope(rate=2.0, power=1.5, coef=3.0)
-        direct = integrate_1d(
-            lambda x: 3.0 * math.exp(-2.0 * x ** 1.5), 4.0, math.inf, CFG
-        )
-        assert env.tail_integral(4.0) == pytest.approx(direct, rel=1e-9)
-
-
 class TestGBeta:
     def test_beta_one(self):
         assert g_beta(1.0) == pytest.approx(1.0, rel=1e-14)
@@ -104,9 +64,9 @@ class TestGBeta:
 
     @pytest.mark.parametrize("beta", [1.0, 1.5, 2.0, 3.0])
     def test_agrees_with_quadrature(self, beta):
-        env = DecayEnvelope(rate=1.0, power=beta)
-        quad_val = integrate_1d(
-            lambda x: math.exp(-(x ** beta)), 0.0, math.inf, CFG, envelope=env
+        # scipy's own infinite-interval QUADPACK, independent of the library
+        quad_val, _ = integrate.quad(
+            lambda x: math.exp(-(x ** beta)), 0.0, math.inf, epsabs=1e-13, epsrel=1e-12
         )
         assert abs(g_beta(beta) - quad_val) <= 1e-9
 
@@ -141,6 +101,14 @@ class TestTrendL:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             trend_l(-0.5)
+
+    def test_convergence_error_carries_estimate(self):
+        bad_cfg = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=1)
+        with pytest.raises(ConvergenceError) as exc_info:
+            trend_l(3.0, bad_cfg)
+        err = exc_info.value
+        assert math.isfinite(err.estimate)
+        assert err.error_bound > 0
 
 
 class TestTrendK:
