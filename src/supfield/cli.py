@@ -83,12 +83,15 @@ def run_integrals(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
     for i, branch in enumerate(cfg.integrals):
         label = branch.label or f"branch{i}"
         rows = []
+        asymptote = None
         for u in cfg.u_ladder:
             spec = quad.IntegralSpec(
                 gamma=branch.gamma, beta=params.beta, a=branch.a, delta=branch.delta, u=u
             )
             val = quad.i_gamma(spec, qc)
-            asym = quad.i_gamma_asymptote(spec, qc).evaluate(u)
+            if asymptote is None:  # its prefactor does not depend on u
+                asymptote = quad.i_gamma_asymptote(spec, qc)
+            asym = asymptote.evaluate(u)
             rows.append([u, val, asym, val / asym])
         print(f"[{label}] gamma={branch.gamma} a={branch.a} delta={branch.delta}")
         header = ["u", "I_quadrature", "I_asymptote", "ratio"]

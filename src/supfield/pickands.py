@@ -53,6 +53,10 @@ __all__ = [
 
 _SAMPLERS = ("cholesky", "brownian", "davies-harte")
 MAX_POINTS = 200_000  # largest path grid an ExtrapolationProtocol may ask for
+# largest total n_points * n_replicates an ExtrapolationProtocol may ask for,
+# about five minutes of sampling at the cost below
+MAX_PATH_POINTS = 10 ** 10
+_NS_PER_PATH_POINT = 29.0  # Brownian paths, one core of a 2-vCPU Xeon host
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +139,8 @@ class _PathSampler:
             return out
         if self.method == "brownian":
             # alpha = 1 is Brownian motion: increments are iid N(0, h).
-            incr = rng.standard_normal((n_paths, n_incr)) * math.sqrt(h)
+            incr = rng.standard_normal((n_paths, n_incr))
+            incr *= math.sqrt(h)
         else:
             m = 2 * n_incr
             raw = rng.standard_normal((n_paths, m))
@@ -190,7 +195,8 @@ class ExtrapolationProtocol:
     batch_size     : paths per Monte Carlo batch
 
     It is also the `pickands:` section of an experiment config.  Grids of
-    more than MAX_POINTS points are refused before anything is allocated.
+    more than MAX_POINTS points, and runs of more than MAX_PATH_POINTS path
+    points in all, are refused before anything is allocated.
     """
 
     s_ladder: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
@@ -231,6 +237,16 @@ class ExtrapolationProtocol:
                 f"protocol needs {n_incr + 1} grid points for alpha={alpha} "
                 f"(> MAX_POINTS={MAX_POINTS}); supply a coarser protocol"
             )
+        path_points = (n_incr + 1) * self.n_replicates
+        if path_points > MAX_PATH_POINTS:
+            minutes = path_points * _NS_PER_PATH_POINT * 1e-9 / 60.0
+            raise ValueError(
+                f"protocol needs {n_incr + 1} grid points x {self.n_replicates} paths "
+                f"= {path_points:.3g} path points for alpha={alpha} "
+                f"(> MAX_PATH_POINTS={MAX_PATH_POINTS:.0e}), about {minutes:.0f} min "
+                f"at ~{_NS_PER_PATH_POINT:g} ns per path point; supply a coarser "
+                f"protocol or fewer replicates"
+            )
         idx = [int(round(s * n_incr / s_max)) for s in self.s_ladder]
         return n_incr + 1, idx
 
@@ -265,9 +281,12 @@ def _ladder_sums(
     width = 2 * k + 6 if k > 1 else 2
 
     def work(b: int, take: int) -> np.ndarray:
+        # sqrt(2) B(t) - t^alpha and its prefix maxima, in the path array
         paths = ps.sample(batch_generator(seed, b), take)
-        running = np.maximum.accumulate(math.sqrt(2.0) * paths - drift, axis=1)
-        vals = np.exp(running[:, rung_idx])
+        paths *= math.sqrt(2.0)
+        paths -= drift
+        np.maximum.accumulate(paths, axis=1, out=paths)
+        vals = np.exp(paths[:, rung_idx])
         acc = np.empty(width)
         acc[:k] = vals.sum(axis=0)
         acc[k : 2 * k] = (vals * vals).sum(axis=0)

@@ -61,6 +61,8 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+# exp of any exponent below this is exactly 0.0 in double precision
+_EXP_UNDERFLOW = -746.0
 
 
 class ConvergenceError(RuntimeError):
@@ -82,7 +84,8 @@ class QuadratureConfig:
 
     abs_tol / rel_tol : target absolute / relative error (at least one > 0)
     max_subdivisions  : QUADPACK subdivision limit per panel
-    tail_cut_tol      : envelope level at which infinite domains are truncated
+    tail_cut_tol      : envelope level in (0, 1) at which infinite domains are
+                        truncated
     """
 
     abs_tol: float = 1e-12
@@ -97,8 +100,8 @@ class QuadratureConfig:
             raise ValueError("at least one of abs_tol, rel_tol must be positive")
         if self.max_subdivisions <= 0:
             raise ValueError("max_subdivisions must be positive")
-        if not (self.tail_cut_tol > 0):
-            raise ValueError("tail_cut_tol must be positive")
+        if not (0 < self.tail_cut_tol < 1):
+            raise ValueError(f"tail_cut_tol must be in (0, 1), got {self.tail_cut_tol}")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -344,18 +347,34 @@ def _square_integral(
     The integrand concentrates on scales (gamma u^2)^(-1/beta) and smaller;
     both axes are split dyadically from delta down past the smallest relevant
     scale so panel adaptivity only ever sees a single-scale problem.
+
+    The exponent decreases in each variable (gamma, u > 0 and c1, c2 >= 0),
+    so once it is below `_EXP_UNDERFLOW` at a panel's low end, that panel
+    and every panel above it integrate to exactly 0.0 and are skipped: the
+    inner y panels at each x, and the outer x panels by exponent(x, 0).
     """
     g2 = spec.gamma * spec.u * spec.u
     floor = min(g2 ** (-1.0 / spec.beta), g2 ** (-1.0 / (2.0 * spec.a)), spec.delta)
     pts = _dyadic_down(spec.delta, floor / 64.0)
 
+    def live(exponent_at: Callable[[float], float]) -> list[float]:
+        for i, p in enumerate(pts):
+            if exponent_at(p) < _EXP_UNDERFLOW:
+                return pts[: i + 1]
+        return pts
+
     def inner(x: float) -> float:
         val, _ = _integrate_panels(
-            lambda y: math.exp(exponent(x, y)), pts, cfg, epsabs=0.0, epsrel=cfg.rel_tol
+            lambda y: math.exp(exponent(x, y)),
+            live(lambda y: exponent(x, y)),
+            cfg,
+            epsabs=0.0,
+            epsrel=cfg.rel_tol,
         )
         return val
 
-    value, err = _integrate_panels(inner, pts, cfg, epsabs=0.0, epsrel=cfg.rel_tol)
+    outer_pts = live(lambda x: exponent(x, 0.0))
+    value, err = _integrate_panels(inner, outer_pts, cfg, epsabs=0.0, epsrel=cfg.rel_tol)
     return _check_converged(value, err, cfg, "finite-domain double integral")
 
 

@@ -65,8 +65,16 @@ class TestConfig:
             ("seed: 1.5\n", "config.seed"),
             ("kind: mc\n", "unknown keys ['kind']"),  # the subcommand is the kind
             ("u_ladder: [2.0, 1e3]\n", "config.u_ladder[1]"),
+            ("quad: {tail_cut_tol: 2.0}\n", "config.quad: tail_cut_tol must be in (0, 1)"),
         ],
-        ids=["string-float", "string-int", "float-int", "kind-key", "string-list-item"],
+        ids=[
+            "string-float",
+            "string-int",
+            "float-int",
+            "kind-key",
+            "string-list-item",
+            "tail-cut-above-one",
+        ],
     )
     def test_wrong_value_exits_2_naming_the_key(self, tmp_path, capsys, text, key):
         cfg = write_cfg(tmp_path, text)

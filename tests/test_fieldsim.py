@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from supfield import fieldsim
 from supfield.fieldsim import (
     BlockSpec,
     LatticeField,
@@ -61,6 +62,59 @@ class TestLatticeField:
             build_lattice(P_CLASSICAL, xs=np.array([0.0, 0.5]), ys=np.array([0.5, 0.2]))
         with pytest.raises(ValueError):
             build_lattice(P_CLASSICAL, xs=np.array([0.0, 1.5]), ys=np.array([0.0, 0.5]))
+
+
+def unblocked_field(lat, rng, n):
+    """The field in one piece: tensordot, then @ l2.T, then sigma times it."""
+    n1, n2 = len(lat.xs), len(lat.ys)
+    g = rng.standard_normal((n1, n, n2))
+    a1 = np.tensordot(lat.l1, g, axes=(1, 0))
+    a2 = (a1.reshape(n1 * n, n2) @ lat.l2.T).reshape(n1, n, n2)
+    return lat.sigma_grid[:, None, :] * a2
+
+
+def small_lattice(shape):
+    n1, n2 = shape
+    xs = np.linspace(0.0, 1.0, n1) if n1 > 1 else np.array([0.3])
+    ys = np.linspace(0.0, 1.0, n2) if n2 > 1 else np.array([0.6])
+    return LatticeField(P_CLASSICAL, xs, ys)
+
+
+class TestBlockedKernel:
+    # with 20 kB blocks every case below runs in several blocks, the last
+    # one holding the remainder; the shipped block size covers one block
+    @pytest.fixture(params=[20_000, fieldsim._BLOCK_BYTES], ids=["20kB", "shipped"])
+    def block_bytes(self, request, monkeypatch):
+        monkeypatch.setattr(fieldsim, "_BLOCK_BYTES", request.param)
+        return request.param
+
+    @pytest.mark.parametrize(
+        "shape,n", [((12, 12), 2000), ((9, 7), 301), ((1, 24), 333), ((24, 1), 333)]
+    )
+    @pytest.mark.parametrize("trend", [(0.0, 0.0), (0.7, 1.3)])
+    def test_maxima_match_unblocked(self, block_bytes, shape, n, trend):
+        lat = small_lattice(shape)
+        f = unblocked_field(lat, batch_generator(21, 3), n)
+        f = f - (trend[0] * lat._X + trend[1] * lat._Y)[:, None, :]
+        expected = f.max(axis=(0, 2))
+        got = lat.maxima_batch(batch_generator(21, 3), n, trend)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+        for u in (0.5, 1.5, 2.5):
+            assert int((got > u).sum()) == int((expected > u).sum())
+
+    @pytest.mark.parametrize("shape,n", [((12, 12), 2000), ((1, 24), 333), ((24, 1), 333)])
+    def test_samples_match_unblocked(self, block_bytes, shape, n):
+        lat = small_lattice(shape)
+        expected = unblocked_field(lat, batch_generator(5, 0), n)
+        got = lat.sample_batch(batch_generator(5, 0), n)
+        assert got.shape == expected.shape
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    def test_workers_agree(self, block_bytes):
+        lat = small_lattice((9, 7))
+        m1 = excursion_maxima(lat, 5001, seed=8, trend=(0.0, 1.5), batch_size=700, workers=1)
+        m2 = excursion_maxima(lat, 5001, seed=8, trend=(0.0, 1.5), batch_size=700, workers=2)
+        assert np.array_equal(m1, m2)
 
 
 class TestSideEmphasisAxis:

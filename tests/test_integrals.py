@@ -1,6 +1,8 @@
 import math
+import warnings
 
 import pytest
+from scipy import integrate
 
 from supfield.quad import (
     IntegralSpec,
@@ -57,6 +59,44 @@ class TestIGamma:
         ratio = i_gamma(s, CFG) / i_gamma_asymptote(s, CFG).evaluate(s.u)
         oracle = i_log_ratio_second_order(s.u, s.gamma, s.beta, s.a)
         assert ratio == pytest.approx(oracle, abs=0.01)
+
+
+def i_gamma_all_panels(sp):
+    """i_gamma's nested quadrature summed over every dyadic panel, none skipped."""
+    b, a, u = sp.beta, sp.a, sp.u
+    g2 = sp.gamma * u * u
+    floor = min(g2 ** (-1.0 / b), g2 ** (-1.0 / (2.0 * a)), sp.delta) / 64.0
+    pts = [sp.delta]
+    while pts[-1] > floor and len(pts) <= 80:
+        pts.append(0.5 * pts[-1])
+    pts = [0.0] + pts[::-1]
+
+    def f(x, y):
+        if (sp.c1, sp.c2) == (0.0, 0.0):
+            return math.exp(-g2 * (x ** b + y ** b + (x * y) ** a))
+        return math.exp(-g2 * (x * x + y * y + (x * y) ** a) - u * (sp.c1 * x + sp.c2 * y))
+
+    def panels(h):
+        total = 0.0
+        for lo, hi in zip(pts[:-1], pts[1:]):
+            total += integrate.quad(h, lo, hi, epsabs=0.0, epsrel=CFG.rel_tol, limit=2000)[0]
+        return total
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        return panels(lambda x: panels(lambda y: f(x, y)))
+
+
+class TestIGammaSkippedPanels:
+    # panels where the integrand underflows to 0.0 are skipped, which must
+    # leave every bit of the value unchanged
+    @pytest.mark.parametrize(
+        "sp",
+        [spec(a=2.0, u=1e3), spec(a=1.0, u=1e3), spec(a=0.8, u=1e3), spec(a=1.0, u=1e3, c2=1.5)],
+        ids=["classical", "critical", "log", "critical-trend"],
+    )
+    def test_equals_sum_over_all_panels(self, sp):
+        assert i_gamma(sp, CFG) == i_gamma_all_panels(sp)
 
 
 class TestIGammaAsymptote:

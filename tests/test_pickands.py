@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from supfield.pickands import (
+    MAX_PATH_POINTS,
     ExtrapolationProtocol,
+    _ladder_sums,
     _PathSampler,
     pickands_constant,
     pickands_finite,
 )
-from supfield.streams import batch_generator
+from supfield.streams import batch_generator, batch_sizes
 
 from oracles import exact_h1, exact_h2, h2_grid_quadrature
 
@@ -188,6 +190,48 @@ class TestProtocol:
         # 4 * 10^6 increments at alpha = 1: refused before any allocation
         with pytest.raises(ValueError, match="grid points"):
             ExtrapolationProtocol(spacing_factor=0.001).grid_for(1.0)
+
+    def test_default_protocol_refused_at_alpha_0_6(self):
+        # 86,865 points x 4 * 10^5 paths: under MAX_POINTS, but 3.5 * 10^10 path points
+        with pytest.raises(ValueError, match=r"86865 grid points x 400000 paths = 3\.47e\+10"):
+            ExtrapolationProtocol().grid_for(0.6)
+        with pytest.raises(ValueError, match="MAX_PATH_POINTS"):
+            pickands_constant(0.6)
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.0, 1.4, 2.0])
+    def test_default_protocol_admitted(self, alpha):
+        n_points, _ = ExtrapolationProtocol().grid_for(alpha)
+        assert n_points * 400_000 <= MAX_PATH_POINTS
+
+
+class TestLadderSums:
+    @pytest.mark.parametrize(
+        "alpha,sampler,n_points",
+        [(1.0, "brownian", 401), (1.4, "cholesky", 65), (1.4, "davies-harte", 257)],
+    )
+    def test_matches_sums_recomputed_from_paths(self, alpha, sampler, n_points):
+        ps = _PathSampler(alpha, 2.0, n_points, sampler)
+        rungs = (0.5, 1.0, 2.0)
+        idx = [(n_points - 1) // 4, (n_points - 1) // 2, n_points - 1]
+        n, batch, seed = 2500, 1000, 9
+        acc = _ladder_sums(ps, rungs, idx, n, seed, batch, workers=1)
+        drift = np.linspace(0.0, 2.0, n_points) ** alpha
+        vals = []
+        for b, take in enumerate(batch_sizes(n, batch)):
+            y = math.sqrt(2.0) * ps.sample(batch_generator(seed, b), take) - drift
+            vals.append(np.exp(np.maximum.accumulate(y, axis=1)[:, idx]))
+        vals = np.concatenate(vals)
+        slope = (vals[:, 2] - vals[:, 1]) / (rungs[2] - rungs[1])
+        naive = vals[:, 2] / rungs[2]
+        cons = slope - naive
+        expected = np.concatenate(
+            [
+                vals.sum(axis=0),
+                (vals * vals).sum(axis=0),
+                [s for x in (slope, naive, cons) for s in (x.sum(), (x * x).sum())],
+            ]
+        )
+        np.testing.assert_allclose(acc, expected, rtol=1e-12)
 
 
 class TestPickandsConstant:

@@ -30,6 +30,8 @@ class TestConfig:
             dict(abs_tol=0.0, rel_tol=0.0),
             dict(max_subdivisions=0),
             dict(tail_cut_tol=0.0),
+            dict(tail_cut_tol=1.0),  # log(1/tol) <= 0: no cut point exists
+            dict(tail_cut_tol=2.0),
         ],
     )
     def test_invalid_rejected(self, kwargs):
