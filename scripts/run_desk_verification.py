@@ -5,9 +5,14 @@ Chains the six CLI experiments with the shipped configs: constants,
 integral asymptotics, the regime sweep, the Pickands estimate, and the two
 excursion Monte Carlo studies.  The Monte Carlo steps dominate (~15 min on
 one core); pass --quick to run everything at toy sizes as a smoke check.
+
+At the end it prints one `sha256  path` line per CSV, JSON and SVG file the
+steps wrote, with paths relative to --out, so two runs compare with `diff`
+(byte identity holds for a fixed BLAS thread count).
 """
 
 import argparse
+import hashlib
 import sys
 from pathlib import Path
 
@@ -28,6 +33,7 @@ STEPS = [
 def run(out_root: Path, quick: bool) -> int:
     import yaml
 
+    written = []
     for kind, cfg_name in STEPS:
         cfg_path = ROOT / "configs" / cfg_name
         label = cfg_name.removesuffix(".yaml")
@@ -51,7 +57,12 @@ def run(out_root: Path, quick: bool) -> int:
         if code != 0:
             print(f"step {label} failed with exit code {code}", file=sys.stderr)
             return code
+        manifest = yaml.safe_load((out / "MANIFEST").read_text())
+        written += [out / name for name in manifest["outputs"]]
     print(f"\nall steps complete; results under {out_root}")
+    for path in sorted(written):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(out_root)}")
     return 0
 
 

@@ -6,8 +6,9 @@ with kind one of: constants | integrals | pickands | mc | blocks | sweep.
 The kind comes only from the subcommand; the config file has no kind key.
 
 Every run writes its outputs plus a MANIFEST (config echo, library version,
-seed, wall time) into the output directory.  Reruns with identical config
-and seed produce byte-identical CSV bodies.  Exit status is 0 only if every
+seed, wall time) into the output directory.  Reruns with identical config,
+seed and BLAS thread count produce byte-identical CSV bodies.  A config that
+fails to load exits 2 and writes nothing.  Exit status is 0 only if every
 requested computation converged; on failure, whatever completed is flushed
 and the MANIFEST records the incompleteness.
 """
@@ -31,12 +32,10 @@ __all__ = ["main"]
 
 def _build_field(cfg: ExperimentConfig, params: ModelParams) -> fieldsim.LatticeField:
     g = cfg.grid
-    if g.kind == "square":
-        return fieldsim.build_lattice(params, n_per_axis=g.n_per_axis)
     if g.kind == "side":
-        axis = fieldsim.side_emphasis_axis(params, g.n_uniform, g.n_geo, g.width, g.inner)
+        axis = fieldsim.side_emphasis_axis(params)
         return fieldsim.build_lattice(params, xs=axis, ys=axis.copy())
-    raise ConfigError(f"unknown grid kind {g.kind!r}; expected 'square' or 'side'")
+    return fieldsim.build_lattice(params, n_per_axis=g.n_per_axis)
 
 
 def _print_table(header: list[str], rows: list[list]) -> None:
@@ -147,11 +146,7 @@ def run_mc(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
 def run_blocks(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
     params = cfg.model
     b = cfg.blocks
-    n_samples = list(b.n_samples)
-    if len(n_samples) == 1:
-        n_samples = n_samples * len(b.u_values)
-    if len(n_samples) != len(b.u_values):
-        raise ConfigError("blocks.n_samples must have length 1 or match u_values")
+    n_samples = b.n_samples * len(b.u_values) if len(b.n_samples) == 1 else b.n_samples
     rows = []
     for u, n in zip(b.u_values, n_samples):
         spec = fieldsim.BlockSpec(base=Point2(b.v1, b.v2), s1=b.s1, s2=b.s2, level_u=u)
@@ -236,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
     manifest = Manifest(out, args.kind, config_to_dict(cfg), __version__)
     try:
         _RUNNERS[args.kind](cfg, out, manifest)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         manifest.fail(str(exc))
         manifest.write()
         print(f"error: {exc}", file=sys.stderr)

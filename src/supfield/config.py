@@ -5,7 +5,9 @@ The `model:`, `quad:` and `pickands:` sections are the library's own
 `ModelParams`, `QuadratureConfig` and `ExtrapolationProtocol`; every key
 is optional and keeps the default of `ExperimentConfig()`.  Unknown keys
 and values of the wrong type are rejected at every nesting level, so a typo
-cannot silently fall back to a default.  The normalized config is echoed
+cannot silently fall back to a default, and every section checks its own
+values in `__post_init__`, so a bad value fails at load, named by its key
+path, before any output is written.  The normalized config is echoed
 into each run's MANIFEST, which together with the seed makes CSV outputs
 byte-reproducible.
 """
@@ -19,9 +21,11 @@ from typing import Any
 
 import yaml
 
+from .fieldsim import BLOCK_H_REPLICATES, BLOCK_N_GRID
 from .model import ModelParams
 from .pickands import ExtrapolationProtocol
 from .quad import QuadratureConfig
+from .streams import DEFAULT_BATCH
 
 __all__ = [
     "ExperimentConfig",
@@ -42,11 +46,11 @@ class ConfigError(ValueError):
 @dataclass
 class GridSection:
     kind: str = "square"  # "square" (uniform lattice) or "side" (strip-emphasis lattice)
-    n_per_axis: int = 64
-    n_uniform: int = 72  # side grids: uniform sweep size per axis
-    n_geo: int = 28  # side grids: geometric strip refinement per axis
-    width: float = 0.25  # side grids: strip width receiving the refinement
-    inner: float = 1e-4  # side grids: innermost refined coordinate
+    n_per_axis: int = 64  # square grids only
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("square", "side"):
+            raise ConfigError(f"unknown grid kind {self.kind!r}; expected 'square' or 'side'")
 
 
 @dataclass
@@ -56,9 +60,13 @@ class BlocksSection:
     s1: float = 2.0  # side multipliers in q_u units
     s2: float = 2.0
     u_values: list = field(default_factory=lambda: [3.0, 4.0])
-    n_grid: int = 32  # lattice points per block axis
-    n_samples: list = field(default_factory=lambda: [1_000_000, 3_000_000])
-    h_replicates: int = 200_000
+    n_grid: int = BLOCK_N_GRID  # lattice points per block axis
+    n_samples: list = field(default_factory=lambda: [1_000_000, 3_000_000])  # one, or one per u
+    h_replicates: int = BLOCK_H_REPLICATES
+
+    def __post_init__(self) -> None:
+        if len(self.n_samples) not in (1, len(self.u_values)):
+            raise ConfigError("n_samples must have length 1 or match u_values")
 
 
 @dataclass
@@ -83,7 +91,7 @@ class ExperimentConfig:
     workers: int = 1
     out: str = "results"
     n_samples: int = 100_000
-    batch_size: int = 2048
+    batch_size: int = DEFAULT_BATCH
     u_ladder: list = field(default_factory=lambda: [2.0, 2.5, 3.0])
     h_alpha: float | None = None  # None -> known-value table (alpha = 1)
     model: ModelParams = field(default_factory=lambda: ModelParams(1.0, 2.0, 2.0))
@@ -98,7 +106,7 @@ class ExperimentConfig:
     ])
     sweep: SweepSection = field(default_factory=SweepSection)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise ConfigError("n_samples must be at least 1")
         if self.workers < 1:
@@ -182,9 +190,7 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
             raise ConfigError(f"{path}: top level must be a mapping")
         data = loaded
     data.update({k: v for k, v in (overrides or {}).items() if v is not None})
-    cfg = _build(ExperimentConfig(), data, "config")
-    cfg.validate()
-    return cfg
+    return _build(ExperimentConfig(), data, "config")
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

@@ -47,6 +47,10 @@ __all__ = [
     "ratio_harness",
 ]
 
+# Defaults of `mc_block_exceedance` and of the config's `blocks:` section:
+# lattice points per block axis, and replicates of each H(S) factor.
+BLOCK_N_GRID = 32
+BLOCK_H_REPLICATES = 200_000
 # Working set of one field block (its two product buffers), sized for L2.
 _BLOCK_BYTES = 2 * 1024 * 1024
 # Column alignment of the blocks in the normal draw (a multiple of the BLAS
@@ -80,7 +84,6 @@ class LatticeField:
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         self.sigma_grid = np.exp(-variance_loss_at(params, X, Y))
         self._X, self._Y = X, Y
-        self.n_points = len(xs) * len(ys)
 
     def _blocks(self, rng: np.random.Generator, n: int, trend: tuple[float, float]):
         """Yield (first sample, field block) for n samples, block by block.
@@ -156,24 +159,20 @@ def build_lattice(
     return LatticeField(params, xs, ys)
 
 
-def side_emphasis_axis(
-    params: ModelParams,
-    n_uniform: int = 72,
-    n_geo: int = 28,
-    width: float = 0.25,
-    inner: float = 1e-4,
-) -> np.ndarray:
+def side_emphasis_axis(params: ModelParams) -> np.ndarray:
     """Axis coordinates emphasizing the side strips.
 
-    A uniform sweep of [0, T] joined with a geometric refinement of
-    (0, width]; used on both axes it yields a tensor lattice that resolves
-    the two strips and the corner where side-regime excursions concentrate,
-    without the quadratic memory of a uniformly fine grid.
+    A uniform sweep of [0, T] joined with a geometric refinement of the
+    strip (0, width]; used on both axes it yields a tensor lattice that
+    resolves the two strips and the corner where side-regime excursions
+    concentrate, without the quadratic memory of a uniformly fine grid.
+    The sizes are fixed: the side-regime checks use no other.
     """
-    if not (0 < inner < width <= params.T):
-        raise ValueError("need 0 < inner < width <= T")
-    u = np.linspace(0.0, params.T, n_uniform)
-    g = np.geomspace(inner, width, n_geo)
+    width = 0.25
+    if params.T < width:
+        raise ValueError(f"side grids need T >= {width}, got T = {params.T}")
+    u = np.linspace(0.0, params.T, 72)
+    g = np.geomspace(1e-4, width, 28)
     return np.unique(np.concatenate([u, g]))
 
 
@@ -183,10 +182,6 @@ class MCEstimate:
 
     p_hat: float
     std_err: float
-    n_samples: int
-    level_u: float
-    seed: int
-    trend: tuple[float, float] = (0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -223,7 +218,6 @@ class BlockResult:
     prediction: float
     h1: float
     h2: float
-    spec: BlockSpec
 
 
 @dataclass(frozen=True)
@@ -256,19 +250,9 @@ def excursion_maxima(
     return np.concatenate(run_batches(work, n_samples, batch_size, workers))
 
 
-def _estimate_from_maxima(
-    maxima: np.ndarray, u: float, seed: int, trend: tuple[float, float]
-) -> MCEstimate:
-    n = len(maxima)
+def _estimate_from_maxima(maxima: np.ndarray, u: float) -> MCEstimate:
     p = float((maxima > u).mean())
-    return MCEstimate(
-        p_hat=p,
-        std_err=math.sqrt(p * (1.0 - p) / n),
-        n_samples=n,
-        level_u=u,
-        seed=seed,
-        trend=trend,
-    )
+    return MCEstimate(p_hat=p, std_err=math.sqrt(p * (1.0 - p) / len(maxima)))
 
 
 def mc_excursion(
@@ -284,7 +268,7 @@ def mc_excursion(
     if not math.isfinite(u):
         raise ValueError("u must be finite")
     maxima = excursion_maxima(field, n_samples, seed, trend, batch_size, workers)
-    return _estimate_from_maxima(maxima, u, seed, (float(trend[0]), float(trend[1])))
+    return _estimate_from_maxima(maxima, u)
 
 
 def mc_block_exceedance(
@@ -292,8 +276,8 @@ def mc_block_exceedance(
     spec: BlockSpec,
     n_samples: int,
     seed: int,
-    n_grid: int = 32,
-    h_replicates: int = 200_000,
+    n_grid: int = BLOCK_N_GRID,
+    h_replicates: int = BLOCK_H_REPLICATES,
     batch_size: int = DEFAULT_BATCH,
     workers: int = 1,
 ) -> BlockResult:
@@ -303,15 +287,20 @@ def mc_block_exceedance(
     a `pickands_finite` estimate on as many grid points per axis as the
     block itself uses, so both sides of the comparison carry the same
     discretization bias; degenerate sides (S = 0) contribute the exact
-    factor H(0) = 1.
+    factor H(0) = 1.  The prediction has no trend term, so a trended model
+    is rejected.
     """
+    if (params.c1, params.c2) != (0.0, 0.0):
+        raise ValueError(
+            f"block exceedance has no trend term; got c1 = {params.c1}, c2 = {params.c2}"
+        )
     x0, x1, y0, y1 = spec.bounds(params)
     u = spec.level_u
     xs = np.linspace(x0, x1, n_grid) if spec.s1 > 0 else np.array([x0])
     ys = np.linspace(y0, y1, n_grid) if spec.s2 > 0 else np.array([y0])
     field = LatticeField(params, xs, ys)
     maxima = excursion_maxima(field, n_samples, seed, (0.0, 0.0), batch_size, workers)
-    est = _estimate_from_maxima(maxima, u, seed, (0.0, 0.0))
+    est = _estimate_from_maxima(maxima, u)
 
     def h_of(s_mult: float, n_axis: int, sub_seed: int) -> float:
         if s_mult <= 0:
@@ -324,7 +313,7 @@ def mc_block_exceedance(
     h2 = h1 if (spec.s2 == spec.s1) else h_of(spec.s2, len(ys), seed + 2)
     v_base = variance_loss_at(params, x0, y0)
     prediction = h1 * h2 * quad.normal_survival(u) * math.exp(-u * u * v_base)
-    return BlockResult(estimate=est, prediction=prediction, h1=h1, h2=h2, spec=spec)
+    return BlockResult(estimate=est, prediction=prediction, h1=h1, h2=h2)
 
 
 def pickands_finite_cached(
@@ -342,7 +331,7 @@ def pickands_finite_cached(
     tracer can time them as their own layer.
     """
     return pickands.pickands_finite(
-        alpha, S, n_points, n_replicates, seed, "auto", batch_size, workers
+        alpha, S, n_points, n_replicates, seed, batch_size, workers
     ).value
 
 
@@ -372,7 +361,7 @@ def ratio_harness(
     maxima = excursion_maxima(field, n_samples, seed, trend, batch_size, workers)
     rows = []
     for u in u_ladder:
-        est = _estimate_from_maxima(maxima, u, seed, trend)
+        est = _estimate_from_maxima(maxima, u)
         pv = pred.evaluate(u)
         rows.append(
             RatioRow(

@@ -53,6 +53,7 @@ __all__ = [
 
 _SAMPLERS = ("cholesky", "brownian", "davies-harte")
 MAX_POINTS = 200_000  # largest path grid an ExtrapolationProtocol may ask for
+MAX_RUNG_MULTIPLE = 4096  # largest grid on which an s_ladder's rungs must all fall
 # largest total n_points * n_replicates an ExtrapolationProtocol may ask for,
 # about five minutes of sampling at the cost below
 MAX_PATH_POINTS = 10 ** 10
@@ -194,9 +195,10 @@ class ExtrapolationProtocol:
     sampler        : "auto" | "cholesky" | "brownian" | "davies-harte"
     batch_size     : paths per Monte Carlo batch
 
-    It is also the `pickands:` section of an experiment config.  Grids of
-    more than MAX_POINTS points, and runs of more than MAX_PATH_POINTS path
-    points in all, are refused before anything is allocated.
+    It is also the `pickands:` section of an experiment config.  Ladders
+    whose rungs share no grid of at most MAX_RUNG_MULTIPLE increments are
+    refused when built; grids of more than MAX_POINTS points, and runs of
+    more than MAX_PATH_POINTS path points in all, before any allocation.
     """
 
     s_ladder: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
@@ -218,6 +220,18 @@ class ExtrapolationProtocol:
             raise ValueError("need at least 2 replicates")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        self._grid_multiple()
+
+    def _grid_multiple(self) -> int:
+        """Fewest increments over [0, S_max] that put every rung on the grid."""
+        s_max = self.s_ladder[-1]
+        for mult in range(1, MAX_RUNG_MULTIPLE + 1):
+            if all(abs(s * mult / s_max - round(s * mult / s_max)) < 1e-9 for s in self.s_ladder):
+                return mult
+        raise ValueError(
+            f"s_ladder rungs share no grid of at most {MAX_RUNG_MULTIPLE} increments over "
+            f"[0, {s_max}]; use rungs that are simple fractions of the top rung"
+        )
 
     def grid_for(self, alpha: float) -> tuple[int, list[int]]:
         """(n_points, rung indices) with every rung exactly on the grid."""
@@ -225,12 +239,7 @@ class ExtrapolationProtocol:
         s_max = self.s_ladder[-1]
         h_target = self.spacing_factor ** (2.0 / alpha)
         n_incr = max(int(math.ceil(s_max / h_target)), len(self.s_ladder))
-        mult = 1
-        for mult in range(1, 4097):
-            if all(
-                abs(s * mult / s_max - round(s * mult / s_max)) < 1e-9 for s in self.s_ladder
-            ):
-                break
+        mult = self._grid_multiple()
         n_incr = mult * int(math.ceil(n_incr / mult))
         if n_incr + 1 > MAX_POINTS:
             raise ValueError(
@@ -316,7 +325,6 @@ def pickands_finite(
     n_points: int,
     n_replicates: int,
     seed: int,
-    sampler: str = "auto",
     batch_size: int = DEFAULT_BATCH,
     workers: int = 1,
 ) -> PickandsEstimate:
@@ -324,9 +332,10 @@ def pickands_finite(
 
     The discrete maximum understates the continuous supremum, so the
     estimate carries a negative bias that shrinks as the grid refines.
-    This is the one-rung case of the ladder behind `pickands_constant`.
+    This is the one-rung case of the ladder behind `pickands_constant`, at
+    the automatic sampler choice.
     """
-    ps = _PathSampler(alpha, S, n_points, sampler)
+    ps = _PathSampler(alpha, S, n_points)
     acc = _ladder_sums(ps, (S,), [ps.n_points - 1], n_replicates, seed, batch_size, workers)
     value, std_err = _mean_se(acc[0], acc[1], n_replicates)
     return PickandsEstimate(

@@ -187,14 +187,8 @@ def g_beta(beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     return float(_spec.gamma(1.0 + 1.0 / beta))
 
 
-def _exp_form_integral(
-    beta: float,
-    prod_exp: float,
-    c1: float,
-    c2: float,
-    cfg: QuadratureConfig,
-) -> float:
-    """integral over [0,inf)^2 of exp(-(x^beta + y^beta + (xy)^prod_exp) - c1 x - c2 y).
+def _exp_form_integral(beta: float, c1: float, c2: float, cfg: QuadratureConfig) -> float:
+    """integral over [0,inf)^2 of exp(-(x^beta + y^beta + (xy)^(beta/2)) - c1 x - c2 y).
 
     Computed on the triangle {x <= y} with the integrand symmetrized,
     f(x, y) + f(y, x), which covers the full quadrant and makes the swap
@@ -207,6 +201,7 @@ def _exp_form_integral(
     # 2 int_R^inf y e^{-y^beta} dy = 2 Gamma(2/beta, R^beta) / beta
     s = 2.0 / beta
     tail = 2.0 * float(_spec.gamma(s)) * float(_spec.gammaincc(s, R ** beta)) / beta
+    prod_exp = beta / 2.0
 
     def f(x: float, y: float) -> float:
         return math.exp(-(x ** beta + y ** beta + (x * y) ** prod_exp) - c1 * x - c2 * y)
@@ -236,7 +231,7 @@ def k_beta(beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """
     if not (beta > 0):
         raise ValueError(f"beta must be positive, got {beta}")
-    return _exp_form_integral(beta, beta / 2.0, 0.0, 0.0, cfg)
+    return _exp_form_integral(beta, 0.0, 0.0, cfg)
 
 
 def trend_l(c: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -261,7 +256,7 @@ def trend_k(c1: float, c2: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> flo
     """
     if c1 < 0 or c2 < 0:
         raise ValueError(f"trend slopes must be nonnegative, got ({c1}, {c2})")
-    return _exp_form_integral(2.0, 1.0, c1, c2, cfg)
+    return _exp_form_integral(2.0, c1, c2, cfg)
 
 
 def side_constants(
@@ -418,7 +413,7 @@ def i_gamma_asymptote(
         return AsymptoticPrediction(pref, -2.0 / a, 1, uses_psi=False)
     c1, c2 = spec.c1 / math.sqrt(gamma), spec.c2 / math.sqrt(gamma)
     if br == 0:
-        const = _exp_form_integral(beta, beta / 2.0, c1, c2, cfg)
+        const = _exp_form_integral(beta, c1, c2, cfg)
     else:
         s1, s2 = side_constants(beta, c1, c2, cfg)
         const = s1 * s2

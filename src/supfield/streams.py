@@ -5,7 +5,10 @@ with `seed` draws from a Philox generator whose 256-bit counter starts at
 b << 128, so every batch owns a disjoint counter range derived only from
 (seed, batch index).  Results are reduced in batch order.  Together these
 make every estimate a pure function of (seed, n_samples, batch_size),
-independent of how many workers execute the batches.
+independent of how many workers execute the batches.  The values drawn are
+bit-exact; what a caller computes from them with BLAS (the lattice field's
+factor products) is bit-exact for a fixed BLAS thread count, and may differ
+in the last bit under another.
 """
 
 from __future__ import annotations

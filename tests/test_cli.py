@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -53,9 +54,36 @@ class TestConfig:
             load_config(None, {"seed": "7"})
 
     def test_zero_samples_rejected(self):
-        cfg = ExperimentConfig(n_samples=0)
         with pytest.raises(ConfigError, match="n_samples"):
-            cfg.validate()
+            ExperimentConfig(n_samples=0)
+
+    @pytest.mark.parametrize(
+        "path", sorted((Path(__file__).parents[1] / "configs").glob("*.yaml")), ids=lambda p: p.name
+    )
+    def test_shipped_config_loads(self, path):
+        assert isinstance(load_config(path), ExperimentConfig)
+
+    @pytest.mark.parametrize("kind", ["constants", "mc", "blocks"])
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("grid: {kind: hexagon}\n", "config.grid: unknown grid kind 'hexagon'"),
+            (
+                "blocks: {u_values: [3.0, 4.0], n_samples: [1000, 2000, 3000]}\n",
+                "config.blocks: n_samples must have length 1 or match u_values",
+            ),
+            (
+                "pickands: {s_ladder: [1.0, 3.14159], spacing_factor: 0.3}\n",
+                "config.pickands: s_ladder rungs share no grid",
+            ),
+        ],
+        ids=["grid-kind", "blocks-n-samples", "off-grid-ladder"],
+    )
+    def test_bad_section_fails_at_load(self, tmp_path, capsys, kind, text, message):
+        out = tmp_path / "o"
+        assert main([kind, "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()  # no MANIFEST: the run never started
 
     @pytest.mark.parametrize(
         "text,key",
@@ -217,6 +245,17 @@ class TestBlocksCommand:
         assert main(["blocks", "--config", cfg, "--out", str(out)]) == 0
         body = (out / "blocks.csv").read_text()
         assert body.startswith("u,p_hat,std_err,prediction,ratio,H_S1,H_S2")
+
+    def test_trended_model_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            "model: {alpha: 1.0, beta: 2.0, a: 1.0, c1: 5.0, c2: 5.0}\n"
+            "blocks: {u_values: [3.0], n_samples: [400], n_grid: 4, h_replicates: 400}\n",
+        )
+        out = tmp_path / "out"
+        assert main(["blocks", "--config", cfg, "--out", str(out)]) == 2
+        assert "no trend term" in capsys.readouterr().err
+        assert not (out / "blocks.csv").exists()
 
 
 class TestSweepCommand:

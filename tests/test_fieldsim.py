@@ -126,8 +126,9 @@ class TestSideEmphasisAxis:
         assert (axis < 0.25).sum() > 0.3 * len(axis)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            side_emphasis_axis(P_SIDE, width=2.0)
+        # the refined strip is 0.25 wide, so the square must be at least that
+        with pytest.raises(ValueError, match="T >= 0.25"):
+            side_emphasis_axis(ModelParams(1.0, 2.0, 0.4, T=0.2))
 
 
 class TestMcExcursion:
@@ -213,6 +214,14 @@ class TestBlocks:
         res = mc_block_exceedance(p, spec, 4000, seed=3, n_grid=12, h_replicates=4000)
         assert res.h1 == 1.0
         assert res.prediction == pytest.approx(res.h2 * normal_survival(3.0), rel=1e-12)
+
+    def test_trended_model_rejected(self):
+        # the prediction has no trend term, and the MC used to drop the
+        # trend too, answering for the untrended model
+        p = ModelParams(1.0, 2.0, 1.0, c2=0.5)
+        spec = BlockSpec(Point2(0.0, 0.0), 2.0, 2.0, 3.0)
+        with pytest.raises(ValueError, match="no trend term"):
+            mc_block_exceedance(p, spec, 100, seed=3, n_grid=4, h_replicates=100)
 
     def test_interior_block_within_band(self):
         # block based at 0.2 q_u off the corner: the local estimate is an

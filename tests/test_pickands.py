@@ -176,6 +176,17 @@ class TestProtocol:
         for s, i in zip(proto.s_ladder, idx):
             assert times[i] == pytest.approx(s, abs=1e-9)
 
+    def test_rungs_without_a_common_grid_rejected(self):
+        # 1/3.14159 is no fraction with denominator <= 4096; unchecked, the
+        # grid had 4097 points and put the S = 1 rung at 1.000155
+        with pytest.raises(ValueError, match="share no grid of at most 4096"):
+            ExtrapolationProtocol(s_ladder=(1.0, 3.14159), spacing_factor=0.3, n_replicates=100)
+        proto = ExtrapolationProtocol(s_ladder=(1.0, 3.0), spacing_factor=0.3, n_replicates=100)
+        n_points, idx = proto.grid_for(1.0)
+        times = np.linspace(0, 3.0, n_points)
+        assert n_points == 37
+        assert [times[i] for i in idx] == pytest.approx([1.0, 3.0], abs=1e-12)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ExtrapolationProtocol(s_ladder=(2.0, 1.0))
