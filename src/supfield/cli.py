@@ -57,6 +57,8 @@ def _write_table(
 def run_constants(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
     params = cfg.model
     qc = cfg.quad
+    k_b = quad.k_beta(params.beta, qc)
+    untrended_k2 = (params.beta, params.c1, params.c2) == (2.0, 0.0, 0.0)  # K(0, 0) is K_2
     report = {
         "alpha": params.alpha,
         "beta": params.beta,
@@ -64,10 +66,10 @@ def run_constants(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
         "c1": params.c1,
         "c2": params.c2,
         "G_beta": quad.g_beta(params.beta, qc),
-        "K_beta": quad.k_beta(params.beta, qc),
+        "K_beta": k_b,
         "L_c1": quad.trend_l(params.c1, qc),
         "L_c2": quad.trend_l(params.c2, qc),
-        "K_c1_c2": quad.trend_k(params.c1, params.c2, qc),
+        "K_c1_c2": k_b if untrended_k2 else quad.trend_k(params.c1, params.c2, qc),
         "a0": params.a0,
         "regime": str(classify_regime(params)),
     }

@@ -51,6 +51,8 @@ class GridSection:
     def __post_init__(self) -> None:
         if self.kind not in ("square", "side"):
             raise ConfigError(f"unknown grid kind {self.kind!r}; expected 'square' or 'side'")
+        if self.n_per_axis < 2:
+            raise ConfigError(f"n_per_axis must be at least 2, got {self.n_per_axis}")
 
 
 @dataclass
@@ -67,6 +69,8 @@ class BlocksSection:
     def __post_init__(self) -> None:
         if len(self.n_samples) not in (1, len(self.u_values)):
             raise ConfigError("n_samples must have length 1 or match u_values")
+        if self.s1 < 0 or self.s2 < 0 or (self.s1 == 0 and self.s2 == 0):
+            raise ConfigError("side multipliers s1, s2 must be nonnegative, not both zero")
 
 
 @dataclass
@@ -76,6 +80,11 @@ class IntegralBranch:
     delta: float = 1.0
     label: str = ""
 
+    def __post_init__(self) -> None:
+        for name in ("gamma", "a", "delta"):
+            if not (getattr(self, name) > 0):
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+
 
 @dataclass
 class SweepSection:
@@ -83,6 +92,12 @@ class SweepSection:
     a_max: float = 1.5
     n_points: int = 61
     u: float = 10.0
+
+    def __post_init__(self) -> None:
+        if self.n_points < 1:
+            raise ConfigError(f"n_points must be at least 1, got {self.n_points}")
+        if not (0 < self.a_min <= self.a_max):
+            raise ConfigError(f"need 0 < a_min <= a_max, got {self.a_min}, {self.a_max}")
 
 
 @dataclass

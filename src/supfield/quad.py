@@ -28,7 +28,9 @@ whose integrand lives on scales far below delta are pre-split dyadically
 toward 0 so the adaptive routine never has to discover the scale separation
 on its own; infinite domains are cut where the envelope exp(-x^beta) drops
 below `tail_cut_tol` (`_cutoff`), and the exact tail of that envelope is
-added to the error estimate.
+added to the error estimate.  On the finite square, whose integrand falls
+along both axes, a panel loop stops once a bound on the panels left is below
+2^-60 of its sum, where they could not change a bit of it (`tail_bound`).
 """
 
 from __future__ import annotations
@@ -61,8 +63,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-# exp of any exponent below this is exactly 0.0 in double precision
-_EXP_UNDERFLOW = -746.0
 
 
 class ConvergenceError(RuntimeError):
@@ -120,8 +120,18 @@ def _integrate_panels(
     cfg: QuadratureConfig,
     epsabs: float | None = None,
     epsrel: float | None = None,
+    tail_bound: Callable[[float], float] | None = None,
 ) -> tuple[float, float]:
-    """Sum of QUADPACK panels between consecutive breakpoints: (value, error estimate)."""
+    """Sum of QUADPACK panels between consecutive breakpoints: (value, error estimate).
+
+    `tail_bound(lo)` bounds the integral from lo to the last breakpoint, as
+    (end - lo) f(lo) does for a positive non-increasing f.  Once it is at
+    most 2^-60 of the sum so far, the loop adds it to the error and stops.
+    Gauss-Kronrod weights are positive and sum to the panel width, so the
+    skipped panels' estimates total less than half an ulp of the sum, with a
+    64x margin that also covers QAGS's epsilon extrapolation (not a
+    positive-weight sum): the sum keeps every bit.
+    """
     if epsabs is None:
         epsabs = cfg.abs_tol / max(1, len(breakpoints) - 1)
     if epsrel is None:
@@ -134,6 +144,9 @@ def _integrate_panels(
         for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
             if hi <= lo:
                 continue
+            if tail_bound is not None and (bound := tail_bound(lo)) <= total * 2.0 ** -60:
+                err += bound
+                break
             res = _sint.quad(
                 f, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=cfg.max_subdivisions, full_output=1
             )
@@ -158,16 +171,11 @@ def _cutoff(power: float, cfg: QuadratureConfig) -> float:
 
 
 def _dyadic_down(hi: float, floor: float, max_levels: int = 80) -> list[float]:
-    """Breakpoints hi, hi/2, hi/4, ... down to `floor`, plus 0."""
+    """Breakpoints 0, ..., hi/4, hi/2, hi, halving from hi down to `floor`."""
     pts = [hi]
-    x = hi
-    levels = 0
-    while x > floor and levels < max_levels:
-        x *= 0.5
-        pts.append(x)
-        levels += 1
-    pts.append(0.0)
-    return sorted(pts)
+    while pts[-1] > floor and len(pts) <= max_levels:
+        pts.append(0.5 * pts[-1])
+    return [0.0] + pts[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -344,32 +352,25 @@ def _square_integral(
     scale so panel adaptivity only ever sees a single-scale problem.
 
     The exponent decreases in each variable (gamma, u > 0 and c1, c2 >= 0),
-    so once it is below `_EXP_UNDERFLOW` at a panel's low end, that panel
-    and every panel above it integrate to exactly 0.0 and are skipped: the
-    inner y panels at each x, and the outer x panels by exponent(x, 0).
+    so the panels from y on hold at most (delta - y) exp(exponent(x, y)) and
+    those from x on at most (delta - x) delta exp(exponent(x, 0)): the tail
+    bounds that let `_integrate_panels` skip panels that cannot change a bit
+    of the sum, among them every panel where the integrand underflows.
     """
     g2 = spec.gamma * spec.u * spec.u
-    floor = min(g2 ** (-1.0 / spec.beta), g2 ** (-1.0 / (2.0 * spec.a)), spec.delta)
-    pts = _dyadic_down(spec.delta, floor / 64.0)
+    delta = spec.delta
+    floor = min(g2 ** (-1.0 / spec.beta), g2 ** (-1.0 / (2.0 * spec.a)), delta)
+    pts = _dyadic_down(delta, floor / 64.0)
 
-    def live(exponent_at: Callable[[float], float]) -> list[float]:
-        for i, p in enumerate(pts):
-            if exponent_at(p) < _EXP_UNDERFLOW:
-                return pts[: i + 1]
-        return pts
+    def panels(f: Callable[[float], float], bound: Callable[[float], float]) -> tuple[float, float]:
+        return _integrate_panels(f, pts, cfg, epsabs=0.0, epsrel=cfg.rel_tol, tail_bound=bound)
 
     def inner(x: float) -> float:
-        val, _ = _integrate_panels(
-            lambda y: math.exp(exponent(x, y)),
-            live(lambda y: exponent(x, y)),
-            cfg,
-            epsabs=0.0,
-            epsrel=cfg.rel_tol,
-        )
-        return val
+        return panels(
+            lambda y: math.exp(exponent(x, y)), lambda y: (delta - y) * math.exp(exponent(x, y))
+        )[0]
 
-    outer_pts = live(lambda x: exponent(x, 0.0))
-    value, err = _integrate_panels(inner, outer_pts, cfg, epsabs=0.0, epsrel=cfg.rel_tol)
+    value, err = panels(inner, lambda x: (delta - x) * delta * math.exp(exponent(x, 0.0)))
     return _check_converged(value, err, cfg, "finite-domain double integral")
 
 

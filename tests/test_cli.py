@@ -63,7 +63,7 @@ class TestConfig:
     def test_shipped_config_loads(self, path):
         assert isinstance(load_config(path), ExperimentConfig)
 
-    @pytest.mark.parametrize("kind", ["constants", "mc", "blocks"])
+    @pytest.mark.parametrize("kind", ["constants", "mc", "blocks", "integrals", "sweep"])
     @pytest.mark.parametrize(
         "text,message",
         [
@@ -76,8 +76,27 @@ class TestConfig:
                 "pickands: {s_ladder: [1.0, 3.14159], spacing_factor: 0.3}\n",
                 "config.pickands: s_ladder rungs share no grid",
             ),
+            ("grid: {n_per_axis: 1}\n", "config.grid: n_per_axis must be at least 2"),
+            ("blocks: {s1: -1.0}\n", "config.blocks: side multipliers s1, s2 must be"),
+            ("blocks: {s1: 0.0, s2: 0.0}\n", "config.blocks: side multipliers s1, s2 must be"),
+            (
+                "integrals: [{gamma: 1.0, a: 2.0}, {gamma: -1.0, a: 1.0}]\n",
+                "config.integrals[1]: gamma must be positive",
+            ),
+            ("sweep: {n_points: 0}\n", "config.sweep: n_points must be at least 1"),
+            ("sweep: {a_min: 1.5, a_max: 0.3}\n", "config.sweep: need 0 < a_min <= a_max"),
         ],
-        ids=["grid-kind", "blocks-n-samples", "off-grid-ladder"],
+        ids=[
+            "grid-kind",
+            "blocks-n-samples",
+            "off-grid-ladder",
+            "grid-one-point",
+            "blocks-negative-side",
+            "blocks-zero-sides",
+            "integrals-negative-gamma",
+            "sweep-no-points",
+            "sweep-reversed-range",
+        ],
     )
     def test_bad_section_fails_at_load(self, tmp_path, capsys, kind, text, message):
         out = tmp_path / "o"

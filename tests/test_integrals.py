@@ -4,9 +4,11 @@ import warnings
 import pytest
 from scipy import integrate
 
+from supfield import quad
 from supfield.quad import (
     IntegralSpec,
     QuadratureConfig,
+    _integrate_panels,
     i_gamma,
     i_gamma_asymptote,
     inner_a,
@@ -88,15 +90,67 @@ def i_gamma_all_panels(sp):
 
 
 class TestIGammaSkippedPanels:
-    # panels where the integrand underflows to 0.0 are skipped, which must
-    # leave every bit of the value unchanged
+    # panels whose tail bound is below 2^-60 of the running sum are skipped,
+    # which must leave every bit of the value unchanged
     @pytest.mark.parametrize(
         "sp",
-        [spec(a=2.0, u=1e3), spec(a=1.0, u=1e3), spec(a=0.8, u=1e3), spec(a=1.0, u=1e3, c2=1.5)],
-        ids=["classical", "critical", "log", "critical-trend"],
+        [
+            spec(a=2.0, u=1e3),
+            spec(a=1.0, u=1e3),
+            spec(a=0.8, u=1e3),
+            spec(a=1.0, u=1e3, c2=1.5),
+            spec(a=2.0, u=1e4),
+            spec(a=2.0, u=1e5),
+            spec(a=1.0, u=1e4),
+            spec(a=1.0, u=1e5),
+            spec(a=0.8, u=1e4),
+            spec(a=0.8, u=1e5),
+            spec(gamma=2.0, a=1.0, u=1e3, c1=1.0, c2=1.0),
+            spec(beta=1.0, a=0.4, delta=0.5, u=1e3),
+            spec(beta=3.0, a=2.0, delta=0.5, u=1e3),
+            spec(a=2.0, u=30.0),
+        ],
+        ids=[
+            "classical",
+            "critical",
+            "log",
+            "critical-trend",
+            "classical-1e4",
+            "classical-1e5",
+            "critical-1e4",
+            "critical-1e5",
+            "log-1e4",
+            "log-1e5",
+            "gamma2-trend",
+            "beta1-delta0.5",
+            "beta3-delta0.5",
+            "no-underflow",
+        ],
     )
     def test_equals_sum_over_all_panels(self, sp):
         assert i_gamma(sp, CFG) == i_gamma_all_panels(sp)
+
+    def test_outer_loop_stops_before_underflow(self, monkeypatch):
+        # at u = 30 the integrand stays above e^-900 on [0, 1]^2, so no
+        # panel underflows, yet the outer sum must stop before x = 1/2
+        sp = spec(a=2.0, u=30.0)
+        reach = []
+
+        def spy(f, breakpoints, cfg, **kwargs):
+            xs = []
+
+            def g(x):
+                xs.append(x)
+                return f(x)
+
+            result = _integrate_panels(g, breakpoints, cfg, **kwargs)
+            reach.append(max(xs))
+            return result
+
+        monkeypatch.setattr(quad, "_integrate_panels", spy)
+        value = i_gamma(sp, CFG)
+        assert reach[-1] < 0.5 * sp.delta  # the outer call comes last
+        assert value == i_gamma_all_panels(sp)
 
 
 class TestIGammaAsymptote:

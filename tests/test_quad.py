@@ -7,6 +7,7 @@ from supfield.quad import (
     AsymptoticPrediction,
     ConvergenceError,
     QuadratureConfig,
+    _integrate_panels,
     g_beta,
     k_beta,
     normal_survival,
@@ -37,6 +38,38 @@ class TestConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureConfig(**kwargs)
+
+
+class TestIntegratePanels:
+    def test_tail_bound_skips_panels_without_changing_a_bit(self):
+        # exp(-x) on [0, 80]: past x ~ 46 each panel is below 2^-60 of the
+        # sum but far above underflow, so only the bound can skip it
+        breakpoints = [float(k) for k in range(81)]
+        nodes = []
+
+        def f(x):
+            nodes.append(x)
+            return math.exp(-x)
+
+        full, _ = _integrate_panels(f, breakpoints, CFG)
+        full_nodes = len(nodes)
+        nodes.clear()
+        value, _ = _integrate_panels(
+            f, breakpoints, CFG, tail_bound=lambda lo: (80.0 - lo) * math.exp(-lo)
+        )
+        assert value == full
+        # (80 - 46) e^-46 is the first bound under 2^-60: panels from 46 on are skipped
+        assert max(nodes) < 46.0 and len(nodes) < 0.7 * full_nodes
+
+    def test_zero_bound_skips_while_the_sum_is_zero(self):
+        nodes = []
+
+        def f(x):
+            nodes.append(x)
+            return 0.0
+
+        assert _integrate_panels(f, [0.0, 1.0, 2.0], CFG, tail_bound=lambda lo: 0.0) == (0.0, 0.0)
+        assert nodes == []
 
 
 class TestNormalSurvival:
