@@ -11,6 +11,10 @@ seed and BLAS thread count produce byte-identical CSV bodies.  A config that
 fails to load exits 2 and writes nothing.  Exit status is 0 only if every
 requested computation converged; on failure, whatever completed is flushed
 and the MANIFEST records the incompleteness.
+
+The library imports scipy on first use.  The kinds that integrate
+(constants, integrals, mc, sweep) load it right after the config, so its
+import is part of their set-up; pickands and blocks never load it.
 """
 
 from __future__ import annotations
@@ -81,8 +85,7 @@ def run_constants(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
 def run_integrals(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
     params = cfg.model
     qc = cfg.quad
-    for i, branch in enumerate(cfg.integrals):
-        label = branch.label or f"branch{i}"
+    for branch, label in zip(cfg.integrals, cfg.integral_labels()):
         rows = []
         asymptote = None
         for u in cfg.u_ladder:
@@ -204,6 +207,9 @@ _RUNNERS = {
     "blocks": run_blocks,
     "sweep": run_sweep,
 }
+# Kinds that call scipy load it before their work starts, so the import is
+# set-up; a kind that gains a scipy call belongs here.
+_INTEGRATING_KINDS = ("constants", "integrals", "mc", "sweep")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -229,6 +235,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    if args.kind in _INTEGRATING_KINDS:
+        quad.load_scipy()
     out = Path(cfg.out)
     manifest = Manifest(out, args.kind, config_to_dict(cfg), __version__)
     try:

@@ -128,10 +128,20 @@ class ExperimentConfig:
             raise ConfigError("workers must be at least 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
-        if self.u_ladder and any(
-            b <= a for a, b in zip(self.u_ladder, self.u_ladder[1:])
-        ):
+        if not self.u_ladder:
+            raise ConfigError("u_ladder must hold at least one level")
+        if any(b <= a for a, b in zip(self.u_ladder, self.u_ladder[1:])):
             raise ConfigError("u_ladder must be strictly increasing")
+        if self.u_ladder[0] <= 0:
+            raise ConfigError(f"u_ladder levels must be positive, got {self.u_ladder[0]}")
+        labels = self.integral_labels()
+        repeated = sorted({label for label in labels if labels.count(label) > 1})
+        if repeated:
+            raise ConfigError(f"integrals labels must be unique; repeated: {repeated}")
+
+    def integral_labels(self) -> list[str]:
+        """The name of each `integrals` branch: its label, or branch{i} if empty."""
+        return [b.label or f"branch{i}" for i, b in enumerate(self.integrals)]
 
 
 def _is_number(value: Any) -> bool:

@@ -31,6 +31,11 @@ below `tail_cut_tol` (`_cutoff`), and the exact tail of that envelope is
 added to the error estimate.  On the finite square, whose integrand falls
 along both axes, a panel loop stops once a bound on the panels left is below
 2^-60 of its sum, where they could not change a bit of it (`tail_bound`).
+
+scipy is imported by the functions that call it, on first use, so a run
+that never integrates (a Pickands or block Monte Carlo run) never loads it;
+`load_scipy` imports it ahead of time, which the CLI does for the kinds that
+integrate so that the import stays in their set-up.
 """
 
 from __future__ import annotations
@@ -39,9 +44,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-from scipy import integrate as _sint
-from scipy import special as _spec
 
 from .model import _boundary_cmp
 
@@ -60,9 +62,15 @@ __all__ = [
     "side_constants",
     "inner_a",
     "j_lambda_ratio",
+    "load_scipy",
 ]
 
 _SQRT2 = math.sqrt(2.0)
+
+
+def load_scipy() -> None:
+    """Import the scipy modules this module calls, ahead of their first use."""
+    from scipy import integrate, special  # noqa: F401
 
 
 class ConvergenceError(RuntimeError):
@@ -132,6 +140,8 @@ def _integrate_panels(
     64x margin that also covers QAGS's epsilon extrapolation (not a
     positive-weight sum): the sum keeps every bit.
     """
+    from scipy import integrate
+
     if epsabs is None:
         epsabs = cfg.abs_tol / max(1, len(breakpoints) - 1)
     if epsrel is None:
@@ -140,14 +150,14 @@ def _integrate_panels(
     err = 0.0
     with warnings.catch_warnings():
         # Convergence is judged from abserr by the caller, not from warnings.
-        warnings.simplefilter("ignore", _sint.IntegrationWarning)
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
         for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
             if hi <= lo:
                 continue
             if tail_bound is not None and (bound := tail_bound(lo)) <= total * 2.0 ** -60:
                 err += bound
                 break
-            res = _sint.quad(
+            res = integrate.quad(
                 f, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=cfg.max_subdivisions, full_output=1
             )
             total += float(res[0])
@@ -192,7 +202,9 @@ def g_beta(beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """
     if not (beta > 0):
         raise ValueError(f"beta must be positive, got {beta}")
-    return float(_spec.gamma(1.0 + 1.0 / beta))
+    from scipy import special
+
+    return float(special.gamma(1.0 + 1.0 / beta))
 
 
 def _exp_form_integral(beta: float, c1: float, c2: float, cfg: QuadratureConfig) -> float:
@@ -203,12 +215,14 @@ def _exp_form_integral(beta: float, c1: float, c2: float, cfg: QuadratureConfig)
     symmetry in (c1, c2) exact.  The outer variable is truncated by the
     y^beta envelope.
     """
+    from scipy import special
+
     R = _cutoff(beta, cfg)
     # discarded region {y > R, x <= y}: integrand <= 2 e^{-y^beta} on a strip
     # of width y, so the remainder is bounded by the y-weighted tail
     # 2 int_R^inf y e^{-y^beta} dy = 2 Gamma(2/beta, R^beta) / beta
     s = 2.0 / beta
-    tail = 2.0 * float(_spec.gamma(s)) * float(_spec.gammaincc(s, R ** beta)) / beta
+    tail = 2.0 * float(special.gamma(s)) * float(special.gammaincc(s, R ** beta)) / beta
     prod_exp = beta / 2.0
 
     def f(x: float, y: float) -> float:
@@ -402,13 +416,15 @@ def i_gamma_asymptote(
     c' = c / sqrt(gamma), and C is the critical constant K(c1', c2') (K_beta
     without a trend) at a = beta/2, or L(c1') L(c2') (G_beta^2) above it.
     """
+    from scipy import special
+
     a, beta, gamma = spec.a, spec.beta, spec.gamma
     br = _boundary_cmp(a, beta / 2.0)
     if br < 0:
         pref = (
             2.0
             * (beta - 2.0 * a)
-            * float(_spec.gamma(1.0 / a))
+            * float(special.gamma(1.0 / a))
             / (a * a * beta * gamma ** (1.0 / a))
         )
         return AsymptoticPrediction(pref, -2.0 / a, 1, uses_psi=False)
@@ -474,6 +490,8 @@ def j_lambda_ratio(
         raise ValueError(f"lam must exceed 1, got {lam}")
     if p <= 0 or q <= 0 or gamma <= 0:
         raise ValueError("p, q, gamma must be positive")
+    from scipy import special
+
     scale = lam ** (-1.0 / p)
 
     # J = lam^{-q/p} * int W^{q-1} e^{-gamma W^p} A(scale * W) dW; then V = W^q.
@@ -490,7 +508,7 @@ def j_lambda_ratio(
     _check_converged(value, err, cfg, "outer scale integral")
     j_val = lam ** (-q / p) * value
     leading = (
-        float(_spec.gamma(q / p))
+        float(special.gamma(q / p))
         / (p * p * gamma ** (q / p))
         * lam ** (-q / p)
         * math.log(lam)

@@ -1,12 +1,22 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import supfield
 from supfield.asymptotics import predict
-from supfield.cli import main
-from supfield.config import ConfigError, ExperimentConfig, config_to_dict, load_config
+from supfield.cli import _INTEGRATING_KINDS, main
+from supfield.config import (
+    ConfigError,
+    ExperimentConfig,
+    IntegralBranch,
+    config_to_dict,
+    load_config,
+)
 from supfield.model import ModelParams
 from supfield.quad import QuadratureConfig
 
@@ -85,6 +95,12 @@ class TestConfig:
             ),
             ("sweep: {n_points: 0}\n", "config.sweep: n_points must be at least 1"),
             ("sweep: {a_min: 1.5, a_max: 0.3}\n", "config.sweep: need 0 < a_min <= a_max"),
+            ("u_ladder: []\n", "config: u_ladder must hold at least one level"),
+            ("u_ladder: [-1.0, 2.0]\n", "config: u_ladder levels must be positive, got -1.0"),
+            (
+                "integrals: [{a: 2.0, label: x}, {a: 0.8, label: x}]\n",
+                "config: integrals labels must be unique; repeated: ['x']",
+            ),
         ],
         ids=[
             "grid-kind",
@@ -96,6 +112,9 @@ class TestConfig:
             "integrals-negative-gamma",
             "sweep-no-points",
             "sweep-reversed-range",
+            "u-ladder-empty",
+            "u-ladder-nonpositive",
+            "integrals-repeated-label",
         ],
     )
     def test_bad_section_fails_at_load(self, tmp_path, capsys, kind, text, message):
@@ -129,6 +148,12 @@ class TestConfig:
         err = capsys.readouterr().err
         assert key in err
         assert ("write 1.0e-12" in err) == ("1e" in text)
+
+    def test_unlabelled_branch_is_named_by_its_index(self):
+        cfg = ExperimentConfig(integrals=[IntegralBranch(label="classical"), IntegralBranch()])
+        assert cfg.integral_labels() == ["classical", "branch1"]
+        with pytest.raises(ConfigError, match=r"repeated: \['branch1'\]"):
+            ExperimentConfig(integrals=[IntegralBranch(label="branch1"), IntegralBranch()])
 
     def test_manifest_echo_reloads_to_the_same_config(self, tmp_path):
         path = write_cfg(
@@ -297,3 +322,59 @@ class TestSweepCommand:
         assert "status: OK" in manifest
         assert "sweep.csv" in manifest and "sweep.svg" in manifest
         assert "library_version" in manifest
+
+
+def run_fresh(code: str, cwd: Path) -> list:
+    """Run `code` in a fresh interpreter; its last output line is a JSON list, returned here."""
+    env = dict(os.environ, PYTHONPATH=str(Path(supfield.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=cwd, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+LOADED_SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+class TestScipyImport:
+    """scipy is loaded only by the kinds that integrate, and by them during set-up."""
+
+    def test_package_import_leaves_scipy_unloaded(self, tmp_path):
+        code = f"import json, sys\nimport supfield, supfield.cli\nprint(json.dumps({LOADED_SCIPY}))"
+        assert run_fresh(code, tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "kind,text",
+        [
+            ("pickands", "seed: 4242\npickands: {s_ladder: [1.0, 2.0], n_replicates: 6000}\n"),
+            (
+                "blocks",
+                "seed: 4242\n"
+                "model: {alpha: 1.0, beta: 2.0, a: 2.0}\n"
+                "blocks: {u_values: [3.0], n_samples: [6000], n_grid: 12, h_replicates: 4000}\n",
+            ),
+        ],
+        ids=["pickands", "blocks"],
+    )
+    def test_monte_carlo_kinds_run_without_scipy(self, tmp_path, kind, text):
+        cfg = write_cfg(tmp_path, text)
+        code = (
+            "import json, sys\n"
+            "from supfield.cli import main\n"
+            f"code = main([{kind!r}, '--config', {cfg!r}, '--out', 'out'])\n"
+            f"print(json.dumps([code, {LOADED_SCIPY}]))"
+        )
+        assert run_fresh(code, tmp_path) == [0, []]
+
+    @pytest.mark.parametrize("kind", _INTEGRATING_KINDS)
+    def test_integrating_kinds_load_scipy_before_their_runner(self, tmp_path, kind):
+        code = (
+            "import json, sys\n"
+            "from supfield import cli\n"
+            "seen = []\n"
+            f"cli._RUNNERS[{kind!r}] = lambda *args: seen.append('scipy.integrate' in sys.modules)\n"
+            f"code = cli.main([{kind!r}, '--out', 'out'])\n"
+            "print(json.dumps([code, seen]))"
+        )
+        assert run_fresh(code, tmp_path) == [0, [True]]
