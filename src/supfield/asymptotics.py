@@ -68,15 +68,14 @@ def predict(
     K_beta.  A nonzero trend is stated for beta = 2 only: a fixed linear
     trend and the quadratic variance loss act on the same u^(-1) scale
     there, so the trend replaces them by L(c1), L(c2) and K(c1, c2) without
-    changing powers.  Trended params with other beta are rejected.  The
-    product regimes scale the asymptote of the corner integral (gamma = 1).
+    changing powers; `ModelParams` admits a trend only there.  The product
+    regimes scale the asymptote of the corner integral (gamma = 1).
     """
-    # built before branching: the spec rejects a trend with beta != 2 in every regime
-    corner = quad.IntegralSpec(1.0, p.beta, p.a, p.T, 1.0, p.c1, p.c2)
     h = lookup_h(p.alpha, h_alpha)
     if classify_regime(p) is Regime.SIDE_DOMINATED:
         s1, s2 = quad.side_constants(p.beta, p.c1, p.c2, cfg)
         return AsymptoticPrediction(h * (s1 + s2), 2.0 / p.alpha - 2.0 / p.beta, 0)
+    corner = quad.IntegralSpec(1.0, p.beta, p.a, p.T, 1.0, p.c1, p.c2)
     asym = quad.i_gamma_asymptote(corner, cfg)
     return AsymptoticPrediction(
         h * h * asym.prefactor, 4.0 / p.alpha + asym.u_power, asym.log_power

@@ -90,7 +90,7 @@ def run_integrals(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
         asymptote = None
         for u in cfg.u_ladder:
             spec = quad.IntegralSpec(
-                gamma=branch.gamma, beta=params.beta, a=branch.a, delta=branch.delta, u=u
+                branch.gamma, params.beta, branch.a, branch.delta, u, params.c1, params.c2
             )
             val = quad.i_gamma(spec, qc)
             if asymptote is None:  # its prefactor does not depend on u

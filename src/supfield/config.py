@@ -21,8 +21,8 @@ from typing import Any
 
 import yaml
 
-from .fieldsim import BLOCK_H_REPLICATES, BLOCK_N_GRID
-from .model import ModelParams
+from .fieldsim import BLOCK_H_REPLICATES, BLOCK_N_GRID, BlockSpec
+from .model import ModelParams, Point2
 from .pickands import ExtrapolationProtocol
 from .quad import QuadratureConfig
 from .streams import DEFAULT_BATCH
@@ -40,7 +40,11 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """Malformed experiment configuration."""
+    """Malformed experiment configuration; `key`, if given, names the field at fault."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(f"{key}: {message}" if key else message)
+        self.key = key
 
 
 @dataclass
@@ -67,10 +71,19 @@ class BlocksSection:
     h_replicates: int = BLOCK_H_REPLICATES
 
     def __post_init__(self) -> None:
+        if not self.u_values:
+            raise ConfigError("u_values must hold at least one level")
         if len(self.n_samples) not in (1, len(self.u_values)):
             raise ConfigError("n_samples must have length 1 or match u_values")
-        if self.s1 < 0 or self.s2 < 0 or (self.s1 == 0 and self.s2 == 0):
-            raise ConfigError("side multipliers s1, s2 must be nonnegative, not both zero")
+        for u in self.u_values:  # the base, side and level rules of a block
+            BlockSpec(Point2(self.v1, self.v2), self.s1, self.s2, u)
+        if self.n_grid < 2:
+            raise ConfigError(f"n_grid must be at least 2, got {self.n_grid}")
+        if min(self.n_samples) < 1:
+            raise ConfigError(f"n_samples must be at least 1, got {min(self.n_samples)}")
+        if self.h_replicates < 2:
+            raise ConfigError(f"h_replicates must be at least 2, got {self.h_replicates}")
+        # containment in [0, T]^2 depends on the model, so it is checked at run time
 
 
 @dataclass
@@ -123,21 +136,21 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.n_samples < 1:
-            raise ConfigError("n_samples must be at least 1")
+            raise ConfigError("must be at least 1", key="n_samples")
         if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
+            raise ConfigError("must be at least 1", key="workers")
         if self.batch_size < 1:
-            raise ConfigError("batch_size must be at least 1")
+            raise ConfigError("must be at least 1", key="batch_size")
         if not self.u_ladder:
-            raise ConfigError("u_ladder must hold at least one level")
+            raise ConfigError("must hold at least one level", key="u_ladder")
         if any(b <= a for a, b in zip(self.u_ladder, self.u_ladder[1:])):
-            raise ConfigError("u_ladder must be strictly increasing")
+            raise ConfigError("must be strictly increasing", key="u_ladder")
         if self.u_ladder[0] <= 0:
-            raise ConfigError(f"u_ladder levels must be positive, got {self.u_ladder[0]}")
+            raise ConfigError(f"levels must be positive, got {self.u_ladder[0]}", key="u_ladder")
         labels = self.integral_labels()
         repeated = sorted({label for label in labels if labels.count(label) > 1})
         if repeated:
-            raise ConfigError(f"integrals labels must be unique; repeated: {repeated}")
+            raise ConfigError(f"labels must be unique; repeated: {repeated}", key="integrals")
 
     def integral_labels(self) -> list[str]:
         """The name of each `integrals` branch: its label, or branch{i} if empty."""
@@ -200,7 +213,8 @@ def _build(default: Any, data: Any, where: str) -> Any:
     try:
         return dataclasses.replace(default, **changes)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        sep = "." if getattr(exc, "key", None) else ": "
+        raise ConfigError(f"{where}{sep}{exc}") from None
 
 
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> ExperimentConfig:

@@ -194,16 +194,18 @@ class BlockSpec:
     level_u: float
 
     def __post_init__(self) -> None:
+        if not (self.base[0] >= 0 and self.base[1] >= 0):
+            raise ValueError(f"block base v1, v2 must be nonnegative, got {tuple(self.base)}")
         if self.s1 < 0 or self.s2 < 0 or (self.s1 == 0 and self.s2 == 0):
-            raise ValueError("block side multipliers must be nonnegative, not both zero")
+            raise ValueError("side multipliers s1, s2 must be nonnegative, not both zero")
         if not (self.level_u > 0):
-            raise ValueError("level_u must be positive")
+            raise ValueError(f"level u must be positive, got {self.level_u}")
 
     def bounds(self, params: ModelParams) -> tuple[float, float, float, float]:
         q = correlation_scale(params, self.level_u)
         x0, y0 = self.base
         x1, y1 = x0 + self.s1 * q, y0 + self.s2 * q
-        if x1 > params.T or y1 > params.T or x0 < 0 or y0 < 0:
+        if x1 > params.T or y1 > params.T:
             raise ValueError(
                 f"block [{x0},{x1}]x[{y0},{y1}] not contained in [0,{params.T}]^2"
             )

@@ -72,7 +72,8 @@ class ModelParams:
     beta  : side variance-loss exponent, > alpha
     a     : product variance-loss exponent, > 0
     T     : horizon of the square [0, T]^2
-    c1,c2 : nonnegative linear trend slopes (0 means no trend)
+    c1,c2 : nonnegative linear trend slopes (0 means no trend); a nonzero
+            slope requires beta = 2, the only case the trend constants cover
     """
 
     alpha: float
@@ -93,6 +94,8 @@ class ModelParams:
             raise ValueError(f"T must be positive, got {self.T}")
         if self.c1 < 0.0 or self.c2 < 0.0:
             raise ValueError(f"trend slopes must be nonnegative, got ({self.c1}, {self.c2})")
+        if (self.c1, self.c2) != (0.0, 0.0) and self.beta != 2.0:
+            raise ValueError(f"a nonzero trend requires beta = 2, got beta={self.beta}")
         for name in ("alpha", "beta", "a", "T", "c1", "c2"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

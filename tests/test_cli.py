@@ -18,6 +18,7 @@ from supfield.config import (
     load_config,
 )
 from supfield.model import ModelParams
+from supfield import quad
 from supfield.quad import QuadratureConfig
 
 
@@ -95,12 +96,22 @@ class TestConfig:
             ),
             ("sweep: {n_points: 0}\n", "config.sweep: n_points must be at least 1"),
             ("sweep: {a_min: 1.5, a_max: 0.3}\n", "config.sweep: need 0 < a_min <= a_max"),
-            ("u_ladder: []\n", "config: u_ladder must hold at least one level"),
-            ("u_ladder: [-1.0, 2.0]\n", "config: u_ladder levels must be positive, got -1.0"),
+            ("u_ladder: []\n", "config.u_ladder: must hold at least one level"),
+            ("u_ladder: [-1.0, 2.0]\n", "config.u_ladder: levels must be positive, got -1.0"),
             (
                 "integrals: [{a: 2.0, label: x}, {a: 0.8, label: x}]\n",
-                "config: integrals labels must be unique; repeated: ['x']",
+                "config.integrals: labels must be unique; repeated: ['x']",
             ),
+            ("blocks: {h_replicates: 0}\n", "config.blocks: h_replicates must be at least 2, got 0"),
+            ("blocks: {h_replicates: 1}\n", "config.blocks: h_replicates must be at least 2, got 1"),
+            ("blocks: {u_values: []}\n", "config.blocks: u_values must hold at least one level"),
+            (
+                "blocks: {u_values: [-3.0], n_samples: [1000]}\n",
+                "config.blocks: level u must be positive, got -3.0",
+            ),
+            ("blocks: {n_grid: 0}\n", "config.blocks: n_grid must be at least 2, got 0"),
+            ("blocks: {n_samples: [0]}\n", "config.blocks: n_samples must be at least 1, got 0"),
+            ("blocks: {v1: -0.5}\n", "config.blocks: block base v1, v2 must be nonnegative"),
         ],
         ids=[
             "grid-kind",
@@ -115,6 +126,13 @@ class TestConfig:
             "u-ladder-empty",
             "u-ladder-nonpositive",
             "integrals-repeated-label",
+            "blocks-no-h-replicates",
+            "blocks-one-h-replicate",
+            "blocks-no-levels",
+            "blocks-negative-level",
+            "blocks-no-grid",
+            "blocks-no-samples",
+            "blocks-negative-base",
         ],
     )
     def test_bad_section_fails_at_load(self, tmp_path, capsys, kind, text, message):
@@ -189,6 +207,15 @@ class TestConstantsCommand:
         assert code == 2
         assert "beta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["constants", "integrals", "pickands", "mc", "blocks", "sweep"])
+    def test_trend_off_beta_two_fails_at_load(self, tmp_path, capsys, kind):
+        # the trend constants L(c), K(c1, c2) exist for beta = 2 only
+        cfg = write_cfg(tmp_path, "model: {alpha: 1.0, beta: 2.5, a: 1.0, c1: 1.0, c2: 1.0}\n")
+        out = tmp_path / "o"
+        assert main([kind, "--config", cfg, "--out", str(out)]) == 2
+        assert "config.model: a nonzero trend requires beta = 2" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMcCommand:
     CFG = (
@@ -256,6 +283,22 @@ class TestIntegralsCommand:
         assert rows[1].split(",")[0] == "3"
         assert rows[2].split(",")[0] == "7.5"
         assert (out / "integrals_critical.csv").exists()
+
+    def test_trended_model_integrates_the_trend(self, tmp_path):
+        cfg = write_cfg(
+            tmp_path,
+            "model: {alpha: 1.0, beta: 2.0, a: 1.0, c1: 1.0, c2: 0.5}\n"
+            "u_ladder: [3.0, 7.5]\n"
+            "integrals: [{gamma: 1.0, a: 2.0, delta: 1.0, label: classical}]\n",
+        )
+        out = tmp_path / "out"
+        assert main(["integrals", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "integrals_classical.csv").read_text().strip().splitlines()[1:]
+        for row, u in zip(rows, (3.0, 7.5)):
+            trended = quad.i_gamma(quad.IntegralSpec(1.0, 2.0, 2.0, 1.0, u, 1.0, 0.5))
+            plain = quad.i_gamma(quad.IntegralSpec(1.0, 2.0, 2.0, 1.0, u))
+            assert float(row.split(",")[1]) == trended
+            assert trended < plain
 
 
 class TestPickandsCommand:

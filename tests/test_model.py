@@ -33,6 +33,8 @@ class TestModelParams:
             dict(alpha=1.0, beta=2.0, a=1.0, T=0.0),
             dict(alpha=1.0, beta=2.0, a=1.0, c1=-0.1),
             dict(alpha=1.0, beta=2.0, a=1.0, c2=-2.0),
+            dict(alpha=1.0, beta=2.5, a=1.0, c1=1.0),  # a trend needs beta = 2
+            dict(alpha=1.0, beta=1.5, a=1.0, c2=0.5),
             dict(alpha=math.nan, beta=2.0, a=1.0),
         ],
     )

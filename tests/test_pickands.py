@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from supfield import pickands
 from supfield.pickands import (
     MAX_PATH_POINTS,
     ExtrapolationProtocol,
@@ -128,7 +129,59 @@ class TestSamplerDistribution:
             _PathSampler(2.0, 1.0, 65, "davies-harte")
 
 
+def full_spectrum_eigenvalues(alpha, n_incr):
+    """All 2 n_incr circulant-embedding eigenvalues of unit-spacing fGn, unclipped."""
+    k = np.arange(n_incr, dtype=float)
+    rho = 0.5 * ((k + 1.0) ** alpha + np.abs(k - 1.0) ** alpha) - k ** alpha
+    return np.fft.fft(np.concatenate([rho, [0.0], rho[1:][::-1]])).real
+
+
+def full_spectrum_paths(alpha, horizon, n_points, rng, n_paths):
+    """Davies-Harte paths through the full Hermitian spectrum and a complex
+    inverse FFT: the construction the half-spectrum sampler replaced."""
+    n_incr = n_points - 1
+    m = 2 * n_incr
+    lam = np.clip(full_spectrum_eigenvalues(alpha, n_incr), 0.0, None)
+    raw = rng.standard_normal((n_paths, m))
+    z = np.empty((n_paths, m), dtype=complex)
+    z[:, 0] = raw[:, 0]
+    z[:, n_incr] = raw[:, 1]
+    z[:, 1:n_incr] = (raw[:, 2::2] + 1j * raw[:, 3::2]) / math.sqrt(2.0)
+    z[:, n_incr + 1 :] = np.conj(z[:, 1:n_incr][:, ::-1])
+    incr = np.fft.ifft(np.sqrt(lam) * z, axis=1).real[:, :n_incr] * math.sqrt(m)
+    incr *= (horizon / n_incr) ** (alpha / 2.0)
+    out = np.zeros((n_paths, n_points))
+    np.cumsum(incr, axis=1, out=out[:, 1:])
+    return out
+
+
+class TestDaviesHarteHalfSpectrum:
+    @pytest.mark.parametrize("n_points", [2, 3, 65, 257, 1025])
+    @pytest.mark.parametrize("alpha", [0.6, 1.2, 1.4, 1.9])
+    def test_matches_full_spectrum_construction(self, alpha, n_points):
+        lam = full_spectrum_eigenvalues(alpha, n_points - 1)
+        if lam.min() < -1e-8 * max(1.0, lam.max()):
+            # an indefinite embedding (alpha = 1.9 from 3 points on) is refused,
+            # naming the same least eigenvalue as the full spectrum
+            with pytest.raises(ValueError, match=f"min eigenvalue {lam.min():.3e}"):
+                _PathSampler(alpha, 3.0, n_points, "davies-harte")
+            return
+        ps = _PathSampler(alpha, 3.0, n_points, "davies-harte")
+        got = ps.sample(batch_generator(17, 2), 24)
+        want = full_spectrum_paths(alpha, 3.0, n_points, batch_generator(17, 2), 24)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_alpha_two_refused(self):
+        with pytest.raises(ValueError, match="not nonnegative definite"):
+            _PathSampler(2.0, 1.0, 65, "davies-harte")
+
+
 class TestPickandsFinite:
+    def test_needs_two_replicates(self):
+        # one replicate has no standard error; the estimate used to divide by zero
+        with pytest.raises(ValueError, match="at least 2 replicates"):
+            pickands_finite(1.0, 1.0, 9, 1, seed=1)
+
     def test_at_least_one(self):
         for alpha, S in ((0.7, 0.5), (1.0, 1.0), (1.8, 2.0)):
             est = pickands_finite(alpha, S, 65, 2000, seed=1)
@@ -203,14 +256,40 @@ class TestProtocol:
             ExtrapolationProtocol(spacing_factor=0.001).grid_for(1.0)
 
     def test_default_protocol_refused_at_alpha_0_6(self):
-        # 86,865 points x 4 * 10^5 paths: under MAX_POINTS, but 3.5 * 10^10 path points
+        # 86,865 points x 4 * 10^5 paths = 3.5 * 10^10 path points
         with pytest.raises(ValueError, match=r"86865 grid points x 400000 paths = 3\.47e\+10"):
             ExtrapolationProtocol().grid_for(0.6)
         with pytest.raises(ValueError, match="MAX_PATH_POINTS"):
             pickands_constant(0.6)
 
+    def test_batch_larger_than_memory_refused(self, monkeypatch):
+        # 8.7 * 10^9 path points passes the time cap, but one 2048-path
+        # Davies-Harte batch on 86,865 points needs 7.1 GB
+        monkeypatch.setattr(pickands, "_memory_budget", lambda: 4 * 10 ** 9)
+        proto = ExtrapolationProtocol(n_replicates=100_000)
+        with pytest.raises(ValueError, match=r"86865 grid points x 2048 paths per batch = 7\.12 GB"):
+            proto.grid_for(0.6)
+        with pytest.raises(ValueError, match="batch_size or a coarser grid"):
+            pickands_constant(0.6, proto)
+        n_points, _ = ExtrapolationProtocol(n_replicates=100_000, batch_size=512).grid_for(0.6)
+        assert n_points == 86865
+
+    def test_cholesky_gram_larger_than_a_terabyte_refused(self, monkeypatch):
+        # 400,000 points at alpha = 1: a few path points, but the Gram alone is 1.3 TB
+        monkeypatch.setattr(pickands, "_memory_budget", lambda: 10 ** 12)
+        proto = ExtrapolationProtocol(
+            s_ladder=(2.0, 4.0), spacing_factor=math.sqrt(1e-5), n_replicates=2, sampler="cholesky"
+        )
+        with pytest.raises(ValueError, match="with the cholesky sampler"):
+            proto.grid_for(1.0)
+
+    def test_memory_budget_reads_physical_memory(self):
+        budget = pickands._memory_budget()
+        assert isinstance(budget, int) and budget > 0
+
     @pytest.mark.parametrize("alpha", [0.8, 1.0, 1.4, 2.0])
-    def test_default_protocol_admitted(self, alpha):
+    def test_default_protocol_admitted(self, monkeypatch, alpha):
+        monkeypatch.setattr(pickands, "_memory_budget", lambda: 2 * 10 ** 9)
         n_points, _ = ExtrapolationProtocol().grid_for(alpha)
         assert n_points * 400_000 <= MAX_PATH_POINTS
 

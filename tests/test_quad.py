@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from scipy import integrate
@@ -144,6 +145,14 @@ class TestTrendL:
         err = exc_info.value
         assert math.isfinite(err.estimate)
         assert err.error_bound > 0
+
+    def test_convergence_error_is_raised_not_warned(self):
+        # full_output=1 makes QUADPACK return its message instead of warning
+        bad_cfg = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError):
+                trend_l(3.0, bad_cfg)
 
 
 class TestTrendK:
