@@ -5,12 +5,15 @@
 with kind one of: constants | integrals | pickands | mc | blocks | sweep.
 The kind comes only from the subcommand; the config file has no kind key.
 
-Every run writes its outputs plus a MANIFEST (config echo, library version,
-seed, wall time) into the output directory.  Reruns with identical config,
-seed and BLAS thread count produce byte-identical CSV bodies.  A config that
-fails to load exits 2 and writes nothing.  Exit status is 0 only if every
-requested computation converged; on failure, whatever completed is flushed
-and the MANIFEST records the incompleteness.
+Every run writes its outputs plus a MANIFEST into the output directory: one
+YAML mapping of kind, library version, seed, status, wall time, the outputs
+written so far and the config, which loads back as a config that reruns the
+run.  Reruns with identical config, seed and BLAS thread count produce
+byte-identical CSV bodies.  A config that fails to load exits 2 and writes
+nothing.  Once it has loaded, every way a run ends writes the MANIFEST: OK
+(exit 0), or INCOMPLETE and the reason for a ValueError (exit 2) or a
+ConvergenceError (exit 1); any other exception propagates after the
+MANIFEST records "INCOMPLETE: run not finished".
 
 The library imports scipy on first use.  The kinds that integrate
 (constants, integrals, mc, sweep) load it right after the config, so its
@@ -20,13 +23,14 @@ import is part of their set-up; pickands and blocks never load it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, asymptotics, fieldsim, pickands, quad
-from .config import ConfigError, ExperimentConfig, config_to_dict, load_config
+from .config import ConfigError, ExperimentConfig, load_config
 from .model import ModelParams, Point2, classify_regime
 from .output import Manifest, write_csv, write_json
 from .svgplot import line_plot
@@ -238,22 +242,22 @@ def main(argv: list[str] | None = None) -> int:
     if args.kind in _INTEGRATING_KINDS:
         quad.load_scipy()
     out = Path(cfg.out)
-    manifest = Manifest(out, args.kind, config_to_dict(cfg), __version__)
+    manifest = Manifest(out, args.kind, dataclasses.asdict(cfg), __version__)
+    status = "INCOMPLETE: run not finished"
     try:
         _RUNNERS[args.kind](cfg, out, manifest)
+        status = "OK"
+        return 0
     except ValueError as exc:
-        manifest.fail(str(exc))
-        manifest.write()
+        status = f"INCOMPLETE: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except quad.ConvergenceError as exc:
-        manifest.fail(f"quadrature did not converge: {exc}")
-        manifest.write()
+        status = f"INCOMPLETE: quadrature did not converge: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    manifest.finish("OK")
-    manifest.write()
-    return 0
+    finally:
+        manifest.write(status)
 
 
 if __name__ == "__main__":

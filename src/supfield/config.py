@@ -7,8 +7,9 @@ is optional and keeps the default of `ExperimentConfig()`.  Unknown keys
 and values of the wrong type are rejected at every nesting level, so a typo
 cannot silently fall back to a default, and every section checks its own
 values in `__post_init__`, so a bad value fails at load, named by its key
-path, before any output is written.  The normalized config is echoed
-into each run's MANIFEST, which together with the seed makes CSV outputs
+path, before any output is written.  Each run's MANIFEST holds the loaded
+config as `dataclasses.asdict` gives it, a mapping that loads back to an
+equal config, which together with the seed makes CSV outputs
 byte-reproducible.
 """
 
@@ -35,7 +36,6 @@ __all__ = [
     "SweepSection",
     "ConfigError",
     "load_config",
-    "config_to_dict",
 ]
 
 
@@ -178,7 +178,7 @@ def _checked(default: Any, value: Any, where: str) -> Any:
         ok = isinstance(value, type(default)) and not isinstance(value, bool)
         expected = type(default).__name__
     if not ok:
-        hint = "; a YAML float needs a dot: write 1.0e-12, not 1e-12"
+        hint = "; a YAML float needs a dot and a signed exponent: write 1.0e+3, not 1e3 or 1.0e3"
         raise ConfigError(
             f"{where}: expected {expected}, got {value!r}{hint if isinstance(value, str) else ''}"
         )
@@ -203,11 +203,8 @@ def _build(default: Any, data: Any, where: str) -> Any:
         if dataclasses.is_dataclass(old):
             changes[name] = _build(old, value, key)
         elif name == "integrals":
-            if not isinstance(value, list):
-                raise ConfigError(f"{key}: expected a list")
-            changes[name] = [
-                _build(IntegralBranch(), item, f"{key}[{i}]") for i, item in enumerate(value)
-            ]
+            branches = enumerate(_checked(old, value, key))
+            changes[name] = [_build(IntegralBranch(), b, f"{key}[{i}]") for i, b in branches]
         else:
             changes[name] = _checked(old, value, key)
     try:
@@ -221,24 +218,11 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     """Read a YAML config file (optional) and apply CLI overrides."""
     data: dict = {}
     if path is not None:
-        raw = Path(path).read_text()
-        loaded = yaml.safe_load(raw)
-        if loaded is None:
-            loaded = {}
-        if not isinstance(loaded, dict):
+        data = yaml.safe_load(Path(path).read_text())
+        if data is None:  # an empty file
+            data = {}
+        if not isinstance(data, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
-        data = loaded
     data.update({k: v for k, v in (overrides or {}).items() if v is not None})
     return _build(ExperimentConfig(), data, "config")
 
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Normalized plain-dict form (for the MANIFEST echo)."""
-    def convert(obj: Any) -> Any:
-        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            return {f.name: convert(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-        if isinstance(obj, (list, tuple)):
-            return [convert(v) for v in obj]
-        return obj
-
-    return convert(cfg)

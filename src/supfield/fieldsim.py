@@ -31,7 +31,7 @@ import numpy as np
 from . import asymptotics, pickands, quad
 from .factorization import chol_with_jitter
 from .model import ModelParams, Point2, correlation_scale, variance_loss_at
-from .streams import DEFAULT_BATCH, batch_generator, run_batches
+from .streams import DEFAULT_BATCH, batch_generator, check_memory, run_batches
 
 __all__ = [
     "LatticeField",
@@ -241,9 +241,13 @@ def excursion_maxima(
     batch_size: int = DEFAULT_BATCH,
     workers: int = 1,
 ) -> np.ndarray:
-    """Per-sample lattice maxima of X(t) - c1 t1 - c2 t2, in replicate order."""
+    """Per-sample lattice maxima of X(t) - c1 t1 - c2 t2, in replicate order;
+    a run whose draws in flight `streams.check_memory` refuses draws nothing."""
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    points = len(field.xs) * len(field.ys)
+    what = f"{field.describe()} draws {points} normals"
+    check_memory(what, "samples", 8 * points, n_samples, batch_size, workers)
     trend = (float(trend[0]), float(trend[1]))
 
     def work(b: int, take: int) -> np.ndarray:

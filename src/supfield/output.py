@@ -2,8 +2,9 @@
 
 Floats in CSV bodies are written with 17 significant digits so values
 round-trip bit-exactly; identical config + seed therefore reproduces
-byte-identical CSV bodies (the MANIFEST carries wall time and is the one
-file allowed to differ between reruns).
+byte-identical CSV bodies.  The MANIFEST, one YAML mapping whose `config:`
+loads back as the run's config, carries the wall time and is the one file
+allowed to differ between reruns.
 """
 
 from __future__ import annotations
@@ -41,41 +42,31 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 class Manifest:
-    """Run manifest: config echo, version, seed, wall time, output status."""
+    """Run record: kind, library version, seed, status, wall time, the
+    outputs written so far and the config, written as one YAML mapping."""
 
-    def __init__(self, out_dir: Path, kind: str, config_echo: dict, version: str):
+    def __init__(self, out_dir: Path, kind: str, config: dict, version: str):
         self.out_dir = Path(out_dir)
         self.kind = kind
-        self.config_echo = config_echo
+        self.config = config
         self.version = version
         self.outputs: list[str] = []
-        self.status = "INCOMPLETE: run not finished"
         self._t0 = time.monotonic()
 
     def add_output(self, name: str) -> None:
         self.outputs.append(name)
 
-    def finish(self, status: str = "OK") -> None:
-        self.status = status
-
-    def fail(self, reason: str) -> None:
-        self.status = f"INCOMPLETE: {reason}"
-
-    def write(self) -> Path:
+    def write(self, status: str) -> Path:
+        record = {
+            "kind": self.kind,
+            "library_version": self.version,
+            "seed": self.config["seed"],
+            "status": status,
+            "wall_time_s": round(time.monotonic() - self._t0, 3),
+            "outputs": self.outputs,
+            "config": self.config,
+        }
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        wall = time.monotonic() - self._t0
-        lines = [
-            f"kind: {self.kind}",
-            f"library_version: {self.version}",
-            f"seed: {self.config_echo.get('seed')}",
-            f"status: {self.status}",
-            f"wall_time_s: {wall:.3f}",
-            "outputs:",
-        ]
-        lines += [f"  - {name}" for name in self.outputs] or ["  []"]
-        lines.append("config: |")
-        echo = yaml.safe_dump(self.config_echo, sort_keys=True).rstrip("\n")
-        lines += ["  " + ln for ln in echo.split("\n")]
         path = self.out_dir / "MANIFEST"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_text(yaml.safe_dump(record, sort_keys=False), encoding="utf-8")
         return path

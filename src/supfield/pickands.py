@@ -43,14 +43,13 @@ around 1.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .factorization import chol_with_jitter
-from .streams import DEFAULT_BATCH, batch_generator, run_batches
+from .streams import DEFAULT_BATCH, batch_generator, check_memory, run_batches
 
 __all__ = [
     "PickandsEstimate",
@@ -68,19 +67,6 @@ _NS_PER_PATH_POINT = 29.0  # Brownian paths, one core of a 2-vCPU Xeon host
 # Peak bytes per path point of one batch (tracemalloc): the draws and the
 # paths, and for davies-harte also the half spectrum and its transform.
 _BATCH_BYTES_PER_POINT = {"brownian": 16, "cholesky": 24, "davies-harte": 40}
-
-
-def _memory_budget() -> int:
-    """Largest batch allocation a protocol may ask for: half of physical memory."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
-
-
-def _batch_bytes(method: str, n_points: int, n_paths: int) -> int:
-    """Peak bytes of one batch of n_paths paths, sampler set-up included."""
-    peak = _BATCH_BYTES_PER_POINT[method] * n_points * n_paths
-    if method == "cholesky":  # the Gram build holds three (n-1)^2 arrays
-        peak += 3 * 8 * (n_points - 1) ** 2
-    return peak
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +92,14 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in (0, 2], got {alpha}")
 
 
+def _check_sampler(sampler: str) -> None:
+    if sampler != "auto" and sampler not in _SAMPLERS:
+        raise ValueError(f"unknown sampler {sampler!r}; expected 'auto' or one of {_SAMPLERS}")
+
+
 def _resolve_sampler(sampler: str, alpha: float, n_points: int) -> str:
+    _check_sampler(sampler)
     if sampler != "auto":
-        if sampler not in _SAMPLERS:
-            raise ValueError(f"unknown sampler {sampler!r}; expected 'auto' or one of {_SAMPLERS}")
         return sampler
     if alpha == 1.0:
         return "brownian"
@@ -221,9 +211,10 @@ class ExtrapolationProtocol:
 
     It is also the `pickands:` section of an experiment config.  Ladders
     whose rungs share no grid of at most MAX_RUNG_MULTIPLE increments are
-    refused when built; runs of more than MAX_PATH_POINTS path points in
-    all, and batches whose sampler would need more than half of physical
-    memory, by `grid_for` before any allocation.
+    refused when built, as is an unknown sampler name; runs of more than
+    MAX_PATH_POINTS path points in all, and runs whose batches in flight
+    would need more than half of physical memory, by `grid_for` before any
+    allocation.
     """
 
     s_ladder: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
@@ -245,6 +236,7 @@ class ExtrapolationProtocol:
             raise ValueError("need at least 2 replicates")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        _check_sampler(self.sampler)
         self._grid_multiple()
 
     def _grid_multiple(self) -> int:
@@ -258,11 +250,12 @@ class ExtrapolationProtocol:
             f"[0, {s_max}]; use rungs that are simple fractions of the top rung"
         )
 
-    def grid_for(self, alpha: float) -> tuple[int, list[int]]:
+    def grid_for(self, alpha: float, workers: int = 1) -> tuple[int, list[int]]:
         """(n_points, rung indices) with every rung exactly on the grid.
 
         Raises ValueError, before any allocation, for a run of more than
-        MAX_PATH_POINTS path points or a batch larger than `_memory_budget()`.
+        MAX_PATH_POINTS path points, or one whose batches in flight on
+        `workers` workers need more memory than `streams.check_memory` allows.
         """
         _check_alpha(alpha)
         s_max = self.s_ladder[-1]
@@ -282,15 +275,11 @@ class ExtrapolationProtocol:
                 f"protocol or fewer replicates"
             )
         method = _resolve_sampler(self.sampler, alpha, n_points)
-        n_paths = min(self.batch_size, self.n_replicates)
-        need, budget = _batch_bytes(method, n_points, n_paths), _memory_budget()
-        if need > budget:
-            raise ValueError(
-                f"protocol needs {n_points} grid points x {n_paths} paths per batch "
-                f"= {need / 1e9:.3g} GB with the {method} sampler for alpha={alpha}, more "
-                f"than half of physical memory ({budget / 1e9:.3g} GB); supply a smaller "
-                f"batch_size or a coarser grid"
-            )
+        what = f"protocol with the {method} sampler at alpha={alpha} needs {n_points} grid points"
+        per_path = _BATCH_BYTES_PER_POINT[method] * n_points
+        # set-up: the cholesky Gram build holds three (n-1)^2 arrays
+        gram = 3 * 8 * (n_points - 1) ** 2 if method == "cholesky" else 0
+        check_memory(what, "paths", per_path, self.n_replicates, self.batch_size, workers, gram)
         idx = [int(round(s * n_incr / s_max)) for s in self.s_ladder]
         return n_points, idx
 
@@ -399,7 +388,7 @@ def pickands_constant(
     naive disagree by more than 3 joint standard errors (the usual sign that
     S_max is still far from the limit).
     """
-    n_points, rung_idx = protocol.grid_for(alpha)
+    n_points, rung_idx = protocol.grid_for(alpha, workers)
     s_ladder = protocol.s_ladder
     s_max = s_ladder[-1]
     n = protocol.n_replicates

@@ -9,16 +9,21 @@ independent of how many workers execute the batches.  The values drawn are
 bit-exact; what a caller computes from them with BLAS (the lattice field's
 factor products) is bit-exact for a fixed BLAS thread count, and may differ
 in the last bit under another.
+
+One memory rule serves every Monte Carlo layer: `check_memory` refuses a
+run whose batches in flight, min(workers, batches) of them, would need more
+than half of physical memory.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
 
 import numpy as np
 
-__all__ = ["batch_generator", "batch_sizes", "run_batches", "DEFAULT_BATCH"]
+__all__ = ["batch_generator", "batch_sizes", "run_batches", "check_memory", "DEFAULT_BATCH"]
 
 DEFAULT_BATCH = 2048
 
@@ -62,3 +67,25 @@ def run_batches(
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(work, i, sz) for i, sz in enumerate(sizes)]
         return [f.result() for f in futures]
+
+
+def memory_budget() -> int:
+    """Most memory the batches of one run may hold at once: half of physical memory."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+
+
+def check_memory(
+    what: str, item: str, item_bytes: int, n_total: int, batch: int, workers: int, setup: int = 0
+) -> None:
+    """Refuse, before anything is allocated, a `run_batches` run whose batches in
+    flight, `item_bytes` per item, and `setup` bytes exceed `memory_budget()`."""
+    take = min(batch, n_total)
+    per_batch = take * item_bytes
+    in_flight = max(1, min(workers, len(batch_sizes(n_total, batch))))
+    need, budget = setup + in_flight * per_batch, memory_budget()
+    if need > budget:
+        raise ValueError(
+            f"{what} x {take} {item} per batch = {per_batch / 1e9:.3g} GB; with {in_flight} in "
+            f"flight the run needs {need / 1e9:.3g} GB, more than half of physical memory "
+            f"({budget / 1e9:.3g} GB); use fewer workers, a smaller batch_size or a coarser grid"
+        )

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,17 +10,12 @@ import pytest
 import yaml
 
 import supfield
+from supfield import cli, quad, streams
 from supfield.asymptotics import predict
 from supfield.cli import _INTEGRATING_KINDS, main
-from supfield.config import (
-    ConfigError,
-    ExperimentConfig,
-    IntegralBranch,
-    config_to_dict,
-    load_config,
-)
+from supfield.config import ConfigError, ExperimentConfig, IntegralBranch, load_config
 from supfield.model import ModelParams
-from supfield import quad
+from supfield.output import write_csv
 from supfield.quad import QuadratureConfig
 
 
@@ -112,6 +109,10 @@ class TestConfig:
             ("blocks: {n_grid: 0}\n", "config.blocks: n_grid must be at least 2, got 0"),
             ("blocks: {n_samples: [0]}\n", "config.blocks: n_samples must be at least 1, got 0"),
             ("blocks: {v1: -0.5}\n", "config.blocks: block base v1, v2 must be nonnegative"),
+            (
+                "pickands: {sampler: spectral, n_replicates: 100}\n",
+                "config.pickands: unknown sampler 'spectral'",
+            ),
         ],
         ids=[
             "grid-kind",
@@ -133,6 +134,7 @@ class TestConfig:
             "blocks-no-grid",
             "blocks-no-samples",
             "blocks-negative-base",
+            "pickands-unknown-sampler",
         ],
     )
     def test_bad_section_fails_at_load(self, tmp_path, capsys, kind, text, message):
@@ -150,6 +152,7 @@ class TestConfig:
             ("kind: mc\n", "unknown keys ['kind']"),  # the subcommand is the kind
             ("u_ladder: [2.0, 1e3]\n", "config.u_ladder[1]"),
             ("quad: {tail_cut_tol: 2.0}\n", "config.quad: tail_cut_tol must be in (0, 1)"),
+            ("u_ladder: [1.0e3]\n", "config.u_ladder[0]"),  # a dot but no exponent sign
         ],
         ids=[
             "string-float",
@@ -158,6 +161,7 @@ class TestConfig:
             "kind-key",
             "string-list-item",
             "tail-cut-above-one",
+            "unsigned-exponent",
         ],
     )
     def test_wrong_value_exits_2_naming_the_key(self, tmp_path, capsys, text, key):
@@ -165,7 +169,8 @@ class TestConfig:
         assert main(["constants", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert key in err
-        assert ("write 1.0e-12" in err) == ("1e" in text)
+        hint = "a YAML float needs a dot and a signed exponent: write 1.0e+3, not 1e3 or 1.0e3"
+        assert (hint in err) == bool(re.search(r"[0-9]e", text))  # YAML read a string
 
     def test_unlabelled_branch_is_named_by_its_index(self):
         cfg = ExperimentConfig(integrals=[IntegralBranch(label="classical"), IntegralBranch()])
@@ -173,7 +178,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"repeated: \['branch1'\]"):
             ExperimentConfig(integrals=[IntegralBranch(label="branch1"), IntegralBranch()])
 
-    def test_manifest_echo_reloads_to_the_same_config(self, tmp_path):
+    def test_manifest_echo_reloads_to_the_same_config(self, tmp_path, monkeypatch):
         path = write_cfg(
             tmp_path,
             "model: {alpha: 1, beta: 2, a: 0.4, c2: 1.5}\n"
@@ -182,9 +187,13 @@ class TestConfig:
             "pickands: {s_ladder: [1.0, 3.0], sampler: cholesky}\n"
             "integrals: [{a: 0.7, label: x}]\n",
         )
-        echo = yaml.safe_dump(config_to_dict(load_config(path)), sort_keys=True)
-        again = load_config(write_cfg(tmp_path, echo, "echo.yaml"))
-        assert yaml.safe_dump(config_to_dict(again), sort_keys=True) == echo
+        monkeypatch.setitem(cli._RUNNERS, "pickands", lambda *args: None)
+        out = tmp_path / "o"
+        assert main(["pickands", "--config", path, "--out", str(out), "--seed", "9"]) == 0
+        echo = yaml.safe_load((out / "MANIFEST").read_text())["config"]
+        again = load_config(write_cfg(tmp_path, yaml.safe_dump(echo), "echo.yaml"))
+        assert again == load_config(path, {"out": str(out), "seed": 9})
+        assert yaml.safe_dump(dataclasses.asdict(again)) == yaml.safe_dump(echo)
 
 
 class TestConstantsCommand:
@@ -342,7 +351,11 @@ class TestBlocksCommand:
         out = tmp_path / "out"
         assert main(["blocks", "--config", cfg, "--out", str(out)]) == 2
         assert "no trend term" in capsys.readouterr().err
-        assert not (out / "blocks.csv").exists()
+        manifest = read_manifest(out)  # a status with ": " in it still parses
+        assert manifest["status"] == (
+            "INCOMPLETE: block exceedance has no trend term; got c1 = 5.0, c2 = 5.0"
+        )
+        assert manifest["outputs"] == []
 
 
 class TestSweepCommand:
@@ -360,11 +373,65 @@ class TestSweepCommand:
     def test_manifest_records_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path, "sweep: {a_min: 0.5, a_max: 1.2, n_points: 5, u: 8.0}\n")
         out = tmp_path / "out"
-        main(["sweep", "--config", cfg, "--out", str(out)])
-        manifest = (out / "MANIFEST").read_text()
-        assert "status: OK" in manifest
-        assert "sweep.csv" in manifest and "sweep.svg" in manifest
-        assert "library_version" in manifest
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        manifest = read_manifest(out)
+        assert manifest["status"] == "OK"
+        assert manifest["outputs"] == ["sweep.csv", "sweep.svg"]
+        assert manifest["library_version"] == supfield.__version__
+        assert (manifest["kind"], manifest["seed"]) == ("sweep", 12345)
+        assert manifest["wall_time_s"] >= 0
+
+
+def read_manifest(out: Path) -> dict:
+    """The parsed MANIFEST of a run, which lists exactly the files the run wrote."""
+    manifest = yaml.safe_load((out / "MANIFEST").read_text())
+    written = sorted(p.name for p in out.iterdir() if p.name != "MANIFEST")
+    assert sorted(manifest["outputs"]) == written
+    return manifest
+
+
+class TestManifestOnEveryExit:
+    """However a run ends once its config has loaded, it leaves a MANIFEST that parses."""
+
+    def test_convergence_error_exits_1_listing_the_outputs_written(self, tmp_path):
+        cfg = write_cfg(tmp_path, "quad: {max_subdivisions: 1}\n")
+        out = tmp_path / "out"
+        assert main(["integrals", "--config", cfg, "--out", str(out)]) == 1
+        manifest = read_manifest(out)
+        assert manifest["status"].startswith("INCOMPLETE: quadrature did not converge: ")
+        assert len(manifest["outputs"]) < 3  # one CSV per branch that converged
+
+    def test_memory_refusal_exits_2(self, tmp_path, monkeypatch):
+        # 8 B x 64 x 64 points x 4096 samples = 134 MB of draws, over a 10 MB budget
+        monkeypatch.setattr(streams, "memory_budget", lambda: 10 ** 7)
+        cfg = write_cfg(tmp_path, "grid: {n_per_axis: 64}\nn_samples: 4096\n")
+        out = tmp_path / "out"
+        assert main(["mc", "--config", cfg, "--out", str(out)]) == 2
+        assert "more than half of physical memory" in read_manifest(out)["status"]
+
+    def test_overflow_propagates(self, tmp_path):
+        cfg = write_cfg(
+            tmp_path, "u_ladder: [2.0, 1.0e+200]\nn_samples: 1000\ngrid: {n_per_axis: 8}\n"
+        )
+        out = tmp_path / "out"
+        with pytest.raises(OverflowError):
+            main(["mc", "--config", cfg, "--out", str(out)])
+        assert read_manifest(out)["status"] == "INCOMPLETE: run not finished"
+
+    @pytest.mark.parametrize("exc", [MemoryError, KeyboardInterrupt])
+    def test_other_exceptions_propagate(self, tmp_path, monkeypatch, exc):
+        def runner(cfg, out, manifest):
+            write_csv(out / "part.csv", ["x"], [[1.0]])
+            manifest.add_output("part.csv")
+            raise exc
+
+        monkeypatch.setitem(cli._RUNNERS, "sweep", runner)
+        out = tmp_path / "out"
+        with pytest.raises(exc):
+            main(["sweep", "--out", str(out)])
+        manifest = read_manifest(out)
+        assert manifest["status"] == "INCOMPLETE: run not finished"
+        assert manifest["outputs"] == ["part.csv"]
 
 
 def run_fresh(code: str, cwd: Path) -> list:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from supfield import fieldsim
+from supfield import fieldsim, streams
 from supfield.fieldsim import (
     BlockSpec,
     LatticeField,
@@ -170,6 +170,22 @@ class TestMcExcursion:
         assert np.all(coarse <= fine)
         u = 2.0
         assert (coarse > u).mean() <= (fine > u).mean()
+
+    def test_draws_in_flight_larger_than_memory_refused(self, monkeypatch):
+        # a 64 x 64 lattice draws 8 * 4096 * 2048 B = 67 MB per batch
+        monkeypatch.setattr(streams, "memory_budget", lambda: 10 ** 8)
+        lat = build_lattice(P_CLASSICAL, n_per_axis=64)
+        drawn = []
+        monkeypatch.setattr(lat, "maxima_batch", lambda rng, n, trend: drawn.append(n) or np.zeros(n))
+        message = (
+            r"lattice 64x64 draws 4096 normals x 2048 samples per batch = 0\.0671 GB; "
+            r"with 2 in flight the run needs 0\.134 GB"
+        )
+        with pytest.raises(ValueError, match=message):
+            excursion_maxima(lat, 10_000, seed=0, workers=2)
+        assert drawn == []  # refused before the first draw
+        assert len(excursion_maxima(lat, 10_000, seed=0, workers=1)) == 10_000
+        assert len(excursion_maxima(lat, 2048, seed=0, workers=2)) == 2048  # one batch in all
 
     def test_validation(self):
         lat = build_lattice(P_CLASSICAL, n_per_axis=8)

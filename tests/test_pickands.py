@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from supfield import pickands
+from supfield import pickands, streams
 from supfield.pickands import (
     MAX_PATH_POINTS,
     ExtrapolationProtocol,
@@ -265,7 +265,7 @@ class TestProtocol:
     def test_batch_larger_than_memory_refused(self, monkeypatch):
         # 8.7 * 10^9 path points passes the time cap, but one 2048-path
         # Davies-Harte batch on 86,865 points needs 7.1 GB
-        monkeypatch.setattr(pickands, "_memory_budget", lambda: 4 * 10 ** 9)
+        monkeypatch.setattr(streams, "memory_budget", lambda: 4 * 10 ** 9)
         proto = ExtrapolationProtocol(n_replicates=100_000)
         with pytest.raises(ValueError, match=r"86865 grid points x 2048 paths per batch = 7\.12 GB"):
             proto.grid_for(0.6)
@@ -276,20 +276,33 @@ class TestProtocol:
 
     def test_cholesky_gram_larger_than_a_terabyte_refused(self, monkeypatch):
         # 400,000 points at alpha = 1: a few path points, but the Gram alone is 1.3 TB
-        monkeypatch.setattr(pickands, "_memory_budget", lambda: 10 ** 12)
+        monkeypatch.setattr(streams, "memory_budget", lambda: 10 ** 12)
         proto = ExtrapolationProtocol(
             s_ladder=(2.0, 4.0), spacing_factor=math.sqrt(1e-5), n_replicates=2, sampler="cholesky"
         )
         with pytest.raises(ValueError, match="with the cholesky sampler"):
             proto.grid_for(1.0)
 
+    def test_batches_in_flight_share_the_budget(self, monkeypatch):
+        # one 512-path Davies-Harte batch on 86,865 points needs 1.78 GB
+        monkeypatch.setattr(streams, "memory_budget", lambda: 4 * 10 ** 9)
+        proto = ExtrapolationProtocol(n_replicates=100_000, batch_size=512)
+        assert proto.grid_for(0.6, workers=2)[0] == 86865
+        with pytest.raises(ValueError, match=r"; with 3 in flight the run needs 5\.34 GB"):
+            proto.grid_for(0.6, workers=3)
+        with pytest.raises(ValueError, match="fewer workers"):
+            pickands_constant(0.6, proto, workers=3)
+        # two batches in all: at most two in flight, whatever the worker count
+        two = ExtrapolationProtocol(n_replicates=1024, batch_size=512)
+        assert two.grid_for(0.6, workers=8)[0] == 86865
+
     def test_memory_budget_reads_physical_memory(self):
-        budget = pickands._memory_budget()
+        budget = streams.memory_budget()
         assert isinstance(budget, int) and budget > 0
 
     @pytest.mark.parametrize("alpha", [0.8, 1.0, 1.4, 2.0])
     def test_default_protocol_admitted(self, monkeypatch, alpha):
-        monkeypatch.setattr(pickands, "_memory_budget", lambda: 2 * 10 ** 9)
+        monkeypatch.setattr(streams, "memory_budget", lambda: 2 * 10 ** 9)
         n_points, _ = ExtrapolationProtocol().grid_for(alpha)
         assert n_points * 400_000 <= MAX_PATH_POINTS
 
