@@ -31,7 +31,7 @@ import numpy as np
 from . import asymptotics, pickands, quad
 from .factorization import chol_with_jitter
 from .model import ModelParams, Point2, correlation_scale, variance_loss_at
-from .streams import DEFAULT_BATCH, batch_generator, check_memory, run_batches
+from .streams import DEFAULT_BATCH, _refuse_over_budget, batch_generator, run_batches
 
 __all__ = [
     "LatticeField",
@@ -79,6 +79,13 @@ class LatticeField:
         self.params = params
         self.xs = xs
         self.ys = ys
+        n1, n2 = len(xs), len(ys)
+        draw = f"{self.describe()} draws {n1 * n2} normals"  # 8 bytes each, per sample
+        self.footprint = dict(what=draw, item="samples", item_bytes=8 * n1 * n2)
+        # refused before it is built, at a bound on the set-up peak (tracemalloc): an
+        # axis correlation takes 24 B per entry as it is factored, the grids 40 per point
+        setup = 8 * (3 * max(n1, n2) ** 2 + 5 * n1 * n2)
+        _refuse_over_budget(f"{self.describe()} set-up", setup, "use a coarser grid")
         self.l1, self.jitter1 = chol_with_jitter(_axis_correlation(params, xs), 1e-9)
         self.l2, self.jitter2 = chol_with_jitter(_axis_correlation(params, ys), 1e-9)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -242,18 +249,15 @@ def excursion_maxima(
     workers: int = 1,
 ) -> np.ndarray:
     """Per-sample lattice maxima of X(t) - c1 t1 - c2 t2, in replicate order;
-    a run whose draws in flight `streams.check_memory` refuses draws nothing."""
+    a run whose draws in flight `streams.run_batches` refuses draws nothing."""
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    points = len(field.xs) * len(field.ys)
-    what = f"{field.describe()} draws {points} normals"
-    check_memory(what, "samples", 8 * points, n_samples, batch_size, workers)
     trend = (float(trend[0]), float(trend[1]))
 
     def work(b: int, take: int) -> np.ndarray:
         return field.maxima_batch(batch_generator(seed, b), take, trend)
 
-    return np.concatenate(run_batches(work, n_samples, batch_size, workers))
+    return np.concatenate(run_batches(work, n_samples, batch_size, workers, **field.footprint))
 
 
 def _estimate_from_maxima(maxima: np.ndarray, u: float) -> MCEstimate:
@@ -367,15 +371,7 @@ def ratio_harness(
     maxima = excursion_maxima(field, n_samples, seed, trend, batch_size, workers)
     rows = []
     for u in u_ladder:
-        est = _estimate_from_maxima(maxima, u)
-        pv = pred.evaluate(u)
-        rows.append(
-            RatioRow(
-                u=u,
-                p_hat=est.p_hat,
-                std_err=est.std_err,
-                prediction=pv,
-                ratio=est.p_hat / pv if pv > 0 else math.inf,
-            )
-        )
+        est, pv = _estimate_from_maxima(maxima, u), pred.evaluate(u)
+        ratio = est.p_hat / pv if pv > 0 else math.inf
+        rows.append(RatioRow(u, est.p_hat, est.std_err, pv, ratio))
     return rows

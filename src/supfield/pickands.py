@@ -28,7 +28,8 @@ Sampling of the paths is exact:
 
 The automatic choice is brownian at alpha = 1, else cholesky up to 1025
 points, where the two exact samplers cost about the same (147 ms against
-175 ms per 2048 paths at alpha = 1.4), and davies-harte beyond.
+175 ms per 2048 paths at alpha = 1.4, one BLAS thread; 525 ms against 323 ms
+at 2049 points), and davies-harte beyond.
 
 A caveat worth knowing: exp(sup ...) has a heavy right tail whose variance
 grows like exp(S^alpha), so pushing the ladder to large S buys bias
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factorization import chol_with_jitter
-from .streams import DEFAULT_BATCH, batch_generator, check_memory, run_batches
+from .streams import DEFAULT_BATCH, _refuse_over_budget, batch_generator, run_batches
 
 __all__ = [
     "PickandsEstimate",
@@ -60,7 +61,7 @@ __all__ = [
 
 _SAMPLERS = ("cholesky", "brownian", "davies-harte")
 MAX_RUNG_MULTIPLE = 4096  # largest grid on which an s_ladder's rungs must all fall
-# largest total n_points * n_replicates an ExtrapolationProtocol may ask for,
+# largest total n_points * n_replicates a Pickands estimate may ask for,
 # about five minutes of sampling at the cost below
 MAX_PATH_POINTS = 10 ** 10
 _NS_PER_PATH_POINT = 29.0  # Brownian paths, one core of a 2-vCPU Xeon host
@@ -97,26 +98,14 @@ def _check_sampler(sampler: str) -> None:
         raise ValueError(f"unknown sampler {sampler!r}; expected 'auto' or one of {_SAMPLERS}")
 
 
-def _resolve_sampler(sampler: str, alpha: float, n_points: int) -> str:
-    _check_sampler(sampler)
-    if sampler != "auto":
-        return sampler
-    if alpha == 1.0:
-        return "brownian"
-    # Measured crossover (alpha = 1.4, 2048 paths, one BLAS thread): at 1025
-    # points Cholesky takes 147 ms and Davies-Harte 175 ms, at 2049 points
-    # Cholesky 525 ms and Davies-Harte 323 ms.
-    if alpha >= 2.0 or n_points <= 1025:
-        return "cholesky"
-    return "davies-harte"
-
-
 class _PathSampler:
     """Exact fBm paths on the uniform grid 0 = t_0 < t_1 < ... < t_{n-1} = S.
 
     B(0) = 0 holds exactly in every sample.  The cholesky method factors the
     covariance of the n-1 strictly positive times densely (`factor`, with
     the diagonal `jitter` it needed); the other methods have no factor.
+    The sampler's `footprint` sizes every batch loop over its paths
+    (`run_batches`); a set-up over the memory budget is refused unbuilt.
     """
 
     def __init__(self, alpha: float, horizon: float, n_points: int, sampler: str = "auto"):
@@ -128,9 +117,22 @@ class _PathSampler:
         self.alpha = float(alpha)
         self.horizon = float(horizon)
         self.n_points = int(n_points)
-        self.method = _resolve_sampler(sampler, alpha, n_points)
+        _check_sampler(sampler)
+        self.method = sampler
+        if sampler == "auto":  # the automatic choice of the module docstring
+            exact = "cholesky" if alpha >= 2.0 or n_points <= 1025 else "davies-harte"
+            self.method = "brownian" if alpha == 1.0 else exact
         if self.method == "brownian" and alpha != 1.0:
             raise ValueError("brownian sampler is exact only for alpha = 1")
+        run = f"the {self.method} sampler at alpha={alpha} on {self.n_points} grid points"
+        # Footprint: the bytes per path of a batch, and as set-up the cholesky
+        # Gram build, three (n-1)^2 arrays.  The set-up peak (tracemalloc; also 48 B
+        # per point for the davies-harte spectrum, 16 for the drift) is refused here.
+        gram_bytes = 24 * (self.n_points - 1) ** 2 if self.method == "cholesky" else 0
+        per_path = _BATCH_BYTES_PER_POINT[self.method] * self.n_points
+        self.footprint = dict(what=run, item="paths", item_bytes=per_path, setup=gram_bytes)
+        peak = max(gram_bytes, (48 if self.method == "davies-harte" else 16) * self.n_points)
+        _refuse_over_budget(f"set-up with {run}", peak, "use a coarser grid or another sampler")
         self.factor = self.jitter = self._root = None
         if self.method == "cholesky":
             t = np.linspace(0.0, self.horizon, self.n_points)[1:]
@@ -145,6 +147,7 @@ class _PathSampler:
             scale = 2 * n_incr * (self.horizon / n_incr) ** self.alpha  # m h^alpha, m = 2 n_incr
             self._root = np.sqrt(scale * _dh_eigenvalues(self.alpha, n_incr))
             self._root[1:n_incr] /= math.sqrt(2.0)  # the complex bins
+        self.drift = np.linspace(0.0, self.horizon, self.n_points) ** self.alpha  # t^alpha
 
     def sample(self, rng: np.random.Generator, n_paths: int) -> np.ndarray:
         """(n_paths, n_points) paths, each starting at B(0) = 0."""
@@ -211,10 +214,8 @@ class ExtrapolationProtocol:
 
     It is also the `pickands:` section of an experiment config.  Ladders
     whose rungs share no grid of at most MAX_RUNG_MULTIPLE increments are
-    refused when built, as is an unknown sampler name; runs of more than
-    MAX_PATH_POINTS path points in all, and runs whose batches in flight
-    would need more than half of physical memory, by `grid_for` before any
-    allocation.
+    refused when built, as is an unknown sampler name; a run is sized where
+    its paths are drawn, as `pickands_finite` is (see `_ladder_sums`).
     """
 
     s_ladder: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
@@ -250,38 +251,16 @@ class ExtrapolationProtocol:
             f"[0, {s_max}]; use rungs that are simple fractions of the top rung"
         )
 
-    def grid_for(self, alpha: float, workers: int = 1) -> tuple[int, list[int]]:
-        """(n_points, rung indices) with every rung exactly on the grid.
-
-        Raises ValueError, before any allocation, for a run of more than
-        MAX_PATH_POINTS path points, or one whose batches in flight on
-        `workers` workers need more memory than `streams.check_memory` allows.
-        """
+    def grid_for(self, alpha: float) -> tuple[int, list[int]]:
+        """(n_points, rung indices) with every rung exactly on the grid."""
         _check_alpha(alpha)
         s_max = self.s_ladder[-1]
         h_target = self.spacing_factor ** (2.0 / alpha)
         n_incr = max(int(math.ceil(s_max / h_target)), len(self.s_ladder))
         mult = self._grid_multiple()
         n_incr = mult * int(math.ceil(n_incr / mult))
-        n_points = n_incr + 1
-        path_points = n_points * self.n_replicates
-        if path_points > MAX_PATH_POINTS:
-            minutes = path_points * _NS_PER_PATH_POINT * 1e-9 / 60.0
-            raise ValueError(
-                f"protocol needs {n_points} grid points x {self.n_replicates} paths "
-                f"= {path_points:.3g} path points for alpha={alpha} "
-                f"(> MAX_PATH_POINTS={MAX_PATH_POINTS:.0e}), about {minutes:.0f} min "
-                f"at ~{_NS_PER_PATH_POINT:g} ns per path point; supply a coarser "
-                f"protocol or fewer replicates"
-            )
-        method = _resolve_sampler(self.sampler, alpha, n_points)
-        what = f"protocol with the {method} sampler at alpha={alpha} needs {n_points} grid points"
-        per_path = _BATCH_BYTES_PER_POINT[method] * n_points
-        # set-up: the cholesky Gram build holds three (n-1)^2 arrays
-        gram = 3 * 8 * (n_points - 1) ** 2 if method == "cholesky" else 0
-        check_memory(what, "paths", per_path, self.n_replicates, self.batch_size, workers, gram)
         idx = [int(round(s * n_incr / s_max)) for s in self.s_ladder]
-        return n_points, idx
+        return n_incr + 1, idx
 
 
 DEFAULT_PROTOCOL = ExtrapolationProtocol()
@@ -308,8 +287,21 @@ def _ladder_sums(
     read off the prefix maxima of one path per replicate.  With two or more
     rungs, six more entries follow: the slope across the top two rungs, the
     naive ratio at the top rung and their difference, each with its square.
+    Fewer than two replicates, more than MAX_PATH_POINTS path points, or
+    batches in flight over the memory budget are refused before any path.
     """
-    drift = np.linspace(0.0, ps.horizon, ps.n_points) ** ps.alpha
+    if n_replicates < 2:
+        raise ValueError("need at least 2 replicates")
+    path_points = ps.n_points * n_replicates
+    if path_points > MAX_PATH_POINTS:
+        minutes = path_points * _NS_PER_PATH_POINT * 1e-9 / 60.0
+        raise ValueError(
+            f"Pickands run needs {ps.n_points} grid points x {n_replicates} paths "
+            f"= {path_points:.3g} path points for alpha={ps.alpha:g} "
+            f"(> MAX_PATH_POINTS={MAX_PATH_POINTS:.0e}), about {minutes:.0f} min "
+            f"at ~{_NS_PER_PATH_POINT:g} ns per path point; use a coarser grid or "
+            f"fewer replicates"
+        )
     k = len(rungs)
     width = 2 * k + 6 if k > 1 else 2
 
@@ -317,7 +309,7 @@ def _ladder_sums(
         # sqrt(2) B(t) - t^alpha and its prefix maxima, in the path array
         paths = ps.sample(batch_generator(seed, b), take)
         paths *= math.sqrt(2.0)
-        paths -= drift
+        paths -= ps.drift
         np.maximum.accumulate(paths, axis=1, out=paths)
         vals = np.exp(paths[:, rung_idx])
         acc = np.empty(width)
@@ -327,18 +319,11 @@ def _ladder_sums(
             slope_i = (vals[:, -1] - vals[:, -2]) / (rungs[-1] - rungs[-2])
             naive_i = vals[:, -1] / rungs[-1]
             cons_i = slope_i - naive_i
-            acc[-6:] = (
-                slope_i.sum(),
-                (slope_i * slope_i).sum(),
-                naive_i.sum(),
-                (naive_i * naive_i).sum(),
-                cons_i.sum(),
-                (cons_i * cons_i).sum(),
-            )
+            acc[-6:] = [s for x in (slope_i, naive_i, cons_i) for s in (x.sum(), (x * x).sum())]
         return acc
 
     acc = np.zeros(width)
-    for part in run_batches(work, n_replicates, batch_size, workers):
+    for part in run_batches(work, n_replicates, batch_size, workers, **ps.footprint):
         acc += part
     return acc
 
@@ -357,10 +342,8 @@ def pickands_finite(
     The discrete maximum understates the continuous supremum, so the
     estimate carries a negative bias that shrinks as the grid refines.
     This is the one-rung case of the ladder behind `pickands_constant`, at
-    the automatic sampler choice.
+    the automatic sampler choice, and is sized and refused as that is.
     """
-    if n_replicates < 2:
-        raise ValueError("need at least 2 replicates")
     ps = _PathSampler(alpha, S, n_points)
     acc = _ladder_sums(ps, (S,), [ps.n_points - 1], n_replicates, seed, batch_size, workers)
     value, std_err = _mean_se(acc[0], acc[1], n_replicates)
@@ -388,7 +371,7 @@ def pickands_constant(
     naive disagree by more than 3 joint standard errors (the usual sign that
     S_max is still far from the limit).
     """
-    n_points, rung_idx = protocol.grid_for(alpha, workers)
+    n_points, rung_idx = protocol.grid_for(alpha)
     s_ladder = protocol.s_ladder
     s_max = s_ladder[-1]
     n = protocol.n_replicates

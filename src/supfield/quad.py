@@ -65,6 +65,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_LOG_MAX = 709.782712893384  # log of the largest float
 
 
 def load_scipy() -> None:
@@ -329,7 +330,8 @@ class IntegralSpec:
 class AsymptoticPrediction:
     """Leading-order form C * u^theta * (log u)^kappa, optionally times Psi(u).
 
-    evaluate(u) is finite and positive for u > 1.
+    evaluate(u) is positive for u > 1; beyond the float range it is inf, and
+    below it 0.0, never an OverflowError.
     """
 
     prefactor: float
@@ -344,12 +346,19 @@ class AsymptoticPrediction:
             raise ValueError(f"log_power must be 0 or 1, got {self.log_power}")
 
     def evaluate(self, u: float) -> float:
-        val = self.prefactor * u ** self.u_power
-        if self.log_power:
-            val *= math.log(u)
-        if self.uses_psi:
-            val *= normal_survival(u)
-        return val
+        try:
+            val = self.prefactor * float(u) ** float(self.u_power)
+        except OverflowError:
+            val = math.inf
+        val *= math.log(u) if self.log_power else 1.0
+        if not math.isinf(val):
+            return val * normal_survival(u) if self.uses_psi else val
+        from scipy import special  # a factor overflowed: the product in log space
+
+        log_val = math.log(self.prefactor) + self.u_power * math.log(u)
+        log_val += math.log(abs(math.log(u))) if self.log_power else 0.0
+        log_val += float(special.log_ndtr(-u)) if self.uses_psi else 0.0
+        return math.copysign(math.exp(log_val) if log_val <= _LOG_MAX else math.inf, val)
 
 
 def _square_integral(

@@ -10,9 +10,9 @@ bit-exact; what a caller computes from them with BLAS (the lattice field's
 factor products) is bit-exact for a fixed BLAS thread count, and may differ
 in the last bit under another.
 
-One memory rule serves every Monte Carlo layer: `check_memory` refuses a
-run whose batches in flight, min(workers, batches) of them, would need more
-than half of physical memory.
+One memory rule serves every Monte Carlo layer, where its batches run:
+`run_batches` takes the run's footprint and refuses, before the first batch,
+a set-up plus min(workers, batches) batches over half of physical memory.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-__all__ = ["batch_generator", "batch_sizes", "run_batches", "check_memory", "DEFAULT_BATCH"]
+__all__ = ["batch_generator", "batch_sizes", "run_batches", "DEFAULT_BATCH"]
 
 DEFAULT_BATCH = 2048
 
@@ -54,14 +54,29 @@ def run_batches(
     n_total: int,
     batch: int = DEFAULT_BATCH,
     workers: int = 1,
+    *,
+    what: str,
+    item: str,
+    item_bytes: int,
+    setup: int = 0,
 ) -> list[_T]:
     """Evaluate work(batch_index, batch_size) over the partition of n_total.
 
+    First the run, named `what`, is sized: `setup` bytes plus `item_bytes`
+    per `item` of each batch in flight, refused over `memory_budget()`.
     Batches may run on a thread pool; the returned list is always in batch
     order, so any order-sensitive reduction downstream sees the same sequence
     regardless of `workers`.
     """
     sizes = batch_sizes(n_total, batch)
+    take = min(batch, n_total)
+    in_flight = max(1, min(workers, len(sizes)))
+    _refuse_over_budget(
+        f"{what} x {take} {item} per batch = {take * item_bytes / 1e9:.3g} GB; with "
+        f"{in_flight} in flight the run",
+        setup + in_flight * take * item_bytes,
+        "use fewer workers, a smaller batch_size or a coarser grid",
+    )
     if workers <= 1 or len(sizes) <= 1:
         return [work(i, sz) for i, sz in enumerate(sizes)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -74,18 +89,12 @@ def memory_budget() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 
-def check_memory(
-    what: str, item: str, item_bytes: int, n_total: int, batch: int, workers: int, setup: int = 0
-) -> None:
-    """Refuse, before anything is allocated, a `run_batches` run whose batches in
-    flight, `item_bytes` per item, and `setup` bytes exceed `memory_budget()`."""
-    take = min(batch, n_total)
-    per_batch = take * item_bytes
-    in_flight = max(1, min(workers, len(batch_sizes(n_total, batch))))
-    need, budget = setup + in_flight * per_batch, memory_budget()
+def _refuse_over_budget(what: str, need: int, advice: str) -> None:
+    """Raise ValueError, before anything is allocated, if `what` needs more
+    bytes than `memory_budget()`: a run's batches, or a set-up."""
+    budget = memory_budget()
     if need > budget:
         raise ValueError(
-            f"{what} x {take} {item} per batch = {per_batch / 1e9:.3g} GB; with {in_flight} in "
-            f"flight the run needs {need / 1e9:.3g} GB, more than half of physical memory "
-            f"({budget / 1e9:.3g} GB); use fewer workers, a smaller batch_size or a coarser grid"
+            f"{what} needs {need / 1e9:.3g} GB, more than half of physical memory "
+            f"({budget / 1e9:.3g} GB); {advice}"
         )

@@ -263,6 +263,17 @@ class TestMcCommand:
         expected = predict(ModelParams(1.0, 2.0, 1.0), None, qc).evaluate(2.0)
         assert float(row[3]) == expected == pytest.approx(0.05500911349494461, rel=1e-15)
 
+    def test_level_beyond_float_range_predicts_0(self, tmp_path):
+        # u^theta overflows at u = 1e200, the prediction with Psi(u) does not
+        text = "u_ladder: [2.0, 1.0e+200]\nn_samples: 1000\ngrid: {n_per_axis: 8}\n"
+        out, single = tmp_path / "out", tmp_path / "single"
+        assert main(["mc", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+        rows = (out / "mc.csv").read_bytes().split(b"\r\n")
+        assert rows[2].split(b",")[3:] == [b"0", b"inf"]
+        one = write_cfg(tmp_path, text.replace(", 1.0e+200", ""), "single.yaml")
+        assert main(["mc", "--config", one, "--out", str(single)]) == 0
+        assert rows[1] == (single / "mc.csv").read_bytes().split(b"\r\n")[1]
+
     def test_invalid_quad_section_fails_at_load(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, self.CFG + "quad: {rel_tol: -1.0}\n")
         assert main(["mc", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -370,6 +381,10 @@ class TestSweepCommand:
         assert f"{2.0 / 3.0:.17g}" in body
         assert "1,CriticalProduct" in body
 
+    def test_level_beyond_float_range_runs(self, tmp_path):
+        cfg = write_cfg(tmp_path, "sweep: {u: 1.0e+200}\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
     def test_manifest_records_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path, "sweep: {a_min: 0.5, a_max: 1.2, n_points: 5, u: 8.0}\n")
         out = tmp_path / "out"
@@ -409,14 +424,31 @@ class TestManifestOnEveryExit:
         assert main(["mc", "--config", cfg, "--out", str(out)]) == 2
         assert "more than half of physical memory" in read_manifest(out)["status"]
 
-    def test_overflow_propagates(self, tmp_path):
+    def test_lattice_set_up_refusal_exits_2(self, tmp_path, monkeypatch):
+        # the 200 x 200 set-up needs 2.56 MB, over a 1 MB budget
+        monkeypatch.setattr(streams, "memory_budget", lambda: 10 ** 6)
+        cfg = write_cfg(tmp_path, "grid: {n_per_axis: 200}\nn_samples: 10\n")
+        out = tmp_path / "out"
+        assert main(["mc", "--config", cfg, "--out", str(out)]) == 2
+        status = read_manifest(out)["status"]
+        assert status.startswith("INCOMPLETE: lattice 200x200 set-up needs 0.00256 GB")
+        assert "more than half of physical memory" in status
+
+    def test_block_h_factor_refusal_exits_2(self, tmp_path, monkeypatch):
+        # the 32 x 1 lattice draws 8 B x 32 x 2048 = 524 kB per batch and
+        # passes; its H factor's batch, 16 B x 32 x 2048 = 1.05 MB, does not
+        monkeypatch.setattr(streams, "memory_budget", lambda: 800_000)
         cfg = write_cfg(
-            tmp_path, "u_ladder: [2.0, 1.0e+200]\nn_samples: 1000\ngrid: {n_per_axis: 8}\n"
+            tmp_path,
+            "blocks: {s2: 0.0, u_values: [3.0], n_samples: [4096], n_grid: 32, "
+            "h_replicates: 4096}\n",
         )
         out = tmp_path / "out"
-        with pytest.raises(OverflowError):
-            main(["mc", "--config", cfg, "--out", str(out)])
-        assert read_manifest(out)["status"] == "INCOMPLETE: run not finished"
+        assert main(["blocks", "--config", cfg, "--out", str(out)]) == 2
+        status = read_manifest(out)["status"]
+        assert status.startswith("INCOMPLETE: the brownian sampler at alpha=1.0 on 32 grid")
+        assert "more than half of physical memory" in status
+        assert not (out / "blocks.csv").exists()
 
     @pytest.mark.parametrize("exc", [MemoryError, KeyboardInterrupt])
     def test_other_exceptions_propagate(self, tmp_path, monkeypatch, exc):

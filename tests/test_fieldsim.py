@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from supfield import fieldsim, streams
+from supfield import fieldsim, pickands, streams
 from supfield.fieldsim import (
     BlockSpec,
     LatticeField,
@@ -187,6 +187,17 @@ class TestMcExcursion:
         assert len(excursion_maxima(lat, 10_000, seed=0, workers=1)) == 10_000
         assert len(excursion_maxima(lat, 2048, seed=0, workers=2)) == 2048  # one batch in all
 
+    def test_set_up_larger_than_memory_refused(self, monkeypatch):
+        # a 200 x 200 lattice: 8 B x (3 x 200^2 + 5 x 200^2) = 2.56 MB of set-up
+        monkeypatch.setattr(streams, "memory_budget", lambda: 10 ** 6)
+        monkeypatch.setattr(fieldsim, "chol_with_jitter", lambda *args: pytest.fail("built"))
+        message = (
+            r"lattice 200x200 set-up needs 0\.00256 GB, more than half of physical memory "
+            r"\(0\.001 GB\); use a coarser grid"
+        )
+        with pytest.raises(ValueError, match=message):
+            build_lattice(P_CLASSICAL, n_per_axis=200)
+
     def test_validation(self):
         lat = build_lattice(P_CLASSICAL, n_per_axis=8)
         with pytest.raises(ValueError):
@@ -230,6 +241,14 @@ class TestBlocks:
         res = mc_block_exceedance(p, spec, 4000, seed=3, n_grid=12, h_replicates=4000)
         assert res.h1 == 1.0
         assert res.prediction == pytest.approx(res.h2 * normal_survival(3.0), rel=1e-12)
+
+    def test_h_factor_over_the_path_point_cap_refused(self, monkeypatch):
+        # the H(2) factor: 12 points x 4000 paths = 4.8 * 10^4 path points
+        monkeypatch.setattr(pickands, "MAX_PATH_POINTS", 10 ** 4)
+        p = ModelParams(1.0, 2.0, 1.0)
+        spec = BlockSpec(Point2(0.0, 0.0), 0.0, 2.0, 3.0)
+        with pytest.raises(ValueError, match="MAX_PATH_POINTS"):
+            mc_block_exceedance(p, spec, 4000, seed=3, n_grid=12, h_replicates=4000)
 
     def test_trended_model_rejected(self):
         # the prediction has no trend term, and the MC used to drop the

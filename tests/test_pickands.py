@@ -17,6 +17,22 @@ from supfield.streams import batch_generator, batch_sizes
 from oracles import exact_h1, exact_h2, h2_grid_quadrature
 
 
+class FirstBatch(Exception):
+    """Raised in place of a run's first batch."""
+
+
+def admitted(monkeypatch, alpha, proto, workers=1):
+    """Assert that pickands_constant passes every sizing check: it reaches its
+    first batch, where the run stops without drawing a path."""
+
+    def first_batch(seed, b):
+        raise FirstBatch
+
+    monkeypatch.setattr(pickands, "batch_generator", first_batch)
+    with pytest.raises(FirstBatch):
+        pickands_constant(alpha, proto, workers=workers)
+
+
 def empirical_paths(alpha, S, n_points, n_reps, seed, sampler="auto"):
     ps = _PathSampler(alpha, S, n_points, sampler)
     return ps.sample(batch_generator(seed, 0), n_reps)
@@ -192,6 +208,28 @@ class TestPickandsFinite:
         b = pickands_finite(1.0, 1.0, 129, 10_000, seed=42, workers=3)
         assert a.value == b.value and a.std_err == b.std_err
 
+    def test_refused_as_pickands_constant_is(self, monkeypatch):
+        # one 100-path batch on 33 points takes 16 B x 33 x 100 = 52.8 kB
+        monkeypatch.setattr(streams, "memory_budget", lambda: 10 ** 4)
+        message = (
+            r"the brownian sampler at alpha=1\.0 on 33 grid points x 100 paths per batch "
+            r"= 5\.28e-05 GB; with 1 in flight the run needs 5\.28e-05 GB, more than half "
+            r"of physical memory \(1e-05 GB\); use fewer workers, a smaller batch_size or a "
+            r"coarser grid"
+        )
+        with pytest.raises(ValueError, match=message):
+            pickands_finite(1.0, 2.0, 33, 100, seed=0)
+        proto = ExtrapolationProtocol(s_ladder=(1.0, 2.0), spacing_factor=0.25, n_replicates=100)
+        with pytest.raises(ValueError, match=message):
+            pickands_constant(1.0, proto)
+
+    def test_path_point_cap_enforced(self, monkeypatch):
+        # 33 points x 100 paths = 3300 path points, over a cap of 1000
+        monkeypatch.setattr(pickands, "MAX_PATH_POINTS", 1000)
+        message = r"33 grid points x 100 paths = 3\.3e\+03 path points .*MAX_PATH_POINTS"
+        with pytest.raises(ValueError, match=message):
+            pickands_finite(1.0, 2.0, 33, 100, seed=0)
+
     def test_alpha1_against_exact_oracle(self):
         # discrete maxima understate the supremum: estimate sits below the
         # exact value, within a few percent at this spacing, plus MC noise
@@ -251,14 +289,14 @@ class TestProtocol:
             ExtrapolationProtocol(batch_size=0)
 
     def test_point_cap_enforced(self):
-        # 4 * 10^6 increments at alpha = 1: refused before any allocation
+        # 4 * 10^6 increments at alpha = 1: refused before any path is drawn
         with pytest.raises(ValueError, match="grid points"):
-            ExtrapolationProtocol(spacing_factor=0.001).grid_for(1.0)
+            pickands_constant(1.0, ExtrapolationProtocol(spacing_factor=0.001))
 
     def test_default_protocol_refused_at_alpha_0_6(self):
         # 86,865 points x 4 * 10^5 paths = 3.5 * 10^10 path points
         with pytest.raises(ValueError, match=r"86865 grid points x 400000 paths = 3\.47e\+10"):
-            ExtrapolationProtocol().grid_for(0.6)
+            pickands_constant(0.6)
         with pytest.raises(ValueError, match="MAX_PATH_POINTS"):
             pickands_constant(0.6)
 
@@ -268,33 +306,36 @@ class TestProtocol:
         monkeypatch.setattr(streams, "memory_budget", lambda: 4 * 10 ** 9)
         proto = ExtrapolationProtocol(n_replicates=100_000)
         with pytest.raises(ValueError, match=r"86865 grid points x 2048 paths per batch = 7\.12 GB"):
-            proto.grid_for(0.6)
+            pickands_constant(0.6, proto)
         with pytest.raises(ValueError, match="batch_size or a coarser grid"):
             pickands_constant(0.6, proto)
-        n_points, _ = ExtrapolationProtocol(n_replicates=100_000, batch_size=512).grid_for(0.6)
-        assert n_points == 86865
+        smaller = ExtrapolationProtocol(n_replicates=100_000, batch_size=512)
+        assert smaller.grid_for(0.6)[0] == 86865
+        admitted(monkeypatch, 0.6, smaller)
 
     def test_cholesky_gram_larger_than_a_terabyte_refused(self, monkeypatch):
-        # 400,000 points at alpha = 1: a few path points, but the Gram alone is 1.3 TB
+        # 400,000 points at alpha = 1: a few path points, but the Gram alone
+        # is 1.3 TB, refused before it is built
         monkeypatch.setattr(streams, "memory_budget", lambda: 10 ** 12)
         proto = ExtrapolationProtocol(
             s_ladder=(2.0, 4.0), spacing_factor=math.sqrt(1e-5), n_replicates=2, sampler="cholesky"
         )
         with pytest.raises(ValueError, match="with the cholesky sampler"):
-            proto.grid_for(1.0)
+            pickands_constant(1.0, proto)
 
     def test_batches_in_flight_share_the_budget(self, monkeypatch):
         # one 512-path Davies-Harte batch on 86,865 points needs 1.78 GB
         monkeypatch.setattr(streams, "memory_budget", lambda: 4 * 10 ** 9)
         proto = ExtrapolationProtocol(n_replicates=100_000, batch_size=512)
-        assert proto.grid_for(0.6, workers=2)[0] == 86865
+        assert proto.grid_for(0.6)[0] == 86865
+        admitted(monkeypatch, 0.6, proto, workers=2)
         with pytest.raises(ValueError, match=r"; with 3 in flight the run needs 5\.34 GB"):
-            proto.grid_for(0.6, workers=3)
+            pickands_constant(0.6, proto, workers=3)
         with pytest.raises(ValueError, match="fewer workers"):
             pickands_constant(0.6, proto, workers=3)
         # two batches in all: at most two in flight, whatever the worker count
         two = ExtrapolationProtocol(n_replicates=1024, batch_size=512)
-        assert two.grid_for(0.6, workers=8)[0] == 86865
+        admitted(monkeypatch, 0.6, two, workers=8)
 
     def test_memory_budget_reads_physical_memory(self):
         budget = streams.memory_budget()
@@ -305,6 +346,7 @@ class TestProtocol:
         monkeypatch.setattr(streams, "memory_budget", lambda: 2 * 10 ** 9)
         n_points, _ = ExtrapolationProtocol().grid_for(alpha)
         assert n_points * 400_000 <= MAX_PATH_POINTS
+        admitted(monkeypatch, alpha, ExtrapolationProtocol())
 
 
 class TestLadderSums:

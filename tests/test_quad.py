@@ -177,6 +177,21 @@ class TestAsymptoticPrediction:
         pred = AsymptoticPrediction(1.5, -2.0, 0, uses_psi=False)
         assert pred.evaluate(10.0) == pytest.approx(0.015, rel=1e-14)
 
+    def test_overflowing_power_evaluated_in_log_space(self):
+        # 6^400 overflows a float; 6^400 Psi(6) = 1.8e302 does not
+        from scipy import special
+
+        pytest.raises(OverflowError, pow, 6.0, 400.0)
+        value = AsymptoticPrediction(1.0, 400.0, 0).evaluate(6.0)
+        log_space = math.exp(400.0 * math.log(6.0) + float(special.log_ndtr(-6.0)))
+        assert math.isfinite(value)
+        assert value == pytest.approx(log_space, rel=1e-12)
+
+    def test_level_beyond_float_range(self):
+        assert AsymptoticPrediction(1.0, 2.0, 0).evaluate(1e200) == 0.0
+        assert AsymptoticPrediction(1.0, 2.0, 1).evaluate(1e200) == 0.0
+        assert AsymptoticPrediction(1.0, 2.0, 0, uses_psi=False).evaluate(1e200) == math.inf
+
     def test_validation(self):
         with pytest.raises(ValueError):
             AsymptoticPrediction(-1.0, 0.0, 0)
