@@ -16,6 +16,7 @@ byte-reproducible.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -111,6 +112,8 @@ class SweepSection:
             raise ConfigError(f"n_points must be at least 1, got {self.n_points}")
         if not (0 < self.a_min <= self.a_max):
             raise ConfigError(f"need 0 < a_min <= a_max, got {self.a_min}, {self.a_max}")
+        if not math.isfinite(self.u):
+            raise ConfigError(f"u must be finite, got {self.u}")
 
 
 @dataclass
@@ -143,6 +146,8 @@ class ExperimentConfig:
             raise ConfigError("must be at least 1", key="batch_size")
         if not self.u_ladder:
             raise ConfigError("must hold at least one level", key="u_ladder")
+        if not all(map(math.isfinite, self.u_ladder)):
+            raise ConfigError(f"levels must be finite, got {self.u_ladder}", key="u_ladder")
         if any(b <= a for a, b in zip(self.u_ladder, self.u_ladder[1:])):
             raise ConfigError("must be strictly increasing", key="u_ladder")
         if self.u_ladder[0] <= 0:

@@ -83,14 +83,13 @@ class LatticeField:
         draw = f"{self.describe()} draws {n1 * n2} normals"  # 8 bytes each, per sample
         self.footprint = dict(what=draw, item="samples", item_bytes=8 * n1 * n2)
         # refused before it is built, at a bound on the set-up peak (tracemalloc): an
-        # axis correlation takes 24 B per entry as it is factored, the grids 40 per point
+        # axis correlation takes 24 B per entry as it is factored, sigma at most 24 B
+        # per point as it is built off the axes and 8 once built; 40 leaves a margin
         setup = 8 * (3 * max(n1, n2) ** 2 + 5 * n1 * n2)
         _refuse_over_budget(f"{self.describe()} set-up", setup, "use a coarser grid")
         self.l1, self.jitter1 = chol_with_jitter(_axis_correlation(params, xs), 1e-9)
         self.l2, self.jitter2 = chol_with_jitter(_axis_correlation(params, ys), 1e-9)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        self.sigma_grid = np.exp(-variance_loss_at(params, X, Y))
-        self._X, self._Y = X, Y
+        self.sigma_grid = np.exp(-variance_loss_at(params, xs[:, None], ys[None, :]))
 
     def _blocks(self, rng: np.random.Generator, n: int, trend: tuple[float, float]):
         """Yield (first sample, field block) for n samples, block by block.
@@ -120,7 +119,7 @@ class LatticeField:
         sigma = self.sigma_grid[:, None, :]
         shift = None
         if trend != (0.0, 0.0):
-            shift = (trend[0] * self._X + trend[1] * self._Y)[:, None, :]
+            shift = (trend[0] * self.xs[:, None] + trend[1] * self.ys)[:, None, :]
         for s0, s1 in zip(bounds[:-1], bounds[1:]):
             k = s1 - s0
             a = a_buf[: n1 * k * n2].reshape(n1, k * n2)
@@ -205,6 +204,8 @@ class BlockSpec:
             raise ValueError(f"block base v1, v2 must be nonnegative, got {tuple(self.base)}")
         if self.s1 < 0 or self.s2 < 0 or (self.s1 == 0 and self.s2 == 0):
             raise ValueError("side multipliers s1, s2 must be nonnegative, not both zero")
+        if not math.isfinite(self.level_u):
+            raise ValueError(f"level u must be finite, got {self.level_u}")
         if not (self.level_u > 0):
             raise ValueError(f"level u must be positive, got {self.level_u}")
 
@@ -368,10 +369,11 @@ def ratio_harness(
         raise ValueError("u_ladder must be nonempty and strictly increasing")
     trend = (params.c1, params.c2)
     pred = asymptotics.predict(params, h_alpha, cfg)
+    predictions = [pred.evaluate(u) for u in u_ladder]  # refuses a non-finite u undrawn
     maxima = excursion_maxima(field, n_samples, seed, trend, batch_size, workers)
     rows = []
-    for u in u_ladder:
-        est, pv = _estimate_from_maxima(maxima, u), pred.evaluate(u)
+    for u, pv in zip(u_ladder, predictions):
+        est = _estimate_from_maxima(maxima, u)
         ratio = est.p_hat / pv if pv > 0 else math.inf
         rows.append(RatioRow(u, est.p_hat, est.std_err, pv, ratio))
     return rows

@@ -177,6 +177,8 @@ def classify_regime(p: ModelParams) -> Regime:
 
 def correlation_scale(p: ModelParams, u: float) -> float:
     """Correlation mesh q_u = u^(-2/alpha) at level u."""
+    if not math.isfinite(u):
+        raise ValueError(f"level u must be finite, got {u}")
     if not (u > 0.0):
         raise ValueError(f"level u must be positive, got {u}")
     return u ** (-2.0 / p.alpha)

@@ -12,7 +12,9 @@ the trend constants L(c) and K(c1, c2), the finite-domain integral
 
 (a nonzero trend slope c1, c2 requires beta = 2) together with its leading
 asymptote as u -> infinity, whose prefactors are the product-regime
-constants of `asymptotics.predict`, and the nested-integral family
+constants of `asymptotics.predict`.  K_beta and K(c1, c2) integrate its
+integrand at gamma = u = 1, a = beta/2 over the quadrant: all three call
+`_corner_integrand`, the scalar V(t).  Last comes the nested-integral family
 
     J(lam) = int int X^(q-1) Y^(q-1) exp(-g X - g Y - g lam (XY)^p) dX dY
     A(Z)   = int_0^inf X^(-1) exp(-g X - g Z/X) dX,
@@ -206,6 +208,17 @@ def g_beta(beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     return float(special.gamma(1.0 + 1.0 / beta))
 
 
+def _corner_integrand(
+    g2: float, beta: float, a: float, u: float, c1: float, c2: float
+) -> Callable[[float, float], float]:
+    """f(x, y) = exp(-g2 (x^beta + y^beta + (xy)^a) - u (c1 x + c2 y)): I(u) at g2 = gamma
+    u^2, K_beta and K(c1, c2) at g2 = u = 1, a = beta/2.  A trend is stated for
+    beta = 2 only, where the sides are squared as x * x."""
+    if (c1, c2) == (0.0, 0.0):
+        return lambda x, y: math.exp(-g2 * (x ** beta + y ** beta + (x * y) ** a))
+    return lambda x, y: math.exp(-g2 * (x * x + y * y + (x * y) ** a) - u * (c1 * x + c2 * y))
+
+
 def _exp_form_integral(beta: float, c1: float, c2: float, cfg: QuadratureConfig) -> float:
     """integral over [0,inf)^2 of exp(-(x^beta + y^beta + (xy)^(beta/2)) - c1 x - c2 y).
 
@@ -222,11 +235,7 @@ def _exp_form_integral(beta: float, c1: float, c2: float, cfg: QuadratureConfig)
     # 2 int_R^inf y e^{-y^beta} dy = 2 Gamma(2/beta, R^beta) / beta
     s = 2.0 / beta
     tail = 2.0 * float(special.gamma(s)) * float(special.gammaincc(s, R ** beta)) / beta
-    prod_exp = beta / 2.0
-
-    def f(x: float, y: float) -> float:
-        return math.exp(-(x ** beta + y ** beta + (x * y) ** prod_exp) - c1 * x - c2 * y)
-
+    f = _corner_integrand(1.0, beta, beta / 2.0, 1.0, c1, c2)
     inner_epsabs = cfg.abs_tol / (8.0 * R)
 
     def inner(y: float) -> float:
@@ -320,6 +329,8 @@ class IntegralSpec:
         for name in ("gamma", "beta", "a", "delta", "u"):
             if not (getattr(self, name) > 0):
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not math.isfinite(self.u):
+            raise ValueError(f"level u must be finite, got {self.u}")
         if self.c1 < 0 or self.c2 < 0:
             raise ValueError("trend slopes must be nonnegative")
         if (self.c1, self.c2) != (0.0, 0.0) and self.beta != 2.0:
@@ -331,7 +342,8 @@ class AsymptoticPrediction:
     """Leading-order form C * u^theta * (log u)^kappa, optionally times Psi(u).
 
     evaluate(u) is positive for u > 1; beyond the float range it is inf, and
-    below it 0.0, never an OverflowError.
+    below it 0.0, never an OverflowError.  A non-finite u is refused, as
+    `normal_survival` refuses it.
     """
 
     prefactor: float
@@ -346,6 +358,8 @@ class AsymptoticPrediction:
             raise ValueError(f"log_power must be 0 or 1, got {self.log_power}")
 
     def evaluate(self, u: float) -> float:
+        if not math.isfinite(u):
+            raise ValueError(f"u must be finite, got {u}")
         try:
             val = self.prefactor * float(u) ** float(self.u_power)
         except OverflowError:
@@ -362,36 +376,32 @@ class AsymptoticPrediction:
 
 
 def _square_integral(
-    spec: IntegralSpec,
-    exponent: Callable[[float, float], float],
-    cfg: QuadratureConfig,
+    spec: IntegralSpec, f: Callable[[float, float], float], cfg: QuadratureConfig
 ) -> float:
-    """integral over [0, delta]^2 of exp(exponent(x, y)), dyadically pre-split.
+    """integral over [0, delta]^2 of the corner integrand f(x, y), dyadically pre-split.
 
     The integrand concentrates on scales (gamma u^2)^(-1/beta) and smaller;
     both axes are split dyadically from delta down past the smallest relevant
     scale so panel adaptivity only ever sees a single-scale problem.
 
-    The exponent decreases in each variable (gamma, u > 0 and c1, c2 >= 0),
-    so the panels from y on hold at most (delta - y) exp(exponent(x, y)) and
-    those from x on at most (delta - x) delta exp(exponent(x, 0)): the tail
-    bounds that let `_integrate_panels` skip panels that cannot change a bit
-    of the sum, among them every panel where the integrand underflows.
+    f decreases in each variable (gamma, u > 0 and c1, c2 >= 0), so the
+    panels from y on hold at most (delta - y) f(x, y) and those from x on at
+    most (delta - x) delta f(x, 0): the tail bounds that let
+    `_integrate_panels` skip panels that cannot change a bit of the sum,
+    among them every panel where the integrand underflows.
     """
     g2 = spec.gamma * spec.u * spec.u
     delta = spec.delta
     floor = min(g2 ** (-1.0 / spec.beta), g2 ** (-1.0 / (2.0 * spec.a)), delta)
     pts = _dyadic_down(delta, floor / 64.0)
 
-    def panels(f: Callable[[float], float], bound: Callable[[float], float]) -> tuple[float, float]:
-        return _integrate_panels(f, pts, cfg, epsabs=0.0, epsrel=cfg.rel_tol, tail_bound=bound)
+    def panels(g: Callable[[float], float], bound: Callable[[float], float]) -> tuple[float, float]:
+        return _integrate_panels(g, pts, cfg, epsabs=0.0, epsrel=cfg.rel_tol, tail_bound=bound)
 
     def inner(x: float) -> float:
-        return panels(
-            lambda y: math.exp(exponent(x, y)), lambda y: (delta - y) * math.exp(exponent(x, y))
-        )[0]
+        return panels(lambda y: f(x, y), lambda y: (delta - y) * f(x, y))[0]
 
-    value, err = panels(inner, lambda x: (delta - x) * delta * math.exp(exponent(x, 0.0)))
+    value, err = panels(inner, lambda x: (delta - x) * delta * f(x, 0.0))
     return _check_converged(value, err, cfg, "finite-domain double integral")
 
 
@@ -399,15 +409,8 @@ def i_gamma(spec: IntegralSpec, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float
     """Direct quadrature of
     int_0^delta int_0^delta exp(-gamma u^2 (x^b + y^b + (xy)^a) - u(c1 x + c2 y))."""
     g2 = spec.gamma * spec.u * spec.u
-    b, a = spec.beta, spec.a
-    if (spec.c1, spec.c2) == (0.0, 0.0):
-        return _square_integral(spec, lambda x, y: -g2 * (x ** b + y ** b + (x * y) ** a), cfg)
-    u, c1, c2 = spec.u, spec.c1, spec.c2
-    return _square_integral(
-        spec,
-        lambda x, y: -g2 * (x * x + y * y + (x * y) ** a) - u * (c1 * x + c2 * y),
-        cfg,
-    )
+    f = _corner_integrand(g2, spec.beta, spec.a, spec.u, spec.c1, spec.c2)
+    return _square_integral(spec, f, cfg)
 
 
 def i_gamma_asymptote(

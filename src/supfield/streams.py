@@ -68,6 +68,8 @@ def run_batches(
     order, so any order-sensitive reduction downstream sees the same sequence
     regardless of `workers`.
     """
+    if batch < 1 or workers < 1:
+        raise ValueError(f"batch size and workers must be at least 1, got {batch} and {workers}")
     sizes = batch_sizes(n_total, batch)
     take = min(batch, n_total)
     in_flight = max(1, min(workers, len(sizes)))

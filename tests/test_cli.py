@@ -113,6 +113,13 @@ class TestConfig:
                 "pickands: {sampler: spectral, n_replicates: 100}\n",
                 "config.pickands: unknown sampler 'spectral'",
             ),
+            ("u_ladder: [2.0, .inf]\n", "config.u_ladder: levels must be finite, got [2.0, inf]"),
+            ("u_ladder: [.nan]\n", "config.u_ladder: levels must be finite, got [nan]"),
+            (
+                "blocks: {u_values: [.inf], n_samples: [1000]}\n",
+                "config.blocks: level u must be finite, got inf",
+            ),
+            ("sweep: {u: .inf}\n", "config.sweep: u must be finite, got inf"),
         ],
         ids=[
             "grid-kind",
@@ -135,6 +142,10 @@ class TestConfig:
             "blocks-no-samples",
             "blocks-negative-base",
             "pickands-unknown-sampler",
+            "u-ladder-inf",
+            "u-ladder-nan",
+            "blocks-inf-level",
+            "sweep-inf-level",
         ],
     )
     def test_bad_section_fails_at_load(self, tmp_path, capsys, kind, text, message):

@@ -95,7 +95,7 @@ class TestBlockedKernel:
     def test_maxima_match_unblocked(self, block_bytes, shape, n, trend):
         lat = small_lattice(shape)
         f = unblocked_field(lat, batch_generator(21, 3), n)
-        f = f - (trend[0] * lat._X + trend[1] * lat._Y)[:, None, :]
+        f = f - (trend[0] * lat.xs[:, None] + trend[1] * lat.ys[None, :])[:, None, :]
         expected = f.max(axis=(0, 2))
         got = lat.maxima_batch(batch_generator(21, 3), n, trend)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
@@ -205,11 +205,18 @@ class TestMcExcursion:
         with pytest.raises(ValueError):
             mc_excursion(lat, 1.0, (0, 0), 0, seed=0)
 
+    def test_batch_size_below_one_refused(self):
+        lat = build_lattice(P_CLASSICAL, n_per_axis=8)
+        with pytest.raises(ValueError, match="at least 1, got 0 and 1"):
+            mc_excursion(lat, 2.0, (0, 0), 100, seed=0, batch_size=0)
+
 
 class TestBlocks:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             BlockSpec(Point2(0, 0), -1.0, 2.0, 3.0)
+        with pytest.raises(ValueError, match="level u must be finite, got inf"):
+            BlockSpec(Point2(0, 0), 2.0, 2.0, math.inf)
         with pytest.raises(ValueError):
             BlockSpec(Point2(0, 0), 0.0, 0.0, 3.0)
         spec = BlockSpec(Point2(0.9, 0.0), 2.0, 2.0, 3.0)
@@ -293,6 +300,17 @@ class TestRatioHarness:
 
         expected = (trend_l(1.0) + trend_l(2.0)) * 2.0 * normal_survival(2.0)
         assert rows[0].prediction == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("ladder", [[2.0, math.inf], [math.nan]])
+    def test_non_finite_level_refused_before_drawing(self, monkeypatch, ladder):
+        lat = build_lattice(P_CLASSICAL, n_per_axis=8)
+
+        def drawn(*args):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(LatticeField, "maxima_batch", drawn)
+        with pytest.raises(ValueError, match=f"u must be finite, got {ladder[-1]}"):
+            ratio_harness(P_CLASSICAL, ladder, lat, 100, seed=0)
 
     def test_u_ladder_validation(self):
         lat = build_lattice(P_CLASSICAL, n_per_axis=8)

@@ -31,6 +31,10 @@ def spec(gamma=1.0, beta=2.0, a=1.0, delta=1.0, u=10.0, c1=0.0, c2=0.0):
 
 
 class TestIGamma:
+    def test_non_finite_level_refused(self):
+        with pytest.raises(ValueError, match="level u must be finite, got inf"):
+            spec(u=math.inf)
+
     def test_small_u_limit_is_area(self):
         val = i_gamma(spec(u=1e-6), CFG)
         assert val == pytest.approx(1.0, rel=1e-6)

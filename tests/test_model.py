@@ -204,3 +204,5 @@ class TestCorrelationScale:
     def test_rejects_nonpositive_level(self):
         with pytest.raises(ValueError):
             correlation_scale(P_CRIT, 0.0)
+        with pytest.raises(ValueError, match="level u must be finite, got inf"):
+            correlation_scale(P_CRIT, math.inf)

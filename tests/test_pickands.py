@@ -259,6 +259,21 @@ class TestPickandsFinite:
         assert fine.mean() >= coarse.mean()
 
 
+class TestRunBatches:
+    @pytest.mark.parametrize("batch_size", [0, -5])
+    def test_batch_size_below_one_refused(self, batch_size):
+        # unchecked, batch 0 divides by zero and batch -5 runs no batch at all
+        with pytest.raises(ValueError, match=f"at least 1, got {batch_size} and 1"):
+            pickands_finite(1.0, 1.0, 9, 100, seed=1, batch_size=batch_size)
+
+    def test_no_worker_refused(self):
+        def work(b, take):
+            raise AssertionError("a batch ran")
+
+        with pytest.raises(ValueError, match="at least 1, got 4 and 0"):
+            streams.run_batches(work, 10, 4, 0, what="x", item="items", item_bytes=8)
+
+
 class TestProtocol:
     def test_grid_rungs_land_on_grid(self):
         proto = ExtrapolationProtocol(s_ladder=(1.0, 2.0, 4.0, 8.0))

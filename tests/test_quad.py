@@ -187,6 +187,13 @@ class TestAsymptoticPrediction:
         assert math.isfinite(value)
         assert value == pytest.approx(log_space, rel=1e-12)
 
+    @pytest.mark.parametrize("u", [math.inf, -math.inf, math.nan])
+    def test_non_finite_level_refused(self, u):
+        # Psi(inf) = 0: a prediction of inf there would come from adding +inf and -inf
+        for pred in (AsymptoticPrediction(1.0, 2.0, 0), AsymptoticPrediction(1.0, -2.0, 1, False)):
+            with pytest.raises(ValueError, match=f"u must be finite, got {u}"):
+                pred.evaluate(u)
+
     def test_level_beyond_float_range(self):
         assert AsymptoticPrediction(1.0, 2.0, 0).evaluate(1e200) == 0.0
         assert AsymptoticPrediction(1.0, 2.0, 1).evaluate(1e200) == 0.0
