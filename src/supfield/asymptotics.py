@@ -35,6 +35,7 @@ __all__ = [
     "KNOWN_H",
     "lookup_h",
     "predict",
+    "predict_integrates",
     "regime_sweep",
     "SweepRow",
 ]
@@ -46,8 +47,8 @@ KNOWN_H = {1.0: 1.0}
 def lookup_h(alpha: float, h_alpha: float | None) -> float:
     """Resolve the Pickands constant: explicit value or known table."""
     if h_alpha is not None:
-        if not (h_alpha > 0):
-            raise ValueError(f"h_alpha must be positive, got {h_alpha}")
+        if not (0 < h_alpha < math.inf):
+            raise ValueError(f"h_alpha must be positive and finite, got {h_alpha}")
         return h_alpha
     if alpha in KNOWN_H:
         return KNOWN_H[alpha]
@@ -80,6 +81,16 @@ def predict(
     return AsymptoticPrediction(
         h * h * asym.prefactor, 4.0 / p.alpha + asym.u_power, asym.log_power
     )
+
+
+def predict_integrates(p: ModelParams) -> bool:
+    """Whether `predict(p)` calls quadrature (scipy.integrate): for K_beta and
+    K(c1, c2) in the critical regime, and for L(c) with a trend outside the
+    log regime.  G_beta and the log prefactor are closed form (scipy.special,
+    which every prediction may call)."""
+    regime = classify_regime(p)
+    trended = (p.c1, p.c2) != (0.0, 0.0)
+    return regime is Regime.CRITICAL_PRODUCT or (trended and regime is not Regime.LOG_PRODUCT)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,12 @@ nothing.  Once it has loaded, every way a run ends writes the MANIFEST: OK
 ConvergenceError (exit 1); any other exception propagates after the
 MANIFEST records "INCOMPLETE: run not finished".
 
-The library imports scipy on first use.  The kinds that integrate
-(constants, integrals, mc, sweep) load it right after the config, so its
-import is part of their set-up; pickands and blocks never load it.
+The library imports scipy on first use.  Right after the config loads, a
+run imports the scipy modules its work will call, so the import is part of
+its set-up: constants, integrals and sweep load scipy.special and
+scipy.integrate; mc loads scipy.special, and scipy.integrate only when its
+prediction integrates (`asymptotics.predict_integrates`: the critical regime,
+or a trend outside the log regime); pickands and blocks load no scipy.
 """
 
 from __future__ import annotations
@@ -211,9 +214,9 @@ _RUNNERS = {
     "blocks": run_blocks,
     "sweep": run_sweep,
 }
-# Kinds that call scipy load it before their work starts, so the import is
-# set-up; a kind that gains a scipy call belongs here.
-_INTEGRATING_KINDS = ("constants", "integrals", "mc", "sweep")
+# Kinds whose work integrates load scipy before it starts, so the import is
+# set-up; a kind that gains a quadrature belongs here.
+_INTEGRATING_KINDS = ("constants", "integrals", "sweep")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -241,6 +244,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.kind in _INTEGRATING_KINDS:
         quad.load_scipy()
+    elif args.kind == "mc":
+        quad.load_scipy(integrate=asymptotics.predict_integrates(cfg.model))
     out = Path(cfg.out)
     manifest = Manifest(out, args.kind, dataclasses.asdict(cfg), __version__)
     status = "INCOMPLETE: run not finished"

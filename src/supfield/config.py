@@ -96,8 +96,8 @@ class IntegralBranch:
 
     def __post_init__(self) -> None:
         for name in ("gamma", "a", "delta"):
-            if not (getattr(self, name) > 0):
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            if not (0 < getattr(self, name) < math.inf):
+                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 @dataclass
@@ -112,8 +112,9 @@ class SweepSection:
             raise ConfigError(f"n_points must be at least 1, got {self.n_points}")
         if not (0 < self.a_min <= self.a_max):
             raise ConfigError(f"need 0 < a_min <= a_max, got {self.a_min}, {self.a_max}")
-        if not math.isfinite(self.u):
-            raise ConfigError(f"u must be finite, got {self.u}")
+        for name in ("a_max", "u"):  # a_min <= a_max is finite then
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass
@@ -152,6 +153,8 @@ class ExperimentConfig:
             raise ConfigError("must be strictly increasing", key="u_ladder")
         if self.u_ladder[0] <= 0:
             raise ConfigError(f"levels must be positive, got {self.u_ladder[0]}", key="u_ladder")
+        if self.h_alpha is not None and not (0 < self.h_alpha < math.inf):
+            raise ConfigError(f"must be positive and finite, got {self.h_alpha}", key="h_alpha")
         labels = self.integral_labels()
         repeated = sorted({label for label in labels if labels.count(label) > 1})
         if repeated:

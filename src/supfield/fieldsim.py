@@ -200,6 +200,10 @@ class BlockSpec:
     level_u: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (*self.base, self.s1, self.s2))):  # nan passes bounds
+            raise ValueError(
+                f"block base and sides must be finite, got {tuple(self.base)}, {self.s1}, {self.s2}"
+            )
         if not (self.base[0] >= 0 and self.base[1] >= 0):
             raise ValueError(f"block base v1, v2 must be nonnegative, got {tuple(self.base)}")
         if self.s1 < 0 or self.s2 < 0 or (self.s1 == 0 and self.s2 == 0):

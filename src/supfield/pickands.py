@@ -125,12 +125,10 @@ class _PathSampler:
         if self.method == "brownian" and alpha != 1.0:
             raise ValueError("brownian sampler is exact only for alpha = 1")
         run = f"the {self.method} sampler at alpha={alpha} on {self.n_points} grid points"
-        # Footprint: the bytes per path of a batch, and as set-up the cholesky
-        # Gram build, three (n-1)^2 arrays.  The set-up peak (tracemalloc; also 48 B
-        # per point for the davies-harte spectrum, 16 for the drift) is refused here.
+        # The set-up peak (tracemalloc: the cholesky Gram build, three (n-1)^2
+        # arrays; 48 B per point for the davies-harte spectrum, 16 for the
+        # drift) is refused here, before it is built.
         gram_bytes = 24 * (self.n_points - 1) ** 2 if self.method == "cholesky" else 0
-        per_path = _BATCH_BYTES_PER_POINT[self.method] * self.n_points
-        self.footprint = dict(what=run, item="paths", item_bytes=per_path, setup=gram_bytes)
         peak = max(gram_bytes, (48 if self.method == "davies-harte" else 16) * self.n_points)
         _refuse_over_budget(f"set-up with {run}", peak, "use a coarser grid or another sampler")
         self.factor = self.jitter = self._root = None
@@ -148,6 +146,13 @@ class _PathSampler:
             self._root = np.sqrt(scale * _dh_eigenvalues(self.alpha, n_incr))
             self._root[1:n_incr] /= math.sqrt(2.0)  # the complex bins
         self.drift = np.linspace(0.0, self.horizon, self.n_points) ** self.alpha  # t^alpha
+        # Footprint of a batch loop: the bytes per path of a batch, and as
+        # set-up what the sampler holds, the cholesky factor or the half spectrum.
+        held = self.factor if self.method == "cholesky" else self._root
+        per_path = _BATCH_BYTES_PER_POINT[self.method] * self.n_points
+        self.footprint = dict(
+            what=run, item="paths", item_bytes=per_path, setup=0 if held is None else held.nbytes
+        )
 
     def sample(self, rng: np.random.Generator, n_paths: int) -> np.ndarray:
         """(n_paths, n_points) paths, each starting at B(0) = 0."""
@@ -229,8 +234,8 @@ class ExtrapolationProtocol:
             b <= a for a, b in zip(self.s_ladder, self.s_ladder[1:])
         ):
             raise ValueError("s_ladder must be strictly increasing with >= 2 rungs")
-        if self.s_ladder[0] <= 0:
-            raise ValueError("s_ladder entries must be positive")
+        if self.s_ladder[0] <= 0 or not all(map(math.isfinite, self.s_ladder)):
+            raise ValueError(f"s_ladder entries must be positive and finite, got {self.s_ladder}")
         if not (0 < self.spacing_factor < 1):
             raise ValueError("spacing_factor must be in (0, 1)")
         if self.n_replicates < 2:
@@ -304,14 +309,19 @@ def _ladder_sums(
         )
     k = len(rungs)
     width = 2 * k + 6 if k > 1 else 2
+    # rung i's segment of a path runs from just past rung i-1 to rung i
+    starts = [0] + [i + 1 for i in rung_idx[:-1]]
 
     def work(b: int, take: int) -> np.ndarray:
-        # sqrt(2) B(t) - t^alpha and its prefix maxima, in the path array
+        # sqrt(2) B(t) - t^alpha, its maximum on each rung's segment, and
+        # their running maximum: the prefix maxima at the rungs
         paths = ps.sample(batch_generator(seed, b), take)
         paths *= math.sqrt(2.0)
         paths -= ps.drift
-        np.maximum.accumulate(paths, axis=1, out=paths)
-        vals = np.exp(paths[:, rung_idx])
+        seg = np.maximum.reduceat(paths[:, : rung_idx[-1] + 1], starts, axis=1)
+        # column-major, as the rung columns of the path array were: the sums
+        # below then add in the same order
+        vals = np.exp(np.asfortranarray(np.maximum.accumulate(seg, axis=1)))
         acc = np.empty(width)
         acc[:k] = vals.sum(axis=0)
         acc[k : 2 * k] = (vals * vals).sum(axis=0)

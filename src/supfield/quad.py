@@ -34,10 +34,13 @@ added to the error estimate.  On the finite square, whose integrand falls
 along both axes, a panel loop stops once a bound on the panels left is below
 2^-60 of its sum, where they could not change a bit of it (`tail_bound`).
 
-scipy is imported by the functions that call it, on first use, so a run
-that never integrates (a Pickands or block Monte Carlo run) never loads it;
-`load_scipy` imports it ahead of time, which the CLI does for the kinds that
-integrate so that the import stays in their set-up.
+scipy is imported by the functions that call it, on first use: scipy.special
+by the closed forms (G_beta, the log prefactor, log Psi where a prediction
+overflows) and scipy.integrate, whose import costs about as much again, by
+the quadratures.  So a run that calls neither (a Pickands or block Monte
+Carlo run) never loads scipy.  `load_scipy` imports the modules a run will
+call ahead of time, which the CLI does so that the import stays in its
+set-up; were it to miss one, the import would only move into the work.
 """
 
 from __future__ import annotations
@@ -70,9 +73,12 @@ _SQRT2 = math.sqrt(2.0)
 _LOG_MAX = 709.782712893384  # log of the largest float
 
 
-def load_scipy() -> None:
-    """Import the scipy modules this module calls, ahead of their first use."""
-    from scipy import integrate, special  # noqa: F401
+def load_scipy(integrate: bool = True) -> None:
+    """Import scipy.special, and scipy.integrate if `integrate`, ahead of their first use."""
+    import scipy.special  # noqa: F401
+
+    if integrate:
+        import scipy.integrate  # noqa: F401
 
 
 class ConvergenceError(RuntimeError):
@@ -92,7 +98,7 @@ class ConvergenceError(RuntimeError):
 class QuadratureConfig:
     """Tolerances for the adaptive integrator.
 
-    abs_tol / rel_tol : target absolute / relative error (at least one > 0)
+    abs_tol / rel_tol : target absolute / relative error (finite, at least one > 0)
     max_subdivisions  : QUADPACK subdivision limit per panel
     tail_cut_tol      : envelope level in (0, 1) at which infinite domains are
                         truncated
@@ -104,6 +110,9 @@ class QuadratureConfig:
     tail_cut_tol: float = 1e-16
 
     def __post_init__(self) -> None:
+        for name in ("abs_tol", "rel_tol"):  # nan or inf would disarm _check_converged
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.abs_tol < 0 or self.rel_tol < 0:
             raise ValueError("tolerances must be nonnegative")
         if self.abs_tol == 0 and self.rel_tol == 0:

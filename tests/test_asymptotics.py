@@ -22,6 +22,8 @@ class TestLookupH:
         assert lookup_h(1.5, 0.8) == 0.8
         with pytest.raises(ValueError):
             lookup_h(1.0, -1.0)
+        with pytest.raises(ValueError, match="h_alpha must be positive and finite, got inf"):
+            lookup_h(1.0, math.inf)
 
 
 class TestPredictExampleTable:

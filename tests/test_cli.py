@@ -120,6 +120,20 @@ class TestConfig:
                 "config.blocks: level u must be finite, got inf",
             ),
             ("sweep: {u: .inf}\n", "config.sweep: u must be finite, got inf"),
+            ("quad: {abs_tol: .nan}\n", "config.quad: abs_tol must be finite, got nan"),
+            ("quad: {rel_tol: .inf}\n", "config.quad: rel_tol must be finite, got inf"),
+            (
+                "integrals: [{gamma: .inf}]\n",
+                "config.integrals[0]: gamma must be positive and finite, got inf",
+            ),
+            ("sweep: {a_max: .inf}\n", "config.sweep: a_max must be finite, got inf"),
+            ("h_alpha: -1.0\n", "config.h_alpha: must be positive and finite, got -1.0"),
+            ("h_alpha: .inf\n", "config.h_alpha: must be positive and finite, got inf"),
+            ("blocks: {s1: .nan}\n", "config.blocks: block base and sides must be finite"),
+            (
+                "pickands: {s_ladder: [1.0, .inf]}\n",
+                "config.pickands: s_ladder entries must be positive and finite, got (1.0, inf)",
+            ),
         ],
         ids=[
             "grid-kind",
@@ -146,6 +160,14 @@ class TestConfig:
             "u-ladder-nan",
             "blocks-inf-level",
             "sweep-inf-level",
+            "quad-nan-abs-tol",
+            "quad-inf-rel-tol",
+            "integrals-inf-gamma",
+            "sweep-inf-a-max",
+            "h-alpha-negative",
+            "h-alpha-inf",
+            "blocks-nan-side",
+            "pickands-inf-rung",
         ],
     )
     def test_bad_section_fails_at_load(self, tmp_path, capsys, kind, text, message):
@@ -491,7 +513,7 @@ LOADED_SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('s
 
 
 class TestScipyImport:
-    """scipy is loaded only by the kinds that integrate, and by them during set-up."""
+    """A run loads the scipy modules its work calls, and those during set-up."""
 
     def test_package_import_leaves_scipy_unloaded(self, tmp_path):
         code = f"import json, sys\nimport supfield, supfield.cli\nprint(json.dumps({LOADED_SCIPY}))"
@@ -520,14 +542,70 @@ class TestScipyImport:
         )
         assert run_fresh(code, tmp_path) == [0, []]
 
-    @pytest.mark.parametrize("kind", _INTEGRATING_KINDS)
-    def test_integrating_kinds_load_scipy_before_their_runner(self, tmp_path, kind):
+    @pytest.mark.parametrize(
+        "kind,model,integrates",
+        [
+            *((kind, "", True) for kind in _INTEGRATING_KINDS),
+            ("mc", "", False),  # the default model is classical: G_beta^2
+            ("mc", "model: {a: 0.5}\n", False),  # side: 2 G_beta
+            ("mc", "model: {a: 0.8}\n", False),  # log: a closed-form prefactor
+            ("mc", "model: {a: 1.0}\n", True),  # critical: K_beta
+            ("mc", "model: {c1: 0.5}\n", True),  # classical with a trend: L(c1) L(c2)
+        ],
+        ids=[*_INTEGRATING_KINDS, "mc", "mc-side", "mc-log", "mc-critical", "mc-trend"],
+    )
+    def test_integrating_kinds_load_scipy_before_their_runner(
+        self, tmp_path, kind, model, integrates
+    ):
+        # every kind here calls scipy.special; mc loads scipy.integrate only
+        # when its prediction integrates
+        cfg = write_cfg(tmp_path, model)
         code = (
             "import json, sys\n"
             "from supfield import cli\n"
             "seen = []\n"
-            f"cli._RUNNERS[{kind!r}] = lambda *args: seen.append('scipy.integrate' in sys.modules)\n"
-            f"code = cli.main([{kind!r}, '--out', 'out'])\n"
+            f"cli._RUNNERS[{kind!r}] = lambda *args: seen.extend("
+            "m in sys.modules for m in ('scipy.special', 'scipy.integrate'))\n"
+            f"code = cli.main([{kind!r}, '--config', {cfg!r}, '--out', 'out'])\n"
             "print(json.dumps([code, seen]))"
         )
-        assert run_fresh(code, tmp_path) == [0, [True]]
+        assert run_fresh(code, tmp_path) == [0, [True, integrates]]
+
+    @pytest.mark.parametrize("trend", [0.0, 0.5], ids=["untrended", "trended"])
+    @pytest.mark.parametrize(
+        "a,regime,integrates",
+        [
+            (0.5, "SideDominated", "trend"),  # 2 G_beta, or L(c1) + L(c2)
+            (0.8, "LogProduct", "never"),  # a closed-form prefactor either way
+            (1.0, "CriticalProduct", "always"),  # K_beta, or K(c1, c2)
+            (2.0, "Classical", "trend"),  # G_beta^2, or L(c1) L(c2)
+        ],
+        ids=["side", "log", "critical", "classical"],
+    )
+    def test_predict_loads_scipy_integrate_exactly_when_it_integrates(
+        self, tmp_path, a, regime, integrates, trend
+    ):
+        code = (
+            "import json, sys\n"
+            "from supfield.asymptotics import predict, predict_integrates\n"
+            "from supfield.model import ModelParams, classify_regime\n"
+            f"p = ModelParams(1.0, 2.0, {a!r}, c1={trend!r})\n"
+            "rule = predict_integrates(p)\n"
+            "pred = predict(p)\n"
+            "print(json.dumps([str(classify_regime(p)), rule, 'scipy.integrate' in sys.modules]))"
+        )
+        expected = integrates == "always" or (integrates == "trend" and trend > 0)
+        assert run_fresh(code, tmp_path) == [regime, expected, expected]
+
+    def test_classical_mc_run_ends_without_scipy_integrate(self, tmp_path):
+        text = "n_samples: 2000\ngrid: {n_per_axis: 8}\nu_ladder: [2.0, 1.0e+200]\n"
+        cfg = write_cfg(tmp_path, text)
+        code = (
+            "import json, sys\n"
+            "from supfield.cli import main\n"
+            f"code = main(['mc', '--config', {cfg!r}, '--out', 'out'])\n"
+            f"print(json.dumps([code, {LOADED_SCIPY}]))"
+        )
+        code, loaded = run_fresh(code, tmp_path)
+        assert code == 0 and "scipy.special" in loaded
+        assert "scipy.integrate" not in loaded

@@ -217,6 +217,11 @@ class TestBlocks:
             BlockSpec(Point2(0, 0), -1.0, 2.0, 3.0)
         with pytest.raises(ValueError, match="level u must be finite, got inf"):
             BlockSpec(Point2(0, 0), 2.0, 2.0, math.inf)
+        # a nan side would give nan bounds that pass the containment check
+        with pytest.raises(ValueError, match=r"base and sides must be finite, got \(0, 0\), nan"):
+            BlockSpec(Point2(0, 0), math.nan, 2.0, 3.0)
+        with pytest.raises(ValueError, match="base and sides must be finite"):
+            BlockSpec(Point2(math.inf, 0), 2.0, 2.0, 3.0)
         with pytest.raises(ValueError):
             BlockSpec(Point2(0, 0), 0.0, 0.0, 3.0)
         spec = BlockSpec(Point2(0.9, 0.0), 2.0, 2.0, 3.0)

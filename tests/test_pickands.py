@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -392,6 +393,58 @@ class TestLadderSums:
             ]
         )
         np.testing.assert_allclose(acc, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("rung_idx", [[400], [50, 100, 200, 400]], ids=["1-rung", "4-rung"])
+    def test_bitwise_equal_to_full_path_prefix_maxima(self, rung_idx):
+        # the segment maxima and their running maximum are the full-path
+        # prefix maxima at the rungs, and the sums add them in the same order
+        ps = _PathSampler(1.0, 4.0, 401)
+        rungs = tuple(4.0 * i / 400 for i in rung_idx)
+        n, batch, seed = 2500, 1000, 3
+        acc = _ladder_sums(ps, rungs, rung_idx, n, seed, batch, workers=1)
+        expected = np.zeros_like(acc)
+        for b, take in enumerate(batch_sizes(n, batch)):
+            y = math.sqrt(2.0) * ps.sample(batch_generator(seed, b), take) - ps.drift
+            vals = np.exp(np.maximum.accumulate(y, axis=1)[:, rung_idx])
+            part = [vals.sum(axis=0), (vals * vals).sum(axis=0)]
+            if len(rungs) > 1:
+                slope = (vals[:, -1] - vals[:, -2]) / (rungs[-1] - rungs[-2])
+                naive = vals[:, -1] / rungs[-1]
+                stats = (slope, naive, slope - naive)
+                part += [[s for x in stats for s in (x.sum(), (x * x).sum())]]
+            expected += np.concatenate(part)
+        assert acc.tobytes() == expected.tobytes()
+
+
+class TestFootprint:
+    @pytest.mark.parametrize(
+        "sampler,alpha,setup,per_point",
+        [
+            ("cholesky", 1.4, 8 * 256 ** 2, 24),  # the factor
+            ("davies-harte", 1.4, 8 * 257, 40),  # the half spectrum, bins 0 ... 256
+            ("brownian", 1.0, 0, 16),
+        ],
+    )
+    def test_setup_is_what_the_sampler_holds(self, sampler, alpha, setup, per_point):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ps = _PathSampler(alpha, 4.0, 257, sampler)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert ps.footprint["setup"] == setup
+        assert ps.footprint["item_bytes"] == per_point * 257
+        # beyond the setup the sampler holds its drift, 8 B per point, and a few objects
+        assert setup + 8 * 257 <= held <= setup + 8 * 257 + 4096
+
+    def test_cholesky_run_admitted_between_held_and_built_bytes(self, monkeypatch):
+        # 257 points: the Gram build peaks at 24 x 256^2 = 1.57 MB, the factor
+        # holds 0.52 MB; ten 6.2 kB paths fit beside the factor in 1.6 MB,
+        # beside the build they would not
+        monkeypatch.setattr(streams, "memory_budget", lambda: 1_600_000)
+        est = pickands_finite(1.4, 4.0, 257, 10, seed=0, batch_size=10)
+        assert est.grid.endswith("sampler=cholesky") and est.value >= 1.0
 
 
 class TestPickandsConstant:

@@ -40,6 +40,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             QuadratureConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["abs_tol", "rel_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_tolerance_refused(self, name, value):
+        # max(nan, x) is nan and an inf tolerance never trips, so either would
+        # turn off every convergence check
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+            QuadratureConfig(**{name: value})
+
 
 class TestIntegratePanels:
     def test_tail_bound_skips_panels_without_changing_a_bit(self):
