@@ -9,11 +9,13 @@ Every run writes its outputs plus a MANIFEST into the output directory: one
 YAML mapping of kind, library version, seed, status, wall time, the outputs
 written so far and the config, which loads back as a config that reruns the
 run.  Reruns with identical config, seed and BLAS thread count produce
-byte-identical CSV bodies.  A config that fails to load exits 2 and writes
-nothing.  Once it has loaded, every way a run ends writes the MANIFEST: OK
-(exit 0), or INCOMPLETE and the reason for a ValueError (exit 2) or a
-ConvergenceError (exit 1); any other exception propagates after the
-MANIFEST records "INCOMPLETE: run not finished".
+byte-identical CSV bodies.  The quadratures run at the tolerances of
+`quad.DEFAULT_CONFIG`.  A config that fails to load exits 2 and writes
+nothing, and so does an mc or sweep run whose alpha has no known Pickands
+constant and no h_alpha.  Once it has loaded, every way a run ends writes
+the MANIFEST: OK (exit 0), or INCOMPLETE and the reason for a ValueError
+(exit 2) or a ConvergenceError (exit 1); any other exception propagates
+after the MANIFEST records "INCOMPLETE: run not finished".
 
 The library imports scipy on first use.  Right after the config loads, a
 run imports the scipy modules its work will call, so the import is part of
@@ -67,8 +69,7 @@ def _write_table(
 
 def run_constants(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
     params = cfg.model
-    qc = cfg.quad
-    k_b = quad.k_beta(params.beta, qc)
+    k_b = quad.k_beta(params.beta)
     untrended_k2 = (params.beta, params.c1, params.c2) == (2.0, 0.0, 0.0)  # K(0, 0) is K_2
     report = {
         "alpha": params.alpha,
@@ -76,11 +77,11 @@ def run_constants(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
         "a": params.a,
         "c1": params.c1,
         "c2": params.c2,
-        "G_beta": quad.g_beta(params.beta, qc),
+        "G_beta": quad.g_beta(params.beta),
         "K_beta": k_b,
-        "L_c1": quad.trend_l(params.c1, qc),
-        "L_c2": quad.trend_l(params.c2, qc),
-        "K_c1_c2": k_b if untrended_k2 else quad.trend_k(params.c1, params.c2, qc),
+        "L_c1": quad.trend_l(params.c1),
+        "L_c2": quad.trend_l(params.c2),
+        "K_c1_c2": k_b if untrended_k2 else quad.trend_k(params.c1, params.c2),
         "a0": params.a0,
         "regime": str(classify_regime(params)),
     }
@@ -91,7 +92,6 @@ def run_constants(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
 
 def run_integrals(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
     params = cfg.model
-    qc = cfg.quad
     for branch, label in zip(cfg.integrals, cfg.integral_labels()):
         rows = []
         asymptote = None
@@ -99,9 +99,9 @@ def run_integrals(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
             spec = quad.IntegralSpec(
                 branch.gamma, params.beta, branch.a, branch.delta, u, params.c1, params.c2
             )
-            val = quad.i_gamma(spec, qc)
+            val = quad.i_gamma(spec)
             if asymptote is None:  # its prefactor does not depend on u
-                asymptote = quad.i_gamma_asymptote(spec, qc)
+                asymptote = quad.i_gamma_asymptote(spec)
             asym = asymptote.evaluate(u)
             rows.append([u, val, asym, val / asym])
         print(f"[{label}] gamma={branch.gamma} a={branch.a} delta={branch.delta}")
@@ -148,7 +148,6 @@ def run_mc(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
         h_alpha=cfg.h_alpha,
         batch_size=cfg.batch_size,
         workers=cfg.workers,
-        cfg=cfg.quad,
     )
     rows = [[r.u, r.p_hat, r.std_err, r.prediction, r.ratio] for r in rows_obj]
     print(f"grid: {field.describe()}  samples: {cfg.n_samples}")
@@ -158,9 +157,8 @@ def run_mc(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
 def run_blocks(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
     params = cfg.model
     b = cfg.blocks
-    n_samples = b.n_samples * len(b.u_values) if len(b.n_samples) == 1 else b.n_samples
     rows = []
-    for u, n in zip(b.u_values, n_samples):
+    for u, n in zip(b.u_values, b.n_samples):
         spec = fieldsim.BlockSpec(base=Point2(b.v1, b.v2), s1=b.s1, s2=b.s2, level_u=u)
         res = fieldsim.mc_block_exceedance(
             params,
@@ -185,7 +183,7 @@ def run_sweep(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
     a_values = list(np.linspace(s.a_min, s.a_max, s.n_points))
     boundaries = sorted({params.a0, params.beta / 2.0})
     a_values = sorted(set(a_values) | set(boundaries))
-    rows_obj = asymptotics.regime_sweep(params, a_values, s.u, cfg.h_alpha, cfg.quad)
+    rows_obj = asymptotics.regime_sweep(params, a_values, s.u, cfg.h_alpha)
     rows = [
         [r.a, str(r.regime), r.u_power, r.log_power, r.prefactor] for r in rows_obj
     ]
@@ -238,6 +236,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(
             args.config, overrides={"seed": args.seed, "workers": args.workers, "out": args.out}
         )
+        if args.kind in ("mc", "sweep"):  # their predictions need the Pickands constant
+            asymptotics.lookup_h(cfg.model.alpha, cfg.h_alpha)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

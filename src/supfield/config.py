@@ -1,13 +1,14 @@
 """Declarative experiment configuration.
 
 Experiments are described by a single commented YAML file with typed keys.
-The `model:`, `quad:` and `pickands:` sections are the library's own
-`ModelParams`, `QuadratureConfig` and `ExtrapolationProtocol`; every key
-is optional and keeps the default of `ExperimentConfig()`.  Unknown keys
-and values of the wrong type are rejected at every nesting level, so a typo
-cannot silently fall back to a default, and every section checks its own
-values in `__post_init__`, so a bad value fails at load, named by its key
-path, before any output is written.  Each run's MANIFEST holds the loaded
+The `model:` and `pickands:` sections are the library's own `ModelParams`
+and `ExtrapolationProtocol`; every key is optional and keeps the default of
+`ExperimentConfig()`.  Quadrature tolerances are not a key: the CLI runs at
+`quad.DEFAULT_CONFIG`, the library takes others.  Unknown keys and values
+of the wrong type are rejected at every nesting level, so a typo cannot
+silently fall back to a default, and every section checks its own values
+in `__post_init__`, so a bad value fails at load, named by its key path,
+before any output is written.  Each run's MANIFEST holds the loaded
 config as `dataclasses.asdict` gives it, a mapping that loads back to an
 equal config, which together with the seed makes CSV outputs
 byte-reproducible.
@@ -26,7 +27,6 @@ import yaml
 from .fieldsim import BLOCK_H_REPLICATES, BLOCK_N_GRID, BlockSpec
 from .model import ModelParams, Point2
 from .pickands import ExtrapolationProtocol
-from .quad import QuadratureConfig
 from .streams import DEFAULT_BATCH
 
 __all__ = [
@@ -68,14 +68,14 @@ class BlocksSection:
     s2: float = 2.0
     u_values: list = field(default_factory=lambda: [3.0, 4.0])
     n_grid: int = BLOCK_N_GRID  # lattice points per block axis
-    n_samples: list = field(default_factory=lambda: [1_000_000, 3_000_000])  # one, or one per u
+    n_samples: list = field(default_factory=lambda: [1_000_000, 3_000_000])  # one per u
     h_replicates: int = BLOCK_H_REPLICATES
 
     def __post_init__(self) -> None:
         if not self.u_values:
             raise ConfigError("u_values must hold at least one level")
-        if len(self.n_samples) not in (1, len(self.u_values)):
-            raise ConfigError("n_samples must have length 1 or match u_values")
+        if len(self.n_samples) != len(self.u_values):
+            raise ConfigError("n_samples must hold one count per u_values level")
         for u in self.u_values:  # the base, side and level rules of a block
             BlockSpec(Point2(self.v1, self.v2), self.s1, self.s2, u)
         if self.n_grid < 2:
@@ -127,7 +127,6 @@ class ExperimentConfig:
     u_ladder: list = field(default_factory=lambda: [2.0, 2.5, 3.0])
     h_alpha: float | None = None  # None -> known-value table (alpha = 1)
     model: ModelParams = field(default_factory=lambda: ModelParams(1.0, 2.0, 2.0))
-    quad: QuadratureConfig = field(default_factory=QuadratureConfig)
     grid: GridSection = field(default_factory=GridSection)
     pickands: ExtrapolationProtocol = field(default_factory=ExtrapolationProtocol)
     blocks: BlocksSection = field(default_factory=BlocksSection)

@@ -359,20 +359,19 @@ def ratio_harness(
     h_alpha: float | None = None,
     batch_size: int = DEFAULT_BATCH,
     workers: int = 1,
-    cfg: quad.QuadratureConfig = quad.DEFAULT_CONFIG,
 ) -> list[RatioRow]:
     """MC estimate versus leading-order prediction across a ladder of levels.
 
     One pass of field samples serves every level: the per-sample maxima are
-    computed once and compared against each u.  The prediction column uses
-    `asymptotics.predict` at the tolerances `cfg`, trended or not as the
+    computed once and compared against each u.  The prediction column is
+    `asymptotics.predict` at the default tolerances, trended or not as the
     params say; agreement is asymptotic, so callers should assert trends of
     the ratio column, not equality.
     """
     if not u_ladder or any(b <= a for a, b in zip(u_ladder, u_ladder[1:])):
         raise ValueError("u_ladder must be nonempty and strictly increasing")
     trend = (params.c1, params.c2)
-    pred = asymptotics.predict(params, h_alpha, cfg)
+    pred = asymptotics.predict(params, h_alpha)
     predictions = [pred.evaluate(u) for u in u_ladder]  # refuses a non-finite u undrawn
     maxima = excursion_maxima(field, n_samples, seed, trend, batch_size, workers)
     rows = []

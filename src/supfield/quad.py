@@ -29,10 +29,11 @@ against the tolerances (`_check_converged`); 2-D integrals are iterated
 whose integrand lives on scales far below delta are pre-split dyadically
 toward 0 so the adaptive routine never has to discover the scale separation
 on its own; infinite domains are cut where the envelope exp(-x^beta) drops
-below `tail_cut_tol` (`_cutoff`), and the exact tail of that envelope is
-added to the error estimate.  On the finite square, whose integrand falls
-along both axes, a panel loop stops once a bound on the panels left is below
-2^-60 of its sum, where they could not change a bit of it (`tail_bound`).
+below 1e-16 (`_cutoff`), and the exact tail of that envelope is added to the
+error estimate.  On the finite square, whose integrand falls along both
+axes, a panel loop stops once a bound on the panels left is below 2^-60 of
+its sum, where they could not change a bit of it (`tail_bound`).  Only the
+tolerances are settable; `MAX_SUBDIVISIONS` and the cut are fixed.
 
 scipy is imported by the functions that call it, on first use: scipy.special
 by the closed forms (G_beta, the log prefactor, log Psi where a prediction
@@ -71,6 +72,8 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_MAX = 709.782712893384  # log of the largest float
+MAX_SUBDIVISIONS = 2000  # QUADPACK subdivision limit per panel
+_TAIL_CUT_LOG = math.log(1.0 / 1e-16)  # infinite domains end where an envelope exp(-s) is 1e-16
 
 
 def load_scipy(integrate: bool = True) -> None:
@@ -99,15 +102,10 @@ class QuadratureConfig:
     """Tolerances for the adaptive integrator.
 
     abs_tol / rel_tol : target absolute / relative error (finite, at least one > 0)
-    max_subdivisions  : QUADPACK subdivision limit per panel
-    tail_cut_tol      : envelope level in (0, 1) at which infinite domains are
-                        truncated
     """
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
-    tail_cut_tol: float = 1e-16
 
     def __post_init__(self) -> None:
         for name in ("abs_tol", "rel_tol"):  # nan or inf would disarm _check_converged
@@ -117,10 +115,6 @@ class QuadratureConfig:
             raise ValueError("tolerances must be nonnegative")
         if self.abs_tol == 0 and self.rel_tol == 0:
             raise ValueError("at least one of abs_tol, rel_tol must be positive")
-        if self.max_subdivisions <= 0:
-            raise ValueError("max_subdivisions must be positive")
-        if not (0 < self.tail_cut_tol < 1):
-            raise ValueError(f"tail_cut_tol must be in (0, 1), got {self.tail_cut_tol}")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -168,7 +162,7 @@ def _integrate_panels(
             err += bound
             break
         res = integrate.quad(
-            f, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=cfg.max_subdivisions, full_output=1
+            f, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=MAX_SUBDIVISIONS, full_output=1
         )
         total += float(res[0])
         err += float(res[1])
@@ -184,10 +178,9 @@ def _check_converged(value: float, err: float, cfg: QuadratureConfig, what: str)
     return value
 
 
-def _cutoff(power: float, cfg: QuadratureConfig) -> float:
-    """Smallest R >= 1 with exp(-R^power) <= cfg.tail_cut_tol."""
-    arg = math.log(1.0 / cfg.tail_cut_tol)
-    return max(max(arg, 0.0) ** (1.0 / power), 1.0)
+def _cutoff(power: float) -> float:
+    """The R with exp(-R^power) = 1e-16."""
+    return _TAIL_CUT_LOG ** (1.0 / power)
 
 
 def _dyadic_down(hi: float, floor: float, max_levels: int = 80) -> list[float]:
@@ -238,7 +231,7 @@ def _exp_form_integral(beta: float, c1: float, c2: float, cfg: QuadratureConfig)
     """
     from scipy import special
 
-    R = _cutoff(beta, cfg)
+    R = _cutoff(beta)
     # discarded region {y > R, x <= y}: integrand <= 2 e^{-y^beta} on a strip
     # of width y, so the remainder is bounded by the y-weighted tail
     # 2 int_R^inf y e^{-y^beta} dy = 2 Gamma(2/beta, R^beta) / beta
@@ -281,7 +274,7 @@ def trend_l(c: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """
     if c < 0:
         raise ValueError(f"c must be nonnegative, got {c}")
-    R = _cutoff(2.0, cfg)
+    R = _cutoff(2.0)
     value, err = _integrate_panels(lambda x: math.exp(-x * x - c * x), [0.0, R], cfg)
     # the integrand is at most e^(-x^2), whose tail past R is (sqrt(pi)/2) erfc(R)
     tail = 0.5 * math.sqrt(math.pi) * math.erfc(R)
@@ -475,9 +468,8 @@ def inner_a(Z: float, cfg: QuadratureConfig = DEFAULT_CONFIG, gamma: float = 1.0
     if not (gamma > 0):
         raise ValueError(f"gamma must be positive, got {gamma}")
     b_coef = gamma * Z
-    tau = math.log(1.0 / cfg.tail_cut_tol)
-    t_hi = math.log(tau / gamma) + 3.0
-    t_lo = -math.log(tau / b_coef) - 3.0
+    t_hi = math.log(_TAIL_CUT_LOG / gamma) + 3.0
+    t_lo = -math.log(_TAIL_CUT_LOG / b_coef) - 3.0
 
     def f(t: float) -> float:
         return math.exp(-gamma * math.exp(t) - b_coef * math.exp(-t))
@@ -520,7 +512,7 @@ def j_lambda_ratio(
         W = V ** (1.0 / q)
         return math.exp(-gamma * W ** p) * inner_a(scale * W, cfg, gamma) / q
 
-    w_max = (math.log(1.0 / cfg.tail_cut_tol) / gamma) ** (1.0 / p)
+    w_max = (_TAIL_CUT_LOG / gamma) ** (1.0 / p)
     v_max = w_max ** q
     pts = _dyadic_down(v_max, min(1.0, v_max) * 2.0 ** -20)
     value, err = _integrate_panels(f, pts, cfg, epsabs=0.0, epsrel=max(cfg.rel_tol, 1e-9))

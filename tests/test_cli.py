@@ -16,7 +16,6 @@ from supfield.cli import _INTEGRATING_KINDS, main
 from supfield.config import ConfigError, ExperimentConfig, IntegralBranch, load_config
 from supfield.model import ModelParams
 from supfield.output import write_csv
-from supfield.quad import QuadratureConfig
 
 
 def write_cfg(tmp_path, text, name="cfg.yaml"):
@@ -28,8 +27,8 @@ def write_cfg(tmp_path, text, name="cfg.yaml"):
 class TestConfig:
     def test_defaults_load_without_file(self):
         cfg = load_config(None)
+        assert cfg == ExperimentConfig()
         assert cfg.model == ModelParams(1.0, 2.0, 2.0)
-        assert cfg.quad == QuadratureConfig()
 
     def test_partial_section_keeps_other_defaults(self, tmp_path):
         path = write_cfg(tmp_path, "model: {a: 0.4}\npickands: {s_ladder: [1.0, 2.0]}\n")
@@ -77,8 +76,8 @@ class TestConfig:
         [
             ("grid: {kind: hexagon}\n", "config.grid: unknown grid kind 'hexagon'"),
             (
-                "blocks: {u_values: [3.0, 4.0], n_samples: [1000, 2000, 3000]}\n",
-                "config.blocks: n_samples must have length 1 or match u_values",
+                "blocks: {u_values: [3.0, 4.0], n_samples: [1000]}\n",
+                "config.blocks: n_samples must hold one count per u_values level",
             ),
             (
                 "pickands: {s_ladder: [1.0, 3.14159], spacing_factor: 0.3}\n",
@@ -107,7 +106,10 @@ class TestConfig:
                 "config.blocks: level u must be positive, got -3.0",
             ),
             ("blocks: {n_grid: 0}\n", "config.blocks: n_grid must be at least 2, got 0"),
-            ("blocks: {n_samples: [0]}\n", "config.blocks: n_samples must be at least 1, got 0"),
+            (
+                "blocks: {u_values: [3.0], n_samples: [0]}\n",
+                "config.blocks: n_samples must be at least 1, got 0",
+            ),
             ("blocks: {v1: -0.5}\n", "config.blocks: block base v1, v2 must be nonnegative"),
             (
                 "pickands: {sampler: spectral, n_replicates: 100}\n",
@@ -120,8 +122,8 @@ class TestConfig:
                 "config.blocks: level u must be finite, got inf",
             ),
             ("sweep: {u: .inf}\n", "config.sweep: u must be finite, got inf"),
-            ("quad: {abs_tol: .nan}\n", "config.quad: abs_tol must be finite, got nan"),
-            ("quad: {rel_tol: .inf}\n", "config.quad: rel_tol must be finite, got inf"),
+            ("quad: {abs_tol: .nan}\n", "config: unknown keys ['quad']"),  # no quad section
+            ("quad: {rel_tol: .inf}\n", "config: unknown keys ['quad']"),
             (
                 "integrals: [{gamma: .inf}]\n",
                 "config.integrals[0]: gamma must be positive and finite, got inf",
@@ -179,12 +181,11 @@ class TestConfig:
     @pytest.mark.parametrize(
         "text,key",
         [
-            ("quad: {abs_tol: 1e-12}\n", "config.quad.abs_tol"),  # YAML reads a string
+            ("model: {a: 1e-1}\n", "config.model.a"),  # YAML reads a string
             ("n_samples: 1e5\n", "config.n_samples"),
             ("seed: 1.5\n", "config.seed"),
             ("kind: mc\n", "unknown keys ['kind']"),  # the subcommand is the kind
             ("u_ladder: [2.0, 1e3]\n", "config.u_ladder[1]"),
-            ("quad: {tail_cut_tol: 2.0}\n", "config.quad: tail_cut_tol must be in (0, 1)"),
             ("u_ladder: [1.0e3]\n", "config.u_ladder[0]"),  # a dot but no exponent sign
         ],
         ids=[
@@ -193,7 +194,6 @@ class TestConfig:
             "float-int",
             "kind-key",
             "string-list-item",
-            "tail-cut-above-one",
             "unsigned-exponent",
         ],
     )
@@ -216,7 +216,6 @@ class TestConfig:
             tmp_path,
             "model: {alpha: 1, beta: 2, a: 0.4, c2: 1.5}\n"
             "h_alpha: 1.37\n"
-            "quad: {abs_tol: 1.0e-11}\n"
             "pickands: {s_ladder: [1.0, 3.0], sampler: cholesky}\n"
             "integrals: [{a: 0.7, label: x}]\n",
         )
@@ -227,6 +226,29 @@ class TestConfig:
         again = load_config(write_cfg(tmp_path, yaml.safe_dump(echo), "echo.yaml"))
         assert again == load_config(path, {"out": str(out), "seed": 9})
         assert yaml.safe_dump(dataclasses.asdict(again)) == yaml.safe_dump(echo)
+
+
+class TestPickandsConstantAtLoad:
+    """mc and sweep need H for their alpha: without one they exit 2 before writing anything."""
+
+    @pytest.mark.parametrize("kind", ["mc", "sweep"])
+    def test_unknown_h_exits_2_with_no_output(self, tmp_path, capsys, kind):
+        cfg = write_cfg(tmp_path, "model: {alpha: 1.4}\n")
+        out = tmp_path / "o"
+        assert main([kind, "--config", cfg, "--out", str(out)]) == 2
+        assert "no known Pickands constant for alpha=1.4" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["mc", "sweep"])
+    def test_explicit_h_runs(self, tmp_path, kind):
+        cfg = write_cfg(
+            tmp_path,
+            "model: {alpha: 1.4}\nh_alpha: 1.37\nn_samples: 1000\ngrid: {n_per_axis: 8}\n"
+            "sweep: {n_points: 5}\n",
+        )
+        out = tmp_path / "o"
+        assert main([kind, "--config", cfg, "--out", str(out)]) == 0
+        assert read_manifest(out)["status"] == "OK"
 
 
 class TestConstantsCommand:
@@ -281,20 +303,19 @@ class TestMcCommand:
         cfg = write_cfg(tmp_path, self.CFG.replace("n_samples: 4000", "n_samples: 0"))
         assert main(["mc", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
-    def test_prediction_uses_the_quad_section(self, tmp_path):
+    def test_prediction_column_is_predict_bit_for_bit(self, tmp_path):
+        # critical regime: the column goes through the K_beta quadrature
         text = (
             "model: {alpha: 1, beta: 2, a: 1}\n"
-            "u_ladder: [2.0]\n"
+            "u_ladder: [2.0, 3.5]\n"
             "n_samples: 1000\n"
             "grid: {n_per_axis: 8}\n"
-            "quad: {abs_tol: 1.0e-3, rel_tol: 1.0e-3, tail_cut_tol: 1.0e-3}\n"
         )
         out = tmp_path / "out"
         assert main(["mc", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
-        row = (out / "mc.csv").read_text().splitlines()[1].split(",")
-        qc = QuadratureConfig(abs_tol=1e-3, rel_tol=1e-3, tail_cut_tol=1e-3)
-        expected = predict(ModelParams(1.0, 2.0, 1.0), None, qc).evaluate(2.0)
-        assert float(row[3]) == expected == pytest.approx(0.05500911349494461, rel=1e-15)
+        rows = (out / "mc.csv").read_text().splitlines()[1:]
+        pred = predict(ModelParams(1.0, 2.0, 1.0))
+        assert [float(r.split(",")[3]) for r in rows] == [pred.evaluate(2.0), pred.evaluate(3.5)]
 
     def test_level_beyond_float_range_predicts_0(self, tmp_path):
         # u^theta overflows at u = 1e200, the prediction with Psi(u) does not
@@ -308,9 +329,12 @@ class TestMcCommand:
         assert rows[1] == (single / "mc.csv").read_bytes().split(b"\r\n")[1]
 
     def test_invalid_quad_section_fails_at_load(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, self.CFG + "quad: {rel_tol: -1.0}\n")
-        assert main(["mc", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "tolerances must be nonnegative" in capsys.readouterr().err
+        # the CLI integrates at quad.DEFAULT_CONFIG: even valid tolerances are refused
+        cfg = write_cfg(tmp_path, self.CFG + "quad: {abs_tol: 1.0e-11}\n")
+        out = tmp_path / "o"
+        assert main(["mc", "--config", cfg, "--out", str(out)]) == 2
+        assert "config: unknown keys ['quad']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_byte_identical_reruns_across_workers(self, tmp_path):
         cfg = write_cfg(tmp_path, self.CFG)
@@ -441,10 +465,10 @@ def read_manifest(out: Path) -> dict:
 class TestManifestOnEveryExit:
     """However a run ends once its config has loaded, it leaves a MANIFEST that parses."""
 
-    def test_convergence_error_exits_1_listing_the_outputs_written(self, tmp_path):
-        cfg = write_cfg(tmp_path, "quad: {max_subdivisions: 1}\n")
+    def test_convergence_error_exits_1_listing_the_outputs_written(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(quad, "MAX_SUBDIVISIONS", 1)
         out = tmp_path / "out"
-        assert main(["integrals", "--config", cfg, "--out", str(out)]) == 1
+        assert main(["integrals", "--out", str(out)]) == 1
         manifest = read_manifest(out)
         assert manifest["status"].startswith("INCOMPLETE: quadrature did not converge: ")
         assert len(manifest["outputs"]) < 3  # one CSV per branch that converged

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import warnings
 
 import pytest
 from scipy import integrate
 
+from supfield import quad
 from supfield.quad import (
     AsymptoticPrediction,
     ConvergenceError,
@@ -25,15 +27,15 @@ class TestConfig:
     def test_defaults_valid(self):
         QuadratureConfig()
 
+    def test_only_the_tolerances_are_settable(self):
+        assert [f.name for f in dataclasses.fields(QuadratureConfig)] == ["abs_tol", "rel_tol"]
+
     @pytest.mark.parametrize(
         "kwargs",
         [
             dict(abs_tol=-1.0),
             dict(abs_tol=0.0, rel_tol=0.0),
-            dict(max_subdivisions=0),
-            dict(tail_cut_tol=0.0),
-            dict(tail_cut_tol=1.0),  # log(1/tol) <= 0: no cut point exists
-            dict(tail_cut_tol=2.0),
+            dict(rel_tol=-1.0),
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -146,17 +148,19 @@ class TestTrendL:
         with pytest.raises(ValueError):
             trend_l(-0.5)
 
-    def test_convergence_error_carries_estimate(self):
-        bad_cfg = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=1)
+    def test_convergence_error_carries_estimate(self, monkeypatch):
+        monkeypatch.setattr(quad, "MAX_SUBDIVISIONS", 1)
+        bad_cfg = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14)
         with pytest.raises(ConvergenceError) as exc_info:
             trend_l(3.0, bad_cfg)
         err = exc_info.value
         assert math.isfinite(err.estimate)
         assert err.error_bound > 0
 
-    def test_convergence_error_is_raised_not_warned(self):
+    def test_convergence_error_is_raised_not_warned(self, monkeypatch):
         # full_output=1 makes QUADPACK return its message instead of warning
-        bad_cfg = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=1)
+        monkeypatch.setattr(quad, "MAX_SUBDIVISIONS", 1)
+        bad_cfg = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConvergenceError):
