@@ -80,8 +80,6 @@ class LatticeField:
         self.xs = xs
         self.ys = ys
         n1, n2 = len(xs), len(ys)
-        draw = f"{self.describe()} draws {n1 * n2} normals"  # 8 bytes each, per sample
-        self.footprint = dict(what=draw, item="samples", item_bytes=8 * n1 * n2)
         # refused before it is built, at a bound on the set-up peak (tracemalloc): an
         # axis correlation takes 24 B per entry as it is factored, sigma at most 24 B
         # per point as it is built off the axes and 8 once built; 40 leaves a margin
@@ -90,6 +88,10 @@ class LatticeField:
         self.l1, self.jitter1 = chol_with_jitter(_axis_correlation(params, xs), 1e-9)
         self.l2, self.jitter2 = chol_with_jitter(_axis_correlation(params, ys), 1e-9)
         self.sigma_grid = np.exp(-variance_loss_at(params, xs[:, None], ys[None, :]))
+        # a batch loop's footprint: 8 B per normal per sample, beside the factors and sigma held
+        held = self.l1.nbytes + self.l2.nbytes + self.sigma_grid.nbytes
+        draw = f"{self.describe()} draws {n1 * n2} normals"
+        self.footprint = dict(what=draw, item="samples", item_bytes=8 * n1 * n2, setup=held)
 
     def _blocks(self, rng: np.random.Generator, n: int, trend: tuple[float, float]):
         """Yield (first sample, field block) for n samples, block by block.

@@ -15,21 +15,18 @@ H(S)/S converge slowly.  All rungs are read off the same simulated paths
 (prefix maxima), so rung estimates share paths and the slope is a paired
 difference with far smaller variance than independent rungs would give.
 
-Sampling of the paths is exact:
+The path samplers:
 
- * "cholesky":     dense factorization of the fBm covariance, any alpha
  * "brownian":     alpha = 1 only; independent Gaussian increments
- * "davies-harte": circulant embedding of the increments, O(n log n): the
-                   drawn half spectrum goes through one real inverse FFT.
-                   Exact whenever the embedding eigenvalues are nonnegative;
-                   this embedding, with 0 at the centre of the circulant row,
-                   loses that from alpha ~ 1.6 on 3 points and alpha ~ 1.8 on
-                   1025 points, and the sampler then refuses the grid
+ * "davies-harte": circulant embedding of the increments, O(n log n), with
+                   rho(n) at the centre of the circulant row (Davies & Harte
+                   1987; Wood & Chan 1994): exact for every alpha in (0, 2],
+                   the line t Z at alpha = 2.  The drawn half spectrum goes
+                   through one real inverse FFT
+ * "cholesky":     dense factorization of the fBm covariance, any alpha: the
+                   tests' reference; jittered, so approximate, at alpha = 2
 
-The automatic choice is brownian at alpha = 1, else cholesky up to 1025
-points, where the two exact samplers cost about the same (147 ms against
-175 ms per 2048 paths at alpha = 1.4, one BLAS thread; 525 ms against 323 ms
-at 2049 points), and davies-harte beyond.
+The automatic choice is brownian at alpha = 1 and davies-harte otherwise.
 
 A caveat worth knowing: exp(sup ...) has a heavy right tail whose variance
 grows like exp(S^alpha), so pushing the ladder to large S buys bias
@@ -76,15 +73,11 @@ _BATCH_BYTES_PER_POINT = {"brownian": 16, "cholesky": 24, "davies-harte": 40}
 
 
 def _dh_eigenvalues(alpha: float, n_incr: int) -> np.ndarray:
-    """Half spectrum (bins 0 ... n_incr) of the circulant embedding of unit-spacing fGn."""
-    k = np.arange(n_incr, dtype=float)
+    """Half spectrum (bins 0 ... n_incr) of the circulant embedding of unit-spacing fGn: the
+    row rho(0), ..., rho(n_incr), ..., rho(1) is nonnegative definite for alpha in (0, 2]."""
+    k = np.arange(n_incr + 1, dtype=float)
     rho = 0.5 * ((k + 1.0) ** alpha + np.abs(k - 1.0) ** alpha) - k ** alpha
-    lam = np.fft.rfft(np.concatenate([rho, [0.0], rho[1:][::-1]])).real
-    if lam.min() < -1e-8 * max(1.0, lam.max()):
-        raise ValueError(
-            f"circulant embedding not nonnegative definite for alpha={alpha} "
-            f"(min eigenvalue {lam.min():.3e}); use the cholesky sampler"
-        )
+    lam = np.fft.rfft(np.concatenate([rho, rho[1:-1][::-1]])).real
     return np.clip(lam, 0.0, None)
 
 
@@ -120,8 +113,7 @@ class _PathSampler:
         _check_sampler(sampler)
         self.method = sampler
         if sampler == "auto":  # the automatic choice of the module docstring
-            exact = "cholesky" if alpha >= 2.0 or n_points <= 1025 else "davies-harte"
-            self.method = "brownian" if alpha == 1.0 else exact
+            self.method = "brownian" if alpha == 1.0 else "davies-harte"
         if self.method == "brownian" and alpha != 1.0:
             raise ValueError("brownian sampler is exact only for alpha = 1")
         run = f"the {self.method} sampler at alpha={alpha} on {self.n_points} grid points"

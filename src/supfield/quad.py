@@ -183,10 +183,10 @@ def _cutoff(power: float) -> float:
     return _TAIL_CUT_LOG ** (1.0 / power)
 
 
-def _dyadic_down(hi: float, floor: float, max_levels: int = 80) -> list[float]:
-    """Breakpoints 0, ..., hi/4, hi/2, hi, halving from hi down to `floor`."""
+def _dyadic_down(hi: float, floor: float) -> list[float]:
+    """Breakpoints 0, ..., hi/4, hi/2, hi, halving from hi down to `floor`, at most 80 times."""
     pts = [hi]
-    while pts[-1] > floor and len(pts) <= max_levels:
+    while pts[-1] > floor and len(pts) <= 80:
         pts.append(0.5 * pts[-1])
     return [0.0] + pts[::-1]
 

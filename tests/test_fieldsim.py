@@ -187,6 +187,19 @@ class TestMcExcursion:
         assert len(excursion_maxima(lat, 10_000, seed=0, workers=1)) == 10_000
         assert len(excursion_maxima(lat, 2048, seed=0, workers=2)) == 2048  # one batch in all
 
+    def test_held_factors_count_beside_the_draws(self, monkeypatch):
+        # a 64 x 64 lattice holds 8 B x 3 x 64^2 = 98.3 kB (l1, l2, sigma); one
+        # 16-sample batch draws 8 B x 4096 x 16 = 524 kB, which fits in 600 kB
+        # alone but not beside what the lattice holds
+        lat = build_lattice(P_CLASSICAL, n_per_axis=64)
+        held = lat.l1.nbytes + lat.l2.nbytes + lat.sigma_grid.nbytes
+        assert lat.footprint["setup"] == held == 98_304
+        monkeypatch.setattr(streams, "memory_budget", lambda: 600_000)
+        monkeypatch.setattr(lat, "maxima_batch", lambda rng, n, trend: pytest.fail("drawn"))
+        message = r"16 samples per batch = 0\.000524 GB; with 1 in flight the run needs 0\.000623 GB"
+        with pytest.raises(ValueError, match=message):
+            excursion_maxima(lat, 100, seed=0, batch_size=16)
+
     def test_set_up_larger_than_memory_refused(self, monkeypatch):
         # a 200 x 200 lattice: 8 B x (3 x 200^2 + 5 x 200^2) = 2.56 MB of set-up
         monkeypatch.setattr(streams, "memory_budget", lambda: 10 ** 6)

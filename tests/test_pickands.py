@@ -141,16 +141,48 @@ class TestSamplerDistribution:
         joint = math.hypot(vals["cholesky"][1], vals["davies-harte"][1])
         assert diff <= 4.0 * joint
 
-    def test_alpha_two_rejected_by_davies_harte(self):
-        with pytest.raises(ValueError):
-            _PathSampler(2.0, 1.0, 65, "davies-harte")
+    @pytest.mark.parametrize("n_points", [3, 65, 1025])
+    @pytest.mark.parametrize("sampler", ["auto", "davies-harte"])
+    def test_alpha_two_paths_are_the_line(self, sampler, n_points):
+        # at alpha = 2 fBm is B(t) = t B(S) / S: the embedding has one nonzero
+        # eigenvalue, and the automatic choice is davies-harte there too
+        ps = _PathSampler(2.0, 1.0, n_points, sampler)
+        assert ps.method == "davies-harte"
+        paths = ps.sample(batch_generator(1, 0), 2000)
+        line = np.linspace(0.0, 1.0, n_points) * paths[:, -1:]
+        assert np.abs(paths - line).max() <= 1e-12 * np.abs(paths).max()
+
+    def test_alpha_1_9_on_2049_points(self):
+        # refused while the embedding put 0 at the centre of its circulant row;
+        # the terminal variance and increment stationarity checks above, on
+        # ten 2048-path batches with only the columns they read kept
+        alpha, S, n = 1.9, 2.0, 2049
+        ps = _PathSampler(alpha, S, n)
+        h, starts = 256, (0, 900, 1792)  # lag in grid steps, increment starts
+        cols = [n - 1] + [i for s in starts for i in (s, s + h)]
+        kept = np.concatenate([ps.sample(batch_generator(19, b), 2048)[:, cols] for b in range(10)])
+        reps = len(kept)
+        v = kept[:, 0].var()
+        assert abs(v - S ** alpha) <= 4.0 * v * math.sqrt(2.0 / reps)
+        target = (S * h / (n - 1)) ** alpha
+        for j in range(len(starts)):
+            d = kept[:, 2 + 2 * j] - kept[:, 1 + 2 * j]
+            assert abs(d.var() - target) <= 4.0 * target * math.sqrt(2.0 / reps)
+
+    @pytest.mark.parametrize("alpha", [0.6, 1.0, 1.4, 1.9, 2.0])
+    def test_automatic_choice_ignores_grid_size(self, alpha):
+        for n_points in (2, 65, 1025, 1026, 4097):
+            method = _PathSampler(alpha, 1.0, n_points).method
+            assert method == ("brownian" if alpha == 1.0 else "davies-harte")
 
 
 def full_spectrum_eigenvalues(alpha, n_incr):
-    """All 2 n_incr circulant-embedding eigenvalues of unit-spacing fGn, unclipped."""
-    k = np.arange(n_incr, dtype=float)
-    rho = 0.5 * ((k + 1.0) ** alpha + np.abs(k - 1.0) ** alpha) - k ** alpha
-    return np.fft.fft(np.concatenate([rho, [0.0], rho[1:][::-1]])).real
+    """All 2 n_incr circulant-embedding eigenvalues of unit-spacing fGn, unclipped:
+    the row rho(0), ..., rho(n_incr), ..., rho(1), with rho(n_incr) at the centre."""
+    k = np.arange(2 * n_incr, dtype=float)
+    lag = np.minimum(k, 2 * n_incr - k)
+    rho = 0.5 * ((lag + 1.0) ** alpha + np.abs(lag - 1.0) ** alpha) - lag ** alpha
+    return np.fft.fft(rho).real
 
 
 def full_spectrum_paths(alpha, horizon, n_points, rng, n_paths):
@@ -174,23 +206,27 @@ def full_spectrum_paths(alpha, horizon, n_points, rng, n_paths):
 
 class TestDaviesHarteHalfSpectrum:
     @pytest.mark.parametrize("n_points", [2, 3, 65, 257, 1025])
-    @pytest.mark.parametrize("alpha", [0.6, 1.2, 1.4, 1.9])
+    @pytest.mark.parametrize("alpha", [0.6, 1.2, 1.4, 1.9, 2.0])
     def test_matches_full_spectrum_construction(self, alpha, n_points):
-        lam = full_spectrum_eigenvalues(alpha, n_points - 1)
-        if lam.min() < -1e-8 * max(1.0, lam.max()):
-            # an indefinite embedding (alpha = 1.9 from 3 points on) is refused,
-            # naming the same least eigenvalue as the full spectrum
-            with pytest.raises(ValueError, match=f"min eigenvalue {lam.min():.3e}"):
-                _PathSampler(alpha, 3.0, n_points, "davies-harte")
-            return
         ps = _PathSampler(alpha, 3.0, n_points, "davies-harte")
         got = ps.sample(batch_generator(17, 2), 24)
         want = full_spectrum_paths(alpha, 3.0, n_points, batch_generator(17, 2), 24)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_alpha_two_refused(self):
-        with pytest.raises(ValueError, match="not nonnegative definite"):
-            _PathSampler(2.0, 1.0, 65, "davies-harte")
+    @pytest.mark.parametrize("n_incr", [1, 2, 64, 1024, 16384])
+    @pytest.mark.parametrize("alpha", [0.05, 0.6, 1.4, 1.59, 1.8, 1.9, 1.99, 1.999, 2.0])
+    def test_embedding_nonnegative(self, alpha, n_incr):
+        lam = full_spectrum_eigenvalues(alpha, n_incr)
+        assert lam.min() >= -1e-12 * lam.max()
+        # the sampler's half spectrum is the first n_incr + 1 of them, clipped at 0
+        half = np.clip(lam[: n_incr + 1], 0.0, None)
+        got = pickands._dh_eigenvalues(alpha, n_incr)
+        np.testing.assert_allclose(got, half, rtol=0, atol=1e-12 * lam.max())
+
+    def test_alpha_one_spectrum_is_flat(self):
+        # Brownian increments are uncorrelated: rho(k) = 0 for k >= 1
+        for n_incr in (1, 2, 64, 1024):
+            assert np.array_equal(pickands._dh_eigenvalues(1.0, n_incr), np.ones(n_incr + 1))
 
 
 class TestPickandsFinite:
@@ -443,8 +479,9 @@ class TestFootprint:
         # holds 0.52 MB; ten 6.2 kB paths fit beside the factor in 1.6 MB,
         # beside the build they would not
         monkeypatch.setattr(streams, "memory_budget", lambda: 1_600_000)
-        est = pickands_finite(1.4, 4.0, 257, 10, seed=0, batch_size=10)
-        assert est.grid.endswith("sampler=cholesky") and est.value >= 1.0
+        ps = _PathSampler(1.4, 4.0, 257, "cholesky")
+        acc = _ladder_sums(ps, (4.0,), [256], 10, seed=0, batch_size=10, workers=1)
+        assert acc[0] / 10 >= 1.0
 
 
 class TestPickandsConstant:
