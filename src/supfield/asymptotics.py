@@ -35,7 +35,6 @@ __all__ = [
     "KNOWN_H",
     "lookup_h",
     "predict",
-    "predict_integrates",
     "regime_sweep",
     "SweepRow",
 ]
@@ -70,7 +69,8 @@ def predict(
     trend and the quadratic variance loss act on the same u^(-1) scale
     there, so the trend replaces them by L(c1), L(c2) and K(c1, c2) without
     changing powers; `ModelParams` admits a trend only there.  The product
-    regimes scale the asymptote of the corner integral (gamma = 1).
+    regimes scale the asymptote of the corner integral (gamma = 1).  Only
+    K_beta, K(c1, c2) and L(c) integrate, importing scipy.integrate first.
     """
     h = lookup_h(p.alpha, h_alpha)
     if classify_regime(p) is Regime.SIDE_DOMINATED:
@@ -81,16 +81,6 @@ def predict(
     return AsymptoticPrediction(
         h * h * asym.prefactor, 4.0 / p.alpha + asym.u_power, asym.log_power
     )
-
-
-def predict_integrates(p: ModelParams) -> bool:
-    """Whether `predict(p)` calls quadrature (scipy.integrate): for K_beta and
-    K(c1, c2) in the critical regime, and for L(c) with a trend outside the
-    log regime.  G_beta and the log prefactor are closed form (scipy.special,
-    which every prediction may call)."""
-    regime = classify_regime(p)
-    trended = (p.c1, p.c2) != (0.0, 0.0)
-    return regime is Regime.CRITICAL_PRODUCT or (trended and regime is not Regime.LOG_PRODUCT)
 
 
 @dataclass(frozen=True)

@@ -11,18 +11,18 @@ written so far and the config, which loads back as a config that reruns the
 run.  Reruns with identical config, seed and BLAS thread count produce
 byte-identical CSV bodies.  The quadratures run at the tolerances of
 `quad.DEFAULT_CONFIG`.  A config that fails to load exits 2 and writes
-nothing, and so does an mc or sweep run whose alpha has no known Pickands
-constant and no h_alpha.  Once it has loaded, every way a run ends writes
-the MANIFEST: OK (exit 0), or INCOMPLETE and the reason for a ValueError
-(exit 2) or a ConvergenceError (exit 1); any other exception propagates
-after the MANIFEST records "INCOMPLETE: run not finished".
+nothing, and so does a run whose model its config does not fit: no known
+Pickands constant and no h_alpha (mc, sweep), a block outside [0, T]^2
+(blocks), or a side grid at T < 0.25 (mc).  Once it has loaded, every way a
+run ends writes the MANIFEST: OK (exit 0), or INCOMPLETE and the reason for
+a ValueError (exit 2) or a ConvergenceError (exit 1); any other exception
+propagates after the MANIFEST records "INCOMPLETE: run not finished".
 
 The library imports scipy on first use.  Right after the config loads, a
 run imports the scipy modules its work will call, so the import is part of
 its set-up: constants, integrals and sweep load scipy.special and
-scipy.integrate; mc loads scipy.special, and scipy.integrate only when its
-prediction integrates (`asymptotics.predict_integrates`: the critical regime,
-or a trend outside the log regime); pickands and blocks load no scipy.
+scipy.integrate, mc scipy.special (its prediction, if it integrates, imports
+scipy.integrate before the first draw), pickands and blocks none.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__, asymptotics, fieldsim, pickands, quad
 from .config import ConfigError, ExperimentConfig, load_config
-from .model import ModelParams, Point2, classify_regime
+from .model import ModelParams, classify_regime
 from .output import Manifest, write_csv, write_json
 from .svgplot import line_plot
 
@@ -158,8 +158,7 @@ def run_blocks(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
     params = cfg.model
     b = cfg.blocks
     rows = []
-    for u, n in zip(b.u_values, b.n_samples):
-        spec = fieldsim.BlockSpec(base=Point2(b.v1, b.v2), s1=b.s1, s2=b.s2, level_u=u)
+    for spec, n in zip(b.specs(), b.n_samples):
         res = fieldsim.mc_block_exceedance(
             params,
             spec,
@@ -172,7 +171,7 @@ def run_blocks(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
         )
         est = res.estimate
         ratio = est.p_hat / res.prediction if res.prediction > 0 else float("inf")
-        rows.append([u, est.p_hat, est.std_err, res.prediction, ratio, res.h1, res.h2])
+        rows.append([spec.level_u, est.p_hat, est.std_err, res.prediction, ratio, res.h1, res.h2])
     header = ["u", "p_hat", "std_err", "prediction", "ratio", "H_S1", "H_S2"]
     _write_table(out, manifest, "blocks.csv", header, rows)
 
@@ -238,14 +237,17 @@ def main(argv: list[str] | None = None) -> int:
         )
         if args.kind in ("mc", "sweep"):  # their predictions need the Pickands constant
             asymptotics.lookup_h(cfg.model.alpha, cfg.h_alpha)
+        if args.kind == "blocks":  # containment in [0, T]^2 depends on the model
+            for spec in cfg.blocks.specs():
+                spec.bounds(cfg.model)
+        if args.kind == "mc" and cfg.grid.kind == "side":  # needs T >= its strip width
+            fieldsim.side_emphasis_axis(cfg.model)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.kind in _INTEGRATING_KINDS:
-        quad.load_scipy()
-    elif args.kind == "mc":
-        quad.load_scipy(integrate=asymptotics.predict_integrates(cfg.model))
+    if args.kind in (*_INTEGRATING_KINDS, "mc"):  # mc's prediction loads scipy.integrate
+        quad.load_scipy(integrate=args.kind in _INTEGRATING_KINDS)
     out = Path(cfg.out)
     manifest = Manifest(out, args.kind, dataclasses.asdict(cfg), __version__)
     status = "INCOMPLETE: run not finished"

@@ -76,15 +76,17 @@ class BlocksSection:
             raise ConfigError("u_values must hold at least one level")
         if len(self.n_samples) != len(self.u_values):
             raise ConfigError("n_samples must hold one count per u_values level")
-        for u in self.u_values:  # the base, side and level rules of a block
-            BlockSpec(Point2(self.v1, self.v2), self.s1, self.s2, u)
+        self.specs()  # the base, side and level rules of a block
         if self.n_grid < 2:
             raise ConfigError(f"n_grid must be at least 2, got {self.n_grid}")
         if min(self.n_samples) < 1:
             raise ConfigError(f"n_samples must be at least 1, got {min(self.n_samples)}")
         if self.h_replicates < 2:
             raise ConfigError(f"h_replicates must be at least 2, got {self.h_replicates}")
-        # containment in [0, T]^2 depends on the model, so it is checked at run time
+
+    def specs(self) -> list[BlockSpec]:
+        """The block at each level of `u_values`; `cli.main` checks that it fits the model."""
+        return [BlockSpec(Point2(self.v1, self.v2), self.s1, self.s2, u) for u in self.u_values]
 
 
 @dataclass

@@ -370,6 +370,8 @@ def ratio_harness(
     params say; agreement is asymptotic, so callers should assert trends of
     the ratio column, not equality.
     """
+    if params != field.params:
+        raise ValueError(f"params {params} differ from the field's {field.params}")
     if not u_ladder or any(b <= a for a, b in zip(u_ladder, u_ladder[1:])):
         raise ValueError("u_ladder must be nonempty and strictly increasing")
     trend = (params.c1, params.c2)

@@ -66,7 +66,8 @@ def run_batches(
     per `item` of each batch in flight, refused over `memory_budget()`.
     Batches may run on a thread pool; the returned list is always in batch
     order, so any order-sensitive reduction downstream sees the same sequence
-    regardless of `workers`.
+    regardless of `workers`.  A failed or interrupted run stops after the
+    batches in flight.
     """
     if batch < 1 or workers < 1:
         raise ValueError(f"batch size and workers must be at least 1, got {batch} and {workers}")
@@ -81,9 +82,11 @@ def run_batches(
     )
     if workers <= 1 or len(sizes) <= 1:
         return [work(i, sz) for i, sz in enumerate(sizes)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(work, i, sz) for i, sz in enumerate(sizes)]
-        return [f.result() for f in futures]
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        return list(pool.map(work, range(len(sizes)), sizes))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def memory_budget() -> int:

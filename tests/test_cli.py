@@ -251,6 +251,28 @@ class TestPickandsConstantAtLoad:
         assert read_manifest(out)["status"] == "OK"
 
 
+class TestModelChecksAtLoad:
+    """A section that does not fit its model exits 2 before writing anything."""
+
+    @pytest.mark.parametrize(
+        "kind,text,message",
+        [
+            (
+                "blocks",
+                "blocks: {v1: 0.9, u_values: [3.0], n_samples: [1000]}\n",
+                "not contained in [0,1.0]^2",
+            ),
+            ("mc", "model: {T: 0.2}\ngrid: {kind: side}\n", "side grids need T >= 0.25"),
+        ],
+        ids=["blocks-outside-square", "mc-side-grid-short-T"],
+    )
+    def test_exits_2_with_no_output(self, tmp_path, capsys, kind, text, message):
+        out = tmp_path / "o"
+        assert main([kind, "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestConstantsCommand:
     def test_report_values(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "model: {alpha: 1.0, beta: 2.0, a: 1.0}\n")
@@ -534,6 +556,15 @@ def run_fresh(code: str, cwd: Path) -> list:
 
 
 LOADED_SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+# mc models by regime, and whether their prediction integrates
+MC_MODELS = {
+    "": False,  # the default model is classical: G_beta^2
+    "model: {a: 0.5}\n": False,  # side: 2 G_beta
+    "model: {a: 0.8}\n": False,  # log: a closed-form prefactor
+    "model: {a: 1.0}\n": True,  # critical: K_beta
+    "model: {c1: 0.5}\n": True,  # classical with a trend: L(c1) L(c2)
+}
+MC_IDS = ["mc", "mc-side", "mc-log", "mc-critical", "mc-trend"]
 
 
 class TestScipyImport:
@@ -570,19 +601,15 @@ class TestScipyImport:
         "kind,model,integrates",
         [
             *((kind, "", True) for kind in _INTEGRATING_KINDS),
-            ("mc", "", False),  # the default model is classical: G_beta^2
-            ("mc", "model: {a: 0.5}\n", False),  # side: 2 G_beta
-            ("mc", "model: {a: 0.8}\n", False),  # log: a closed-form prefactor
-            ("mc", "model: {a: 1.0}\n", True),  # critical: K_beta
-            ("mc", "model: {c1: 0.5}\n", True),  # classical with a trend: L(c1) L(c2)
+            *(("mc", model, False) for model in MC_MODELS),
         ],
-        ids=[*_INTEGRATING_KINDS, "mc", "mc-side", "mc-log", "mc-critical", "mc-trend"],
+        ids=[*_INTEGRATING_KINDS, *MC_IDS],
     )
     def test_integrating_kinds_load_scipy_before_their_runner(
         self, tmp_path, kind, model, integrates
     ):
-        # every kind here calls scipy.special; mc loads scipy.integrate only
-        # when its prediction integrates
+        # every kind here calls scipy.special; mc leaves scipy.integrate to
+        # its prediction
         cfg = write_cfg(tmp_path, model)
         code = (
             "import json, sys\n"
@@ -594,6 +621,25 @@ class TestScipyImport:
             "print(json.dumps([code, seen]))"
         )
         assert run_fresh(code, tmp_path) == [0, [True, integrates]]
+
+    @pytest.mark.parametrize("model,integrates", MC_MODELS.items(), ids=MC_IDS)
+    def test_mc_prediction_loads_scipy_integrate_before_the_first_draw(
+        self, tmp_path, model, integrates
+    ):
+        cfg = write_cfg(tmp_path, model + "n_samples: 100\ngrid: {n_per_axis: 4}\n")
+        code = (
+            "import json, sys\n"
+            "from supfield import cli, fieldsim\n"
+            "seen = []\n"
+            "draw = fieldsim.batch_generator\n"
+            "def probe(seed, b):\n"
+            "    seen.append('scipy.integrate' in sys.modules)\n"
+            "    return draw(seed, b)\n"
+            "fieldsim.batch_generator = probe\n"
+            f"code = cli.main(['mc', '--config', {cfg!r}, '--out', 'out'])\n"
+            "print(json.dumps([code, seen[:1]]))"
+        )
+        assert run_fresh(code, tmp_path) == [0, [integrates]]
 
     @pytest.mark.parametrize("trend", [0.0, 0.5], ids=["untrended", "trended"])
     @pytest.mark.parametrize(
@@ -611,15 +657,14 @@ class TestScipyImport:
     ):
         code = (
             "import json, sys\n"
-            "from supfield.asymptotics import predict, predict_integrates\n"
+            "from supfield.asymptotics import predict\n"
             "from supfield.model import ModelParams, classify_regime\n"
             f"p = ModelParams(1.0, 2.0, {a!r}, c1={trend!r})\n"
-            "rule = predict_integrates(p)\n"
             "pred = predict(p)\n"
-            "print(json.dumps([str(classify_regime(p)), rule, 'scipy.integrate' in sys.modules]))"
+            "print(json.dumps([str(classify_regime(p)), 'scipy.integrate' in sys.modules]))"
         )
         expected = integrates == "always" or (integrates == "trend" and trend > 0)
-        assert run_fresh(code, tmp_path) == [regime, expected, expected]
+        assert run_fresh(code, tmp_path) == [regime, expected]
 
     def test_classical_mc_run_ends_without_scipy_integrate(self, tmp_path):
         text = "n_samples: 2000\ngrid: {n_per_axis: 8}\nu_ladder: [2.0, 1.0e+200]\n"

@@ -330,6 +330,16 @@ class TestRatioHarness:
         with pytest.raises(ValueError, match=f"u must be finite, got {ladder[-1]}"):
             ratio_harness(P_CLASSICAL, ladder, lat, 100, seed=0)
 
+    def test_params_of_another_field_refused_before_drawing(self, monkeypatch):
+        lat = build_lattice(P_SIDE, n_per_axis=8)
+
+        def drawn(*args):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(LatticeField, "maxima_batch", drawn)
+        with pytest.raises(ValueError, match="differ from the field's"):
+            ratio_harness(P_CLASSICAL, [2.5], lat, 100, seed=1)
+
     def test_u_ladder_validation(self):
         lat = build_lattice(P_CLASSICAL, n_per_axis=8)
         with pytest.raises(ValueError):

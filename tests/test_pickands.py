@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -309,6 +310,21 @@ class TestRunBatches:
 
         with pytest.raises(ValueError, match="at least 1, got 4 and 0"):
             streams.run_batches(work, 10, 4, 0, what="x", item="items", item_bytes=8)
+
+    @pytest.mark.parametrize("exc", [FirstBatch, KeyboardInterrupt])
+    def test_failed_batch_stops_the_queue(self, exc):
+        started = []
+
+        def work(b, take):
+            started.append(b)
+            if b == 0:
+                raise exc
+            time.sleep(0.02)
+            return b
+
+        with pytest.raises(exc):
+            streams.run_batches(work, 40, 1, 2, what="x", item="items", item_bytes=8)
+        assert len(started) <= 4  # batch 0 and those in flight, not all 40
 
 
 class TestProtocol:
