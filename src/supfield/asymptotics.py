@@ -92,13 +92,11 @@ class SweepRow:
     u_power: float
     log_power: int
     prefactor: float
-    value_at_u: float
 
 
 def regime_sweep(
     params: ModelParams,
     a_values: list[float],
-    u: float,
     h_alpha: float | None = None,
     cfg: QuadratureConfig = quad.DEFAULT_CONFIG,
 ) -> list[SweepRow]:
@@ -107,20 +105,12 @@ def regime_sweep(
     The u-power is continuous at a = a0 (where the side and log orders
     coincide: 4/alpha - 2/a0 = 2/alpha - 2/beta) and at a = beta/2 (where
     the log prefactor vanishes and only the log factor switches off); the
-    emitted table makes that structure visible.
+    emitted table makes that structure visible.  The rows hold the form of
+    each prediction, not its value at any level u.
     """
     rows = []
     for a in a_values:
         p = replace(params, a=a)
         pred = predict(p, h_alpha, cfg)
-        rows.append(
-            SweepRow(
-                a=a,
-                regime=classify_regime(p),
-                u_power=pred.u_power,
-                log_power=pred.log_power,
-                prefactor=pred.prefactor,
-                value_at_u=pred.evaluate(u) if u > 1 else math.nan,
-            )
-        )
+        rows.append(SweepRow(a, classify_regime(p), pred.u_power, pred.log_power, pred.prefactor))
     return rows

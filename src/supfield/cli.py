@@ -12,11 +12,12 @@ run.  Reruns with identical config, seed and BLAS thread count produce
 byte-identical CSV bodies.  The quadratures run at the tolerances of
 `quad.DEFAULT_CONFIG`.  A config that fails to load exits 2 and writes
 nothing, and so does a run whose model its config does not fit: no known
-Pickands constant and no h_alpha (mc, sweep), a block outside [0, T]^2
-(blocks), or a side grid at T < 0.25 (mc).  Once it has loaded, every way a
-run ends writes the MANIFEST: OK (exit 0), or INCOMPLETE and the reason for
-a ValueError (exit 2) or a ConvergenceError (exit 1); any other exception
-propagates after the MANIFEST records "INCOMPLETE: run not finished".
+Pickands constant and no h_alpha (mc, sweep), a trended model or a block
+outside [0, T]^2 (blocks), or a side grid at T < 0.25 (mc); a u_ladder
+level must exceed 1.  Once it has loaded, every way a run ends writes the
+MANIFEST: OK (exit 0), or INCOMPLETE and the reason for a ValueError (exit
+2) or a ConvergenceError (exit 1); any other exception propagates after the
+MANIFEST records "INCOMPLETE: run not finished".
 
 The library imports scipy on first use.  Right after the config loads, a
 run imports the scipy modules its work will call, so the import is part of
@@ -103,7 +104,7 @@ def run_integrals(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
             if asymptote is None:  # its prefactor does not depend on u
                 asymptote = quad.i_gamma_asymptote(spec)
             asym = asymptote.evaluate(u)
-            rows.append([u, val, asym, val / asym])
+            rows.append([u, val, asym, fieldsim.ratio_to_prediction(val, asym)])
         print(f"[{label}] gamma={branch.gamma} a={branch.a} delta={branch.delta}")
         header = ["u", "I_quadrature", "I_asymptote", "ratio"]
         _write_table(out, manifest, f"integrals_{label}.csv", header, rows)
@@ -170,7 +171,7 @@ def run_blocks(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
             workers=cfg.workers,
         )
         est = res.estimate
-        ratio = est.p_hat / res.prediction if res.prediction > 0 else float("inf")
+        ratio = fieldsim.ratio_to_prediction(est.p_hat, res.prediction)
         rows.append([spec.level_u, est.p_hat, est.std_err, res.prediction, ratio, res.h1, res.h2])
     header = ["u", "p_hat", "std_err", "prediction", "ratio", "H_S1", "H_S2"]
     _write_table(out, manifest, "blocks.csv", header, rows)
@@ -182,7 +183,7 @@ def run_sweep(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
     a_values = list(np.linspace(s.a_min, s.a_max, s.n_points))
     boundaries = sorted({params.a0, params.beta / 2.0})
     a_values = sorted(set(a_values) | set(boundaries))
-    rows_obj = asymptotics.regime_sweep(params, a_values, s.u, cfg.h_alpha)
+    rows_obj = asymptotics.regime_sweep(params, a_values, cfg.h_alpha)
     rows = [
         [r.a, str(r.regime), r.u_power, r.log_power, r.prefactor] for r in rows_obj
     ]
@@ -237,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         if args.kind in ("mc", "sweep"):  # their predictions need the Pickands constant
             asymptotics.lookup_h(cfg.model.alpha, cfg.h_alpha)
-        if args.kind == "blocks":  # containment in [0, T]^2 depends on the model
+        if args.kind == "blocks":  # no trend, and containment in [0, T]^2
             for spec in cfg.blocks.specs():
                 spec.bounds(cfg.model)
         if args.kind == "mc" and cfg.grid.kind == "side":  # needs T >= its strip width

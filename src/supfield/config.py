@@ -107,7 +107,7 @@ class SweepSection:
     a_min: float = 0.3
     a_max: float = 1.5
     n_points: int = 61
-    u: float = 10.0
+    u: float = 10.0  # read by nothing; perfbench's quad_suite sets it
 
     def __post_init__(self) -> None:
         if self.n_points < 1:
@@ -152,8 +152,8 @@ class ExperimentConfig:
             raise ConfigError(f"levels must be finite, got {self.u_ladder}", key="u_ladder")
         if any(b <= a for a, b in zip(self.u_ladder, self.u_ladder[1:])):
             raise ConfigError("must be strictly increasing", key="u_ladder")
-        if self.u_ladder[0] <= 0:
-            raise ConfigError(f"levels must be positive, got {self.u_ladder[0]}", key="u_ladder")
+        if self.u_ladder[0] <= 1:  # the leading forms are u -> infinity statements
+            raise ConfigError(f"levels must exceed 1, got {self.u_ladder[0]}", key="u_ladder")
         if self.h_alpha is not None and not (0 < self.h_alpha < math.inf):
             raise ConfigError(f"must be positive and finite, got {self.h_alpha}", key="h_alpha")
         labels = self.integral_labels()

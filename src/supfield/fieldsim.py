@@ -45,6 +45,7 @@ __all__ = [
     "excursion_maxima",
     "mc_block_exceedance",
     "ratio_harness",
+    "ratio_to_prediction",
 ]
 
 # Defaults of `mc_block_exceedance` and of the config's `blocks:` section:
@@ -216,6 +217,12 @@ class BlockSpec:
             raise ValueError(f"level u must be positive, got {self.level_u}")
 
     def bounds(self, params: ModelParams) -> tuple[float, float, float, float]:
+        """(x0, x1, y0, y1) under `params`; refused for a trended model (the
+        block prediction has no trend term) or a block outside [0, T]^2."""
+        if (params.c1, params.c2) != (0.0, 0.0):
+            raise ValueError(
+                f"block exceedance has no trend term; got c1 = {params.c1}, c2 = {params.c2}"
+            )
         q = correlation_scale(params, self.level_u)
         x0, y0 = self.base
         x1, y1 = x0 + self.s1 * q, y0 + self.s2 * q
@@ -304,13 +311,9 @@ def mc_block_exceedance(
     a `pickands_finite` estimate on as many grid points per axis as the
     block itself uses, so both sides of the comparison carry the same
     discretization bias; degenerate sides (S = 0) contribute the exact
-    factor H(0) = 1.  The prediction has no trend term, so a trended model
-    is rejected.
+    factor H(0) = 1.  `spec.bounds` refuses a trended model or a block
+    outside [0, T]^2 before anything is drawn.
     """
-    if (params.c1, params.c2) != (0.0, 0.0):
-        raise ValueError(
-            f"block exceedance has no trend term; got c1 = {params.c1}, c2 = {params.c2}"
-        )
     x0, x1, y0, y1 = spec.bounds(params)
     u = spec.level_u
     xs = np.linspace(x0, x1, n_grid) if spec.s1 > 0 else np.array([x0])
@@ -376,11 +379,15 @@ def ratio_harness(
         raise ValueError("u_ladder must be nonempty and strictly increasing")
     trend = (params.c1, params.c2)
     pred = asymptotics.predict(params, h_alpha)
-    predictions = [pred.evaluate(u) for u in u_ladder]  # refuses a non-finite u undrawn
+    predictions = [pred.evaluate(u) for u in u_ladder]  # refuses u <= 1 and non-finite u, undrawn
     maxima = excursion_maxima(field, n_samples, seed, trend, batch_size, workers)
     rows = []
     for u, pv in zip(u_ladder, predictions):
         est = _estimate_from_maxima(maxima, u)
-        ratio = est.p_hat / pv if pv > 0 else math.inf
-        rows.append(RatioRow(u, est.p_hat, est.std_err, pv, ratio))
+        rows.append(RatioRow(u, est.p_hat, est.std_err, pv, ratio_to_prediction(est.p_hat, pv)))
     return rows
+
+
+def ratio_to_prediction(value: float, prediction: float) -> float:
+    """value / prediction, inf where the prediction underflowed to 0."""
+    return value / prediction if prediction > 0 else math.inf

@@ -17,7 +17,9 @@ difference with far smaller variance than independent rungs would give.
 
 The path samplers:
 
- * "brownian":     alpha = 1 only; independent Gaussian increments
+ * "auto":         independent Gaussian increments at alpha = 1, the one
+                   alpha where they are exact (the "brownian" method), and
+                   "davies-harte" at every other alpha
  * "davies-harte": circulant embedding of the increments, O(n log n), with
                    rho(n) at the centre of the circulant row (Davies & Harte
                    1987; Wood & Chan 1994): exact for every alpha in (0, 2],
@@ -25,8 +27,6 @@ The path samplers:
                    through one real inverse FFT
  * "cholesky":     dense factorization of the fBm covariance, any alpha: the
                    tests' reference; jittered, so approximate, at alpha = 2
-
-The automatic choice is brownian at alpha = 1 and davies-harte otherwise.
 
 A caveat worth knowing: exp(sup ...) has a heavy right tail whose variance
 grows like exp(S^alpha), so pushing the ladder to large S buys bias
@@ -56,7 +56,7 @@ __all__ = [
     "pickands_constant",
 ]
 
-_SAMPLERS = ("cholesky", "brownian", "davies-harte")
+_SAMPLERS = ("auto", "cholesky", "davies-harte")
 MAX_RUNG_MULTIPLE = 4096  # largest grid on which an s_ladder's rungs must all fall
 # largest total n_points * n_replicates a Pickands estimate may ask for,
 # about five minutes of sampling at the cost below
@@ -87,8 +87,8 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _check_sampler(sampler: str) -> None:
-    if sampler != "auto" and sampler not in _SAMPLERS:
-        raise ValueError(f"unknown sampler {sampler!r}; expected 'auto' or one of {_SAMPLERS}")
+    if sampler not in _SAMPLERS:
+        raise ValueError(f"unknown sampler {sampler!r}; expected one of {_SAMPLERS}")
 
 
 class _PathSampler:
@@ -114,8 +114,6 @@ class _PathSampler:
         self.method = sampler
         if sampler == "auto":  # the automatic choice of the module docstring
             self.method = "brownian" if alpha == 1.0 else "davies-harte"
-        if self.method == "brownian" and alpha != 1.0:
-            raise ValueError("brownian sampler is exact only for alpha = 1")
         run = f"the {self.method} sampler at alpha={alpha} on {self.n_points} grid points"
         # The set-up peak (tracemalloc: the cholesky Gram build, three (n-1)^2
         # arrays; 48 B per point for the davies-harte spectrum, 16 for the
@@ -206,7 +204,7 @@ class ExtrapolationProtocol:
     s_ladder       : increasing horizons; the slope uses the top two rungs
     spacing_factor : grid spacing h satisfies h^(alpha/2) <= spacing_factor
     n_replicates   : Monte Carlo paths (all rungs share each path)
-    sampler        : "auto" | "cholesky" | "brownian" | "davies-harte"
+    sampler        : "auto" | "cholesky" | "davies-harte"
     batch_size     : paths per Monte Carlo batch
 
     It is also the `pickands:` section of an experiment config.  Ladders

@@ -343,9 +343,10 @@ class IntegralSpec:
 class AsymptoticPrediction:
     """Leading-order form C * u^theta * (log u)^kappa, optionally times Psi(u).
 
-    evaluate(u) is positive for u > 1; beyond the float range it is inf, and
-    below it 0.0, never an OverflowError.  A non-finite u is refused, as
-    `normal_survival` refuses it.
+    A u -> infinity statement, positive only for u > 1 (log u < 0 below 1):
+    evaluate(u) refuses u <= 1, and a non-finite u as `normal_survival`
+    does.  Beyond the float range it is inf, and below it 0.0, never an
+    OverflowError.
     """
 
     prefactor: float
@@ -362,6 +363,8 @@ class AsymptoticPrediction:
     def evaluate(self, u: float) -> float:
         if not math.isfinite(u):
             raise ValueError(f"u must be finite, got {u}")
+        if u <= 1:
+            raise ValueError(f"u must exceed 1, where the leading form is positive; got {u}")
         try:
             val = self.prefactor * float(u) ** float(self.u_power)
         except OverflowError:
@@ -372,9 +375,9 @@ class AsymptoticPrediction:
         from scipy import special  # a factor overflowed: the product in log space
 
         log_val = math.log(self.prefactor) + self.u_power * math.log(u)
-        log_val += math.log(abs(math.log(u))) if self.log_power else 0.0
+        log_val += math.log(math.log(u)) if self.log_power else 0.0
         log_val += float(special.log_ndtr(-u)) if self.uses_psi else 0.0
-        return math.copysign(math.exp(log_val) if log_val <= _LOG_MAX else math.inf, val)
+        return math.exp(log_val) if log_val <= _LOG_MAX else math.inf
 
 
 def _square_integral(

@@ -93,7 +93,7 @@ class TestConfig:
             ("sweep: {n_points: 0}\n", "config.sweep: n_points must be at least 1"),
             ("sweep: {a_min: 1.5, a_max: 0.3}\n", "config.sweep: need 0 < a_min <= a_max"),
             ("u_ladder: []\n", "config.u_ladder: must hold at least one level"),
-            ("u_ladder: [-1.0, 2.0]\n", "config.u_ladder: levels must be positive, got -1.0"),
+            ("u_ladder: [-1.0, 2.0]\n", "config.u_ladder: levels must exceed 1, got -1.0"),
             (
                 "integrals: [{a: 2.0, label: x}, {a: 0.8, label: x}]\n",
                 "config.integrals: labels must be unique; repeated: ['x']",
@@ -136,6 +136,8 @@ class TestConfig:
                 "pickands: {s_ladder: [1.0, .inf]}\n",
                 "config.pickands: s_ladder entries must be positive and finite, got (1.0, inf)",
             ),
+            ("pickands: {sampler: brownian}\n", "config.pickands: unknown sampler 'brownian'"),
+            ("u_ladder: [1.0]\n", "config.u_ladder: levels must exceed 1, got 1.0"),
         ],
         ids=[
             "grid-kind",
@@ -170,6 +172,8 @@ class TestConfig:
             "h-alpha-inf",
             "blocks-nan-side",
             "pickands-inf-rung",
+            "pickands-brownian-sampler",
+            "u-ladder-one",
         ],
     )
     def test_bad_section_fails_at_load(self, tmp_path, capsys, kind, text, message):
@@ -252,7 +256,7 @@ class TestPickandsConstantAtLoad:
 
 
 class TestModelChecksAtLoad:
-    """A section that does not fit its model exits 2 before writing anything."""
+    """A run that its model or its levels make impossible exits 2 before writing anything."""
 
     @pytest.mark.parametrize(
         "kind,text,message",
@@ -263,8 +267,35 @@ class TestModelChecksAtLoad:
                 "not contained in [0,1.0]^2",
             ),
             ("mc", "model: {T: 0.2}\ngrid: {kind: side}\n", "side grids need T >= 0.25"),
+            (
+                "blocks",
+                "model: {c1: 0.5}\nblocks: {u_values: [3.0], n_samples: [1000]}\n",
+                "block exceedance has no trend term; got c1 = 0.5, c2 = 0.0",
+            ),
+            (
+                "pickands",
+                "model: {alpha: 1.4}\npickands: {sampler: brownian}\n",
+                "config.pickands: unknown sampler 'brownian'",
+            ),
+            (
+                "mc",
+                "model: {a: 0.8}\nu_ladder: [0.5, 2.0]\n",
+                "config.u_ladder: levels must exceed 1, got 0.5",
+            ),
+            (
+                "integrals",
+                "u_ladder: [1.0]\nintegrals: [{a: 0.8, label: log}]\n",
+                "config.u_ladder: levels must exceed 1, got 1.0",
+            ),
         ],
-        ids=["blocks-outside-square", "mc-side-grid-short-T"],
+        ids=[
+            "blocks-outside-square",
+            "mc-side-grid-short-T",
+            "blocks-trended",
+            "pickands-brownian-off-alpha-1",
+            "mc-level-below-1",
+            "integrals-level-1",
+        ],
     )
     def test_exits_2_with_no_output(self, tmp_path, capsys, kind, text, message):
         out = tmp_path / "o"
@@ -383,6 +414,16 @@ class TestIntegralsCommand:
         assert rows[2].split(",")[0] == "7.5"
         assert (out / "integrals_critical.csv").exists()
 
+    def test_level_beyond_float_range_ratio_is_inf(self, tmp_path):
+        # at u = 1e200 the quadrature and the asymptote both underflow to 0 on
+        # every branch; the ratio is inf, as in mc where the prediction is 0
+        cfg = write_cfg(tmp_path, "u_ladder: [1.0e+200]\n")
+        out = tmp_path / "out"
+        assert main(["integrals", "--config", cfg, "--out", str(out)]) == 0
+        for label in ("classical", "critical", "log"):
+            rows = (out / f"integrals_{label}.csv").read_bytes().split(b"\r\n")
+            assert rows[1].split(b",")[1:] == [b"0", b"0", b"inf"]
+
     def test_trended_model_integrates_the_trend(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
@@ -433,6 +474,7 @@ class TestBlocksCommand:
         assert body.startswith("u,p_hat,std_err,prediction,ratio,H_S1,H_S2")
 
     def test_trended_model_exits_2(self, tmp_path, capsys):
+        # refused at load by BlockSpec.bounds: no output directory, no MANIFEST
         cfg = write_cfg(
             tmp_path,
             "model: {alpha: 1.0, beta: 2.0, a: 1.0, c1: 5.0, c2: 5.0}\n"
@@ -440,12 +482,9 @@ class TestBlocksCommand:
         )
         out = tmp_path / "out"
         assert main(["blocks", "--config", cfg, "--out", str(out)]) == 2
-        assert "no trend term" in capsys.readouterr().err
-        manifest = read_manifest(out)  # a status with ": " in it still parses
-        assert manifest["status"] == (
-            "INCOMPLETE: block exceedance has no trend term; got c1 = 5.0, c2 = 5.0"
-        )
-        assert manifest["outputs"] == []
+        err = capsys.readouterr().err
+        assert "block exceedance has no trend term; got c1 = 5.0, c2 = 5.0" in err
+        assert not out.exists()
 
 
 class TestSweepCommand:

@@ -275,12 +275,21 @@ class TestBlocks:
         with pytest.raises(ValueError, match="MAX_PATH_POINTS"):
             mc_block_exceedance(p, spec, 4000, seed=3, n_grid=12, h_replicates=4000)
 
-    def test_trended_model_rejected(self):
+    def test_trended_model_rejected(self, monkeypatch):
         # the prediction has no trend term, and the MC used to drop the
-        # trend too, answering for the untrended model
+        # trend too, answering for the untrended model; `bounds`, which the
+        # CLI calls at load, refuses it, so the MC refuses it undrawn
         p = ModelParams(1.0, 2.0, 1.0, c2=0.5)
         spec = BlockSpec(Point2(0.0, 0.0), 2.0, 2.0, 3.0)
-        with pytest.raises(ValueError, match="no trend term"):
+
+        def drawn(*args):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(LatticeField, "maxima_batch", drawn)
+        message = "no trend term; got c1 = 0.0, c2 = 0.5"
+        with pytest.raises(ValueError, match=message):
+            spec.bounds(p)
+        with pytest.raises(ValueError, match=message):
             mc_block_exceedance(p, spec, 100, seed=3, n_grid=4, h_replicates=100)
 
     def test_interior_block_within_band(self):
@@ -329,6 +338,18 @@ class TestRatioHarness:
         monkeypatch.setattr(LatticeField, "maxima_batch", drawn)
         with pytest.raises(ValueError, match=f"u must be finite, got {ladder[-1]}"):
             ratio_harness(P_CLASSICAL, ladder, lat, 100, seed=0)
+
+    def test_level_not_above_1_refused_before_drawing(self, monkeypatch):
+        # the leading forms are negative below u = 1 in the log regime
+        p = ModelParams(1.0, 2.0, 0.8)
+        lat = build_lattice(p, n_per_axis=8)
+
+        def drawn(*args):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(LatticeField, "maxima_batch", drawn)
+        with pytest.raises(ValueError, match="u must exceed 1, .*; got 0.5"):
+            ratio_harness(p, [0.5, 2.0], lat, 100, seed=0)
 
     def test_params_of_another_field_refused_before_drawing(self, monkeypatch):
         lat = build_lattice(P_SIDE, n_per_axis=8)

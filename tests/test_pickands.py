@@ -68,8 +68,10 @@ class TestSamplerValidation:
             (lambda: _PathSampler(1.0, 0.0, 8, "cholesky"), "horizon must be positive"),
             (lambda: _PathSampler(1.0, 1.0, 1, "cholesky"), "at least 2 grid points"),
             (lambda: _PathSampler(1.2, 0.0, 2000, "davies-harte"), "horizon must be positive"),
-            (lambda: _PathSampler(1.0, 1.0, 1, "brownian"), "at least 2 grid points"),
+            (lambda: _PathSampler(1.0, 1.0, 1, "auto"), "at least 2 grid points"),
             (lambda: _PathSampler(1.0, 1.0, 8, "spectral"), "unknown sampler"),
+            # auto is the brownian method at alpha = 1, the one alpha where it is exact
+            (lambda: _PathSampler(1.0, 1.0, 8, "brownian"), "unknown sampler 'brownian'"),
             (lambda: pickands_finite(0.0, 1.0, 2000, 2000, seed=1), "alpha must be in"),
             (lambda: pickands_constant(0.0), "alpha must be in"),
         ],
@@ -78,8 +80,9 @@ class TestSamplerValidation:
             "cholesky-horizon",
             "cholesky-points",
             "davies-harte-horizon",
-            "brownian-points",
+            "auto-points",
             "unknown-sampler",
+            "brownian-is-unknown",
             "finite-alpha-zero",
             "constant-alpha-zero",
         ],
@@ -91,7 +94,7 @@ class TestSamplerValidation:
 
 class TestSamplerDistribution:
     @pytest.mark.parametrize("alpha,sampler", [(1.2, "cholesky"), (1.2, "davies-harte"),
-                                               (0.6, "davies-harte"), (1.0, "brownian")])
+                                               (0.6, "davies-harte"), (1.0, "auto")])
     def test_terminal_variance(self, alpha, sampler):
         S, n, reps = 2.0, 129, 60_000
         paths = empirical_paths(alpha, S, n, reps, seed=11, sampler=sampler)
@@ -420,7 +423,7 @@ class TestProtocol:
 class TestLadderSums:
     @pytest.mark.parametrize(
         "alpha,sampler,n_points",
-        [(1.0, "brownian", 401), (1.4, "cholesky", 65), (1.4, "davies-harte", 257)],
+        [(1.0, "auto", 401), (1.4, "cholesky", 65), (1.4, "davies-harte", 257)],
     )
     def test_matches_sums_recomputed_from_paths(self, alpha, sampler, n_points):
         ps = _PathSampler(alpha, 2.0, n_points, sampler)
@@ -474,7 +477,7 @@ class TestFootprint:
         [
             ("cholesky", 1.4, 8 * 256 ** 2, 24),  # the factor
             ("davies-harte", 1.4, 8 * 257, 40),  # the half spectrum, bins 0 ... 256
-            ("brownian", 1.0, 0, 16),
+            ("auto", 1.0, 0, 16),  # the brownian method
         ],
     )
     def test_setup_is_what_the_sampler_holds(self, sampler, alpha, setup, per_point):

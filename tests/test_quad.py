@@ -206,6 +206,13 @@ class TestAsymptoticPrediction:
             with pytest.raises(ValueError, match=f"u must be finite, got {u}"):
                 pred.evaluate(u)
 
+    @pytest.mark.parametrize("u", [1.0, 0.5])
+    def test_level_not_above_1_refused(self, u):
+        # log u <= 0 there: the log form would be negative below 1 and 0 at 1
+        for pred in (AsymptoticPrediction(1.0, 2.0, 0), AsymptoticPrediction(1.0, -2.0, 1, False)):
+            with pytest.raises(ValueError, match=f"u must exceed 1, .*; got {u}"):
+                pred.evaluate(u)
+
     def test_level_beyond_float_range(self):
         assert AsymptoticPrediction(1.0, 2.0, 0).evaluate(1e200) == 0.0
         assert AsymptoticPrediction(1.0, 2.0, 1).evaluate(1e200) == 0.0
