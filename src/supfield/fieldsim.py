@@ -31,7 +31,7 @@ import numpy as np
 from . import asymptotics, pickands, quad
 from .factorization import chol_with_jitter
 from .model import ModelParams, Point2, correlation_scale, variance_loss_at
-from .streams import DEFAULT_BATCH, _refuse_over_budget, batch_generator, run_batches
+from .streams import _BLOCK_BYTES, DEFAULT_BATCH, _refuse_over_budget, batch_generator, run_batches
 
 __all__ = [
     "LatticeField",
@@ -52,8 +52,6 @@ __all__ = [
 # lattice points per block axis, and replicates of each H(S) factor.
 BLOCK_N_GRID = 32
 BLOCK_H_REPLICATES = 200_000
-# Working set of one field block (its two product buffers), sized for L2.
-_BLOCK_BYTES = 2 * 1024 * 1024
 # Column alignment of the blocks in the normal draw (a multiple of the BLAS
 # micro-kernel width).
 _BLOCK_ALIGN = 16

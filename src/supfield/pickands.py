@@ -14,6 +14,14 @@ S-ladder, which cancels the O(1) boundary term that makes the naive ratio
 H(S)/S converge slowly.  All rungs are read off the same simulated paths
 (prefix maxima), so rung estimates share paths and the slope is a paired
 difference with far smaller variance than independent rungs would give.
+A batch draws its paths in chunks of about `streams._BLOCK_BYTES` of
+sampling work, into buffers it reuses, and keeps only each path's maximum
+on every rung segment, so its memory grows with the number of paths and
+rungs, not with the grid (cholesky, whose factor already outweighs a batch
+of paths on a fine grid, draws a batch in one chunk).
+Every sampler draws path-major (path i takes the i-th run of normals of
+the batch's stream), so the chunks together give the values of one
+whole-batch draw.
 
 The path samplers:
 
@@ -40,14 +48,16 @@ around 1.
 
 from __future__ import annotations
 
+import copy
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .factorization import chol_with_jitter
-from .streams import DEFAULT_BATCH, _refuse_over_budget, batch_generator, run_batches
+from .streams import _BLOCK_BYTES, DEFAULT_BATCH, _refuse_over_budget, batch_generator, run_batches
 
 __all__ = [
     "PickandsEstimate",
@@ -62,14 +72,27 @@ MAX_RUNG_MULTIPLE = 4096  # largest grid on which an s_ladder's rungs must all f
 # about five minutes of sampling at the cost below
 MAX_PATH_POINTS = 10 ** 10
 _NS_PER_PATH_POINT = 29.0  # Brownian paths, one core of a 2-vCPU Xeon host
-# Peak bytes per path point of one batch (tracemalloc): the draws and the
-# paths, and for davies-harte also the half spectrum and its transform.
-_BATCH_BYTES_PER_POINT = {"brownian": 16, "cholesky": 24, "davies-harte": 40}
+# Peak bytes per path point of one `_PathSampler.sample` call (tracemalloc):
+# the draws and the paths, and for davies-harte the half spectrum and its
+# transform.  They size a chunk.
+_SAMPLE_BYTES_PER_POINT = {"brownian": 16, "cholesky": 16, "davies-harte": 40}
 
 
 # ---------------------------------------------------------------------------
-# Batch path samplers (each returns an (n_paths, n_points) array)
+# Path samplers (each returns a path-major (n_paths, n_points) array)
 # ---------------------------------------------------------------------------
+
+
+def _buffer(
+    scratch: dict | None, key: str, shape: tuple[int, int], dtype: type = float
+) -> np.ndarray:
+    """A new array, or a view of the buffer `key` kept in `scratch`, grown as needed."""
+    if scratch is None:
+        return np.empty(shape, dtype)
+    buf = scratch.get(key)
+    if buf is None or len(buf) < shape[0]:
+        buf = scratch[key] = np.empty(shape, dtype)
+    return buf[: shape[0]]
 
 
 def _dh_eigenvalues(alpha: float, n_incr: int) -> np.ndarray:
@@ -97,8 +120,10 @@ class _PathSampler:
     B(0) = 0 holds exactly in every sample.  The cholesky method factors the
     covariance of the n-1 strictly positive times densely (`factor`, with
     the diagonal `jitter` it needed); the other methods have no factor.
-    The sampler's `footprint` sizes every batch loop over its paths
-    (`run_batches`); a set-up over the memory budget is refused unbuilt.
+    A batch loop draws its paths `chunk` at a time, about `_BLOCK_BYTES` of
+    `sample` working set (`path_bytes` per path), and is sized from the
+    sampler's `footprint` (`run_batches`); a set-up over the memory budget
+    is refused unbuilt.
     """
 
     def __init__(self, alpha: float, horizon: float, n_points: int, sampler: str = "auto"):
@@ -136,29 +161,40 @@ class _PathSampler:
             self._root = np.sqrt(scale * _dh_eigenvalues(self.alpha, n_incr))
             self._root[1:n_incr] /= math.sqrt(2.0)  # the complex bins
         self.drift = np.linspace(0.0, self.horizon, self.n_points) ** self.alpha  # t^alpha
-        # Footprint of a batch loop: the bytes per path of a batch, and as
-        # set-up what the sampler holds, the cholesky factor or the half spectrum.
+        self.path_bytes = _SAMPLE_BYTES_PER_POINT[self.method] * self.n_points
+        # A cholesky chunk is one GEMM that reads the whole factor, so a batch
+        # is drawn in one: short chunks would each read the factor again.
+        self.chunk = max(1, _BLOCK_BYTES // self.path_bytes)
+        if self.method == "cholesky":
+            self.chunk = sys.maxsize
+        # Footprint of a batch loop: as set-up what the sampler holds, the
+        # cholesky factor or the half spectrum.
         held = self.factor if self.method == "cholesky" else self._root
-        per_path = _BATCH_BYTES_PER_POINT[self.method] * self.n_points
-        self.footprint = dict(
-            what=run, item="paths", item_bytes=per_path, setup=0 if held is None else held.nbytes
-        )
+        self.footprint = dict(what=run, item="paths", setup=0 if held is None else held.nbytes)
+        self._scratch: dict[str, np.ndarray] | None = None
 
     def sample(self, rng: np.random.Generator, n_paths: int) -> np.ndarray:
-        """(n_paths, n_points) paths, each starting at B(0) = 0."""
+        """(n_paths, n_points) paths, each starting at B(0) = 0.
+
+        The draws are path-major: path i takes the i-th run of normals from
+        `rng`, so drawing m paths and then n_paths - m more from one stream
+        gives the rows of one n_paths draw.  The paths of a `with_scratch`
+        copy are valid until its next call.
+        """
         n_incr = self.n_points - 1
-        out = np.empty((n_paths, self.n_points))
+        out = _buffer(self._scratch, "out", (n_paths, self.n_points))
         out[:, 0] = 0.0
         if self.method == "cholesky":
-            out[:, 1:] = (self.factor @ rng.standard_normal((n_incr, n_paths))).T
+            draw = rng.standard_normal(out=_buffer(self._scratch, "draw", (n_paths, n_incr)))
+            np.matmul(draw, self.factor.T, out=out[:, 1:])
             return out
         if self.method == "brownian":
             # alpha = 1 is Brownian motion: increments are iid N(0, h).
-            incr = rng.standard_normal((n_paths, n_incr))
+            incr = rng.standard_normal(out=_buffer(self._scratch, "draw", (n_paths, n_incr)))
             incr *= math.sqrt(self.horizon / n_incr)
         else:
             # half spectrum of the draw: bin k is raw[2k] + i raw[2k+1], bin n_incr raw[1]
-            spec = np.empty((n_paths, n_incr + 1), dtype=complex)
+            spec = _buffer(self._scratch, "spec", (n_paths, n_incr + 1), complex)
             spec[:, :n_incr] = rng.standard_normal((n_paths, 2 * n_incr)).view(complex)
             spec[:, n_incr] = spec[:, 0].imag
             spec.imag[:, 0] = 0.0
@@ -166,6 +202,16 @@ class _PathSampler:
             incr = np.fft.irfft(spec, n=2 * n_incr, axis=1)[:, :n_incr]
         np.cumsum(incr, axis=1, out=out[:, 1:])
         return out
+
+    def with_scratch(self) -> _PathSampler:
+        """A copy whose `sample` writes into buffers it keeps and reuses, so a
+        loop of calls allocates its working set once.  One per batch: the
+        buffers are not shared between threads.  The buffers ride on a copy,
+        not on an argument, because `sample(rng, n_paths)` is what
+        `perfbench/tracing.py` wraps and counts path points from."""
+        twin = copy.copy(self)
+        twin._scratch = {}
+        return twin
 
     def describe(self) -> str:
         h = self.horizon / (self.n_points - 1)
@@ -284,6 +330,12 @@ def _ladder_sums(
     naive ratio at the top rung and their difference, each with its square.
     Fewer than two replicates, more than MAX_PATH_POINTS path points, or
     batches in flight over the memory budget are refused before any path.
+
+    A batch draws its paths from its one stream `ps.chunk` at a time, into
+    buffers it reuses, and keeps only each path's maxima on the k rung
+    segments, so it holds one chunk of paths plus a few k-vectors per path,
+    whatever the grid.  The prefix maxima, exp and every sum are taken over
+    the whole batch.
     """
     if n_replicates < 2:
         raise ValueError("need at least 2 replicates")
@@ -303,14 +355,21 @@ def _ladder_sums(
     starts = [0] + [i + 1 for i in rung_idx[:-1]]
 
     def work(b: int, take: int) -> np.ndarray:
-        # sqrt(2) B(t) - t^alpha, its maximum on each rung's segment, and
-        # their running maximum: the prefix maxima at the rungs
-        paths = ps.sample(batch_generator(seed, b), take)
-        paths *= math.sqrt(2.0)
-        paths -= ps.drift
-        seg = np.maximum.reduceat(paths[:, : rung_idx[-1] + 1], starts, axis=1)
-        # column-major, as the rung columns of the path array were: the sums
-        # below then add in the same order
+        # sqrt(2) B(t) - t^alpha chunk by chunk, and its maximum on each rung's
+        # segment; then their running maximum: the prefix maxima at the rungs
+        rng = batch_generator(seed, b)
+        chunks = ps.with_scratch()
+        seg = np.empty((take, k))
+        for c0 in range(0, take, ps.chunk):
+            paths = chunks.sample(rng, min(ps.chunk, take - c0))
+            paths *= math.sqrt(2.0)
+            paths -= ps.drift
+            np.maximum.reduceat(
+                paths[:, : rung_idx[-1] + 1], starts, axis=1, out=seg[c0 : c0 + len(paths)]
+            )
+        del chunks, paths  # before the reductions below
+        # column-major, as the rung columns of a whole-batch path array were:
+        # the sums below then add in the same order
         vals = np.exp(np.asfortranarray(np.maximum.accumulate(seg, axis=1)))
         acc = np.empty(width)
         acc[:k] = vals.sum(axis=0)
@@ -322,8 +381,14 @@ def _ladder_sums(
             acc[-6:] = [s for x in (slope_i, naive_i, cons_i) for s in (x.sum(), (x * x).sum())]
         return acc
 
+    # a batch holds one chunk of paths, and per path the segment maxima and
+    # the reductions over them (tracemalloc: at most 3k + 6 floats)
+    chunk_bytes = min(ps.chunk, batch_size, n_replicates) * ps.path_bytes
     acc = np.zeros(width)
-    for part in run_batches(work, n_replicates, batch_size, workers, **ps.footprint):
+    for part in run_batches(
+        work, n_replicates, batch_size, workers,
+        item_bytes=8 * (3 * k + 6), batch_bytes=chunk_bytes, **ps.footprint,
+    ):
         acc += part
     return acc
 

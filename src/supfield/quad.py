@@ -212,13 +212,24 @@ def g_beta(beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
 
 def _corner_integrand(
     g2: float, beta: float, a: float, u: float, c1: float, c2: float
-) -> Callable[[float, float], float]:
-    """f(x, y) = exp(-g2 (x^beta + y^beta + (xy)^a) - u (c1 x + c2 y)): I(u) at g2 = gamma
-    u^2, K_beta and K(c1, c2) at g2 = u = 1, a = beta/2.  A trend is stated for
-    beta = 2 only, where the sides are squared as x * x."""
+) -> Callable[[float], Callable[[float], float]]:
+    """f(x)(y) = exp(-g2 (x^beta + y^beta + (xy)^a) - u (c1 x + c2 y)), curried by row:
+    f(x) computes the terms in x alone once and returns y -> f(x, y).  I(u) at
+    g2 = gamma u^2, K_beta and K(c1, c2) at g2 = u = 1, a = beta/2.  A trend is
+    stated for beta = 2 only, where the sides are squared as x * x."""
     if (c1, c2) == (0.0, 0.0):
-        return lambda x, y: math.exp(-g2 * (x ** beta + y ** beta + (x * y) ** a))
-    return lambda x, y: math.exp(-g2 * (x * x + y * y + (x * y) ** a) - u * (c1 * x + c2 * y))
+
+        def row(x: float) -> Callable[[float], float]:
+            xb = x ** beta
+            return lambda y: math.exp(-g2 * (xb + y ** beta + (x * y) ** a))
+
+        return row
+
+    def trended_row(x: float) -> Callable[[float], float]:
+        xx, cx = x * x, c1 * x
+        return lambda y: math.exp(-g2 * (xx + y * y + (x * y) ** a) - u * (cx + c2 * y))
+
+    return trended_row
 
 
 def _exp_form_integral(beta: float, c1: float, c2: float, cfg: QuadratureConfig) -> float:
@@ -226,8 +237,9 @@ def _exp_form_integral(beta: float, c1: float, c2: float, cfg: QuadratureConfig)
 
     Computed on the triangle {x <= y} with the integrand symmetrized,
     f(x, y) + f(y, x), which covers the full quadrant and makes the swap
-    symmetry in (c1, c2) exact.  The outer variable is truncated by the
-    y^beta envelope.
+    symmetry in (c1, c2) exact; f(x, y) is taken, bit for bit, as the
+    integrand with the slopes swapped at (y, x), so both terms are rows at y.
+    The outer variable is truncated by the y^beta envelope.
     """
     from scipy import special
 
@@ -238,14 +250,16 @@ def _exp_form_integral(beta: float, c1: float, c2: float, cfg: QuadratureConfig)
     s = 2.0 / beta
     tail = 2.0 * float(special.gamma(s)) * float(special.gammaincc(s, R ** beta)) / beta
     f = _corner_integrand(1.0, beta, beta / 2.0, 1.0, c1, c2)
+    swapped = _corner_integrand(1.0, beta, beta / 2.0, 1.0, c2, c1)  # swapped(y)(x) = f(x)(y)
     inner_epsabs = cfg.abs_tol / (8.0 * R)
 
     def inner(y: float) -> float:
         if y <= 0.0:
             return 0.0
         pts = _dyadic_down(y, y * 2.0 ** -24)
+        fy, sy = f(y), swapped(y)
         val, _ = _integrate_panels(
-            lambda x: f(x, y) + f(y, x), pts, cfg, epsabs=inner_epsabs, epsrel=cfg.rel_tol
+            lambda x: sy(x) + fy(x), pts, cfg, epsabs=inner_epsabs, epsrel=cfg.rel_tol
         )
         return val
 
@@ -381,9 +395,9 @@ class AsymptoticPrediction:
 
 
 def _square_integral(
-    spec: IntegralSpec, f: Callable[[float, float], float], cfg: QuadratureConfig
+    spec: IntegralSpec, f: Callable[[float], Callable[[float], float]], cfg: QuadratureConfig
 ) -> float:
-    """integral over [0, delta]^2 of the corner integrand f(x, y), dyadically pre-split.
+    """integral over [0, delta]^2 of the corner integrand f(x)(y), dyadically pre-split.
 
     The integrand concentrates on scales (gamma u^2)^(-1/beta) and smaller;
     both axes are split dyadically from delta down past the smallest relevant
@@ -404,9 +418,10 @@ def _square_integral(
         return _integrate_panels(g, pts, cfg, epsabs=0.0, epsrel=cfg.rel_tol, tail_bound=bound)
 
     def inner(x: float) -> float:
-        return panels(lambda y: f(x, y), lambda y: (delta - y) * f(x, y))[0]
+        fx = f(x)
+        return panels(fx, lambda y: (delta - y) * fx(y))[0]
 
-    value, err = panels(inner, lambda x: (delta - x) * delta * f(x, 0.0))
+    value, err = panels(inner, lambda x: (delta - x) * delta * f(x)(0.0))
     return _check_converged(value, err, cfg, "finite-domain double integral")
 
 

@@ -26,6 +26,9 @@ import numpy as np
 __all__ = ["batch_generator", "batch_sizes", "run_batches", "DEFAULT_BATCH"]
 
 DEFAULT_BATCH = 2048
+# Working set of one block of a batch, sized for L2: a lattice block's two
+# product buffers, or a chunk of Pickands paths.
+_BLOCK_BYTES = 2 * 1024 * 1024
 
 _T = TypeVar("_T")
 
@@ -59,11 +62,13 @@ def run_batches(
     item: str,
     item_bytes: int,
     setup: int = 0,
+    batch_bytes: int = 0,
 ) -> list[_T]:
     """Evaluate work(batch_index, batch_size) over the partition of n_total.
 
-    First the run, named `what`, is sized: `setup` bytes plus `item_bytes`
-    per `item` of each batch in flight, refused over `memory_budget()`.
+    First the run, named `what`, is sized: `setup` bytes, plus for each
+    batch in flight `batch_bytes` and `item_bytes` per `item`, refused over
+    `memory_budget()`.
     Batches may run on a thread pool; the returned list is always in batch
     order, so any order-sensitive reduction downstream sees the same sequence
     regardless of `workers`.  A failed or interrupted run stops after the
@@ -74,10 +79,11 @@ def run_batches(
     sizes = batch_sizes(n_total, batch)
     take = min(batch, n_total)
     in_flight = max(1, min(workers, len(sizes)))
+    per_batch = batch_bytes + take * item_bytes
     _refuse_over_budget(
-        f"{what} x {take} {item} per batch = {take * item_bytes / 1e9:.3g} GB; with "
+        f"{what} x {take} {item} per batch = {per_batch / 1e9:.3g} GB; with "
         f"{in_flight} in flight the run",
-        setup + in_flight * take * item_bytes,
+        setup + in_flight * per_batch,
         "use fewer workers, a smaller batch_size or a coarser grid",
     )
     if workers <= 1 or len(sizes) <= 1:

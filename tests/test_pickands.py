@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 import tracemalloc
 
@@ -250,18 +251,22 @@ class TestPickandsFinite:
         assert a.value == b.value and a.std_err == b.std_err
 
     def test_refused_as_pickands_constant_is(self, monkeypatch):
-        # one 100-path batch on 33 points takes 16 B x 33 x 100 = 52.8 kB
+        # one 100-path batch on 33 points is one chunk of 16 B x 33 x 100 = 52.8 kB,
+        # plus 8 x (3k + 6) B per path for k rungs: 60.0 kB at k = 1, 62.4 kB at k = 2
         monkeypatch.setattr(streams, "memory_budget", lambda: 10 ** 4)
-        message = (
-            r"the brownian sampler at alpha=1\.0 on 33 grid points x 100 paths per batch "
-            r"= 5\.28e-05 GB; with 1 in flight the run needs 5\.28e-05 GB, more than half "
-            r"of physical memory \(1e-05 GB\); use fewer workers, a smaller batch_size or a "
-            r"coarser grid"
-        )
-        with pytest.raises(ValueError, match=message):
+
+        def message(gb):
+            return (
+                r"the brownian sampler at alpha=1\.0 on 33 grid points x 100 paths per batch "
+                rf"= {gb} GB; with 1 in flight the run needs {gb} GB, more than half "
+                r"of physical memory \(1e-05 GB\); use fewer workers, a smaller batch_size or a "
+                r"coarser grid"
+            )
+
+        with pytest.raises(ValueError, match=message(r"6e-05")):
             pickands_finite(1.0, 2.0, 33, 100, seed=0)
         proto = ExtrapolationProtocol(s_ladder=(1.0, 2.0), spacing_factor=0.25, n_replicates=100)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message(r"6\.24e-05")):
             pickands_constant(1.0, proto)
 
     def test_path_point_cap_enforced(self, monkeypatch):
@@ -372,11 +377,13 @@ class TestProtocol:
             pickands_constant(0.6)
 
     def test_batch_larger_than_memory_refused(self, monkeypatch):
-        # 8.7 * 10^9 path points passes the time cap, but one 2048-path
-        # Davies-Harte batch on 86,865 points needs 7.1 GB
-        monkeypatch.setattr(streams, "memory_budget", lambda: 4 * 10 ** 9)
+        # 8.7 * 10^9 path points passes the time cap.  A 2048-path Davies-Harte
+        # batch on 86,865 points holds one path at a time, 40 B x 86,865 = 3.47 MB,
+        # and 144 B per path of 4-rung maxima: 3.77 MB, beside the 0.69 MB half
+        # spectrum.  (Drawn whole, the batch needed 7.1 GB.)
+        monkeypatch.setattr(streams, "memory_budget", lambda: 4_400_000)
         proto = ExtrapolationProtocol(n_replicates=100_000)
-        with pytest.raises(ValueError, match=r"86865 grid points x 2048 paths per batch = 7\.12 GB"):
+        with pytest.raises(ValueError, match=r"86865 grid points x 2048 paths per batch = 0\.00377 GB"):
             pickands_constant(0.6, proto)
         with pytest.raises(ValueError, match="batch_size or a coarser grid"):
             pickands_constant(0.6, proto)
@@ -395,12 +402,13 @@ class TestProtocol:
             pickands_constant(1.0, proto)
 
     def test_batches_in_flight_share_the_budget(self, monkeypatch):
-        # one 512-path Davies-Harte batch on 86,865 points needs 1.78 GB
-        monkeypatch.setattr(streams, "memory_budget", lambda: 4 * 10 ** 9)
+        # one 512-path Davies-Harte batch on 86,865 points needs 3.55 MB, beside
+        # the 0.69 MB half spectrum
+        monkeypatch.setattr(streams, "memory_budget", lambda: 8 * 10 ** 6)
         proto = ExtrapolationProtocol(n_replicates=100_000, batch_size=512)
         assert proto.grid_for(0.6)[0] == 86865
         admitted(monkeypatch, 0.6, proto, workers=2)
-        with pytest.raises(ValueError, match=r"; with 3 in flight the run needs 5\.34 GB"):
+        with pytest.raises(ValueError, match=r"; with 3 in flight the run needs 0\.0113 GB"):
             pickands_constant(0.6, proto, workers=3)
         with pytest.raises(ValueError, match="fewer workers"):
             pickands_constant(0.6, proto, workers=3)
@@ -449,13 +457,33 @@ class TestLadderSums:
         )
         np.testing.assert_allclose(acc, expected, rtol=1e-12)
 
-    @pytest.mark.parametrize("rung_idx", [[400], [50, 100, 200, 400]], ids=["1-rung", "4-rung"])
-    def test_bitwise_equal_to_full_path_prefix_maxima(self, rung_idx):
-        # the segment maxima and their running maximum are the full-path
-        # prefix maxima at the rungs, and the sums add them in the same order
-        ps = _PathSampler(1.0, 4.0, 401)
-        rungs = tuple(4.0 * i / 400 for i in rung_idx)
-        n, batch, seed = 2500, 1000, 3
+    @pytest.mark.parametrize(
+        "alpha,sampler,n_points,rung_idx,n,batch",
+        [
+            (1.0, "auto", 401, [400], 2500, 1000),
+            (1.0, "auto", 401, [50, 100, 200, 400], 2500, 1000),
+            (1.4, "davies-harte", 401, [50, 100, 200, 400], 2500, 1000),
+            (1.4, "cholesky", 401, [50, 100, 200, 400], 2500, 1000),
+            (1.0, "auto", 70_001, [35_000, 70_000], 5, 3),
+            (1.4, "davies-harte", 30_001, [15_000, 30_000], 5, 3),
+        ],
+        ids=["1-rung", "4-rung", "davies-harte", "cholesky", "auto-1-path", "davies-harte-1-path"],
+    )
+    def test_bitwise_equal_to_full_path_prefix_maxima(
+        self, alpha, sampler, n_points, rung_idx, n, batch
+    ):
+        # a batch drawn chunk by chunk: its segment maxima and their running
+        # maximum are the prefix maxima at the rungs of the whole batch's
+        # paths, and the sums add them in the same order
+        ps = _PathSampler(alpha, 4.0, n_points, sampler)
+        if sampler == "cholesky":  # one chunk per batch, drawn path-major
+            assert ps.chunk >= batch
+        elif n_points > 10_000:  # a chunk is one path
+            assert ps.chunk == 1 and 2 * ps.path_bytes > streams._BLOCK_BYTES
+        else:  # several chunks, the last one short
+            assert 1 < ps.chunk < batch and batch % ps.chunk
+        rungs = tuple(4.0 * i / (n_points - 1) for i in rung_idx)
+        seed = 3
         acc = _ladder_sums(ps, rungs, rung_idx, n, seed, batch, workers=1)
         expected = np.zeros_like(acc)
         for b, take in enumerate(batch_sizes(n, batch)):
@@ -475,7 +503,7 @@ class TestFootprint:
     @pytest.mark.parametrize(
         "sampler,alpha,setup,per_point",
         [
-            ("cholesky", 1.4, 8 * 256 ** 2, 24),  # the factor
+            ("cholesky", 1.4, 8 * 256 ** 2, 16),  # the factor
             ("davies-harte", 1.4, 8 * 257, 40),  # the half spectrum, bins 0 ... 256
             ("auto", 1.0, 0, 16),  # the brownian method
         ],
@@ -486,16 +514,50 @@ class TestFootprint:
             before = tracemalloc.get_traced_memory()[0]
             ps = _PathSampler(alpha, 4.0, 257, sampler)
             held = tracemalloc.get_traced_memory()[0] - before
+            m = min(ps.chunk, 500)
+            rng = batch_generator(0, 0)
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ps.sample(rng, m)
+            sample_peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert ps.footprint["setup"] == setup
-        assert ps.footprint["item_bytes"] == per_point * 257
+        # a sample call peaks at path_bytes per path; numpy's inverse FFT
+        # takes about 130 kB of its own per call
+        assert ps.path_bytes == per_point * 257
+        assert sample_peak <= m * ps.path_bytes + 2 ** 18
+        # a chunk is the most paths that fit in _BLOCK_BYTES, but a cholesky
+        # batch is one GEMM over the factor
+        if sampler == "cholesky":
+            assert ps.chunk == sys.maxsize
+        else:
+            assert ps.chunk == streams._BLOCK_BYTES // ps.path_bytes
         # beyond the setup the sampler holds its drift, 8 B per point, and a few objects
         assert setup + 8 * 257 <= held <= setup + 8 * 257 + 4096
 
+    def test_batch_memory_does_not_grow_with_the_batch(self):
+        # one 2048-path batch on 1,601 points, 4 rungs: one 81-path chunk
+        # (2.07 MB) and 144 B per path of segment maxima; drawn whole, its
+        # paths alone took 52 MB
+        ps = _PathSampler(1.0, 4.0, 1601)
+        assert ps.chunk == 81
+
+        def batch():
+            _ladder_sums(ps, (0.5, 1.0, 2.0, 4.0), [200, 400, 800, 1600], 2048, 1, 2048, 1)
+
+        batch()  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            batch()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ps.chunk * ps.path_bytes + 2048 * 8 * (3 * 4 + 6) < 2.5e6
+
     def test_cholesky_run_admitted_between_held_and_built_bytes(self, monkeypatch):
         # 257 points: the Gram build peaks at 24 x 256^2 = 1.57 MB, the factor
-        # holds 0.52 MB; ten 6.2 kB paths fit beside the factor in 1.6 MB,
+        # holds 0.52 MB; ten 4.1 kB paths fit beside the factor in 1.6 MB,
         # beside the build they would not
         monkeypatch.setattr(streams, "memory_budget", lambda: 1_600_000)
         ps = _PathSampler(1.4, 4.0, 257, "cholesky")
