@@ -9,9 +9,10 @@ is the Kronecker product R1 (x) R2 and a field sample is
 with L1, L2 the small per-axis Cholesky factors.  This is the Gaussian law
 of the dense lattice covariance (no truncation, no approximation) at a
 per-sample cost of two thin matrix products, which is what makes
-10^6-sample runs affordable.  A batch holds one full-size array, its normal
-draw G; the products, the sigma scaling, the trend and the maximum run over
-cache-sized blocks of samples, so a batch needs G plus one block of memory.
+10^6-sample runs affordable.  A batch runs over cache-sized blocks of
+samples: each block draws its own normals, then the products, the sigma
+scaling, the trend and the maximum, in two buffers the batch reuses, so no
+array of a batch grows with its size but the maxima.
 
 Monte Carlo estimates are issued in fixed Philox-indexed batches (see
 `streams`), so a run is a pure function of (seed, n_samples, batch size)
@@ -52,7 +53,7 @@ __all__ = [
 # lattice points per block axis, and replicates of each H(S) factor.
 BLOCK_N_GRID = 32
 BLOCK_H_REPLICATES = 200_000
-# Column alignment of the blocks in the normal draw (a multiple of the BLAS
+# Column alignment of a block's normal draw (a multiple of the BLAS
 # micro-kernel width).
 _BLOCK_ALIGN = 16
 
@@ -87,47 +88,59 @@ class LatticeField:
         self.l1, self.jitter1 = chol_with_jitter(_axis_correlation(params, xs), 1e-9)
         self.l2, self.jitter2 = chol_with_jitter(_axis_correlation(params, ys), 1e-9)
         self.sigma_grid = np.exp(-variance_loss_at(params, xs[:, None], ys[None, :]))
-        # a batch loop's footprint: 8 B per normal per sample, beside the factors and sigma held
+
+    def footprint(self, batch: int) -> dict:
+        """A batch loop's footprint at `batch` samples per batch: the factors and
+        sigma held, and per batch two buffers of 8 B per cell for its largest
+        block (the remainder joins the last one, so below two blocks) and 8 B
+        per maximum."""
+        n1, n2 = len(self.xs), len(self.ys)
+        most = min(batch, 2 * self._per_block() - 1)
         held = self.l1.nbytes + self.l2.nbytes + self.sigma_grid.nbytes
-        draw = f"{self.describe()} draws {n1 * n2} normals"
-        self.footprint = dict(what=draw, item="samples", item_bytes=8 * n1 * n2, setup=held)
+        return dict(
+            what=f"{self.describe()} in blocks of at most {most} samples",
+            item="samples", item_bytes=8, batch_bytes=16 * n1 * n2 * most, setup=held,
+        )
+
+    def _per_block(self) -> int:
+        """Samples per block: two buffers in `_BLOCK_BYTES`, a multiple of
+        `_BLOCK_ALIGN` columns, and at least one sample."""
+        n1, n2 = len(self.xs), len(self.ys)
+        step = _BLOCK_ALIGN // math.gcd(n2, _BLOCK_ALIGN)
+        return max(1, _BLOCK_BYTES // (16 * n1 * n2 * step)) * step
 
     def _blocks(self, rng: np.random.Generator, n: int, trend: tuple[float, float]):
         """Yield (first sample, field block) for n samples, block by block.
 
-        The one full-batch array is the normal draw G, laid out (n1, n * n2)
-        so that sample s owns columns s n2 ... (s + 1) n2 - 1.  Each block is
-        two BLAS products straight off a strided view of G, then the sigma
-        scaling and the trend in place; its working set is about
-        `_BLOCK_BYTES`.  A block is an (n1, k, n2) view of a reused buffer,
-        valid until the next one is yielded.
-
-        At the shipped block size the values match one full-batch product
-        bit for bit (checked with OpenBLAS on random lattice shapes, 1 and 2
-        threads): blocks start at multiples of `_BLOCK_ALIGN` columns, so
-        every column meets the same BLAS micro-kernel, and the remainder
-        joins the last block rather than forming a short one.  Much smaller
-        blocks fall under BLAS's small-matrix path, which may round
-        differently in the last bit.
+        Blocks hold `_per_block()` samples each, the remainder joining the
+        last one.  Each block draws its normals from `rng` when it is
+        computed, into a buffer laid out (n1, k * n2), so that sample s of
+        the block owns columns s n2 ... (s + 1) n2 - 1: the stream fills the
+        blocks in order, and the block partition (lattice shape, n,
+        `_BLOCK_BYTES`, `_BLOCK_ALIGN`) decides which normals each sample
+        gets.  Then come two BLAS products, the second written back over the
+        draw, and the sigma scaling and the trend in place; the two buffers,
+        about `_BLOCK_BYTES` together, are allocated once per batch.  A block
+        is an (n1, k, n2) view of a reused buffer, valid until the next one
+        is yielded.
         """
         n1, n2 = len(self.xs), len(self.ys)
-        g = rng.standard_normal((n1, n * n2))
-        step = _BLOCK_ALIGN // math.gcd(n2, _BLOCK_ALIGN)
-        per_block = max(1, _BLOCK_BYTES // (16 * n1 * n2 * step)) * step
+        per_block = self._per_block()
         bounds = [i * per_block for i in range(max(1, n // per_block))] + [n]
         size = n1 * (n - bounds[-2]) * n2
-        a_buf, t_buf = np.empty(size), np.empty(size)
+        g_buf, a_buf = np.empty(size), np.empty(size)
         sigma = self.sigma_grid[:, None, :]
         shift = None
         if trend != (0.0, 0.0):
             shift = (trend[0] * self.xs[:, None] + trend[1] * self.ys)[:, None, :]
         for s0, s1 in zip(bounds[:-1], bounds[1:]):
             k = s1 - s0
+            g = g_buf[: n1 * k * n2].reshape(n1, k * n2)
             a = a_buf[: n1 * k * n2].reshape(n1, k * n2)
-            t = t_buf[: n1 * k * n2].reshape(n1 * k, n2)
-            np.matmul(self.l1, g[:, s0 * n2 : s1 * n2], out=a)
-            np.matmul(a.reshape(n1 * k, n2), self.l2.T, out=t)
-            block = t.reshape(n1, k, n2)
+            rng.standard_normal(out=g)
+            np.matmul(self.l1, g, out=a)
+            np.matmul(a.reshape(n1 * k, n2), self.l2.T, out=g.reshape(n1 * k, n2))
+            block = g.reshape(n1, k, n2)
             block *= sigma
             if shift is not None:
                 block -= shift
@@ -269,7 +282,8 @@ def excursion_maxima(
     def work(b: int, take: int) -> np.ndarray:
         return field.maxima_batch(batch_generator(seed, b), take, trend)
 
-    return np.concatenate(run_batches(work, n_samples, batch_size, workers, **field.footprint))
+    footprint = field.footprint(min(batch_size, n_samples))
+    return np.concatenate(run_batches(work, n_samples, batch_size, workers, **footprint))
 
 
 def _estimate_from_maxima(maxima: np.ndarray, u: float) -> MCEstimate:

@@ -26,8 +26,8 @@ import numpy as np
 __all__ = ["batch_generator", "batch_sizes", "run_batches", "DEFAULT_BATCH"]
 
 DEFAULT_BATCH = 2048
-# Working set of one block of a batch, sized for L2: a lattice block's two
-# product buffers, or a chunk of Pickands paths.
+# Working set of one block of a batch, sized for L2: a lattice block's draw
+# and product buffers, or a chunk of Pickands paths.
 _BLOCK_BYTES = 2 * 1024 * 1024
 
 _T = TypeVar("_T")

@@ -535,8 +535,9 @@ class TestManifestOnEveryExit:
         assert len(manifest["outputs"]) < 3  # one CSV per branch that converged
 
     def test_memory_refusal_exits_2(self, tmp_path, monkeypatch):
-        # 8 B x 64 x 64 points x 4096 samples = 134 MB of draws, over a 10 MB budget
-        monkeypatch.setattr(streams, "memory_budget", lambda: 10 ** 7)
+        # two block buffers of 16 B x 64 x 64 points x 63 samples = 4.13 MB per batch,
+        # over a 4 MB budget
+        monkeypatch.setattr(streams, "memory_budget", lambda: 4 * 10 ** 6)
         cfg = write_cfg(tmp_path, "grid: {n_per_axis: 64}\nn_samples: 4096\n")
         out = tmp_path / "out"
         assert main(["mc", "--config", cfg, "--out", str(out)]) == 2
@@ -553,9 +554,10 @@ class TestManifestOnEveryExit:
         assert "more than half of physical memory" in status
 
     def test_block_h_factor_refusal_exits_2(self, tmp_path, monkeypatch):
-        # the 32 x 1 lattice draws 8 B x 32 x 2048 = 524 kB per batch and
-        # passes; its H factor's batch, 16 B x 32 x 2048 = 1.05 MB, does not
-        monkeypatch.setattr(streams, "memory_budget", lambda: 800_000)
+        # the 32 x 1 lattice's batch is one block, 16 B x 32 x 2048 + 8 B x 2048
+        # = 1.06 MB, and passes beside its 8.5 kB of factors; its H factor's batch,
+        # a 1.05 MB chunk of paths and 72 B of maxima per path = 1.20 MB, does not
+        monkeypatch.setattr(streams, "memory_budget", lambda: 1_100_000)
         cfg = write_cfg(
             tmp_path,
             "blocks: {s2: 0.0, u_values: [3.0], n_samples: [4096], n_grid: 32, "

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,10 +65,34 @@ class TestLatticeField:
             build_lattice(P_CLASSICAL, xs=np.array([0.0, 1.5]), ys=np.array([0.0, 0.5]))
 
 
-def unblocked_field(lat, rng, n):
-    """The field in one piece: tensordot, then @ l2.T, then sigma times it."""
+class RecordingGenerator:
+    """Forwards to a numpy Generator, keeping a copy of every normal array drawn."""
+
+    def __init__(self, gen):
+        self._gen = gen
+        self.drawn = []
+
+    def standard_normal(self, *args, **kwargs):
+        out = self._gen.standard_normal(*args, **kwargs)
+        self.drawn.append(np.array(out))
+        return out
+
+    def __getattr__(self, attr):
+        return getattr(self._gen, attr)
+
+
+def drawn_normals(lat, rng, n):
+    """The (n1, n, n2) normals a batch of n drew, block by block: each block's
+    draw is laid out (n1, k * n2), sample s of the block owning columns
+    s n2 ... (s + 1) n2 - 1, and the blocks cover the samples in order."""
     n1, n2 = len(lat.xs), len(lat.ys)
-    g = rng.standard_normal((n1, n, n2))
+    assert sum(d.size for d in rng.drawn) == n1 * n * n2
+    return np.concatenate([d.reshape(n1, -1, n2) for d in rng.drawn], axis=1)
+
+
+def unblocked_field(lat, g):
+    """The field in one piece from normals g: tensordot, then @ l2.T, then sigma times it."""
+    n1, n, n2 = g.shape
     a1 = np.tensordot(lat.l1, g, axes=(1, 0))
     a2 = (a1.reshape(n1 * n, n2) @ lat.l2.T).reshape(n1, n, n2)
     return lat.sigma_grid[:, None, :] * a2
@@ -94,10 +119,11 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("trend", [(0.0, 0.0), (0.7, 1.3)])
     def test_maxima_match_unblocked(self, block_bytes, shape, n, trend):
         lat = small_lattice(shape)
-        f = unblocked_field(lat, batch_generator(21, 3), n)
+        rng = RecordingGenerator(batch_generator(21, 3))
+        got = lat.maxima_batch(rng, n, trend)
+        f = unblocked_field(lat, drawn_normals(lat, rng, n))
         f = f - (trend[0] * lat.xs[:, None] + trend[1] * lat.ys[None, :])[:, None, :]
         expected = f.max(axis=(0, 2))
-        got = lat.maxima_batch(batch_generator(21, 3), n, trend)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
         for u in (0.5, 1.5, 2.5):
             assert int((got > u).sum()) == int((expected > u).sum())
@@ -105,8 +131,9 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("shape,n", [((12, 12), 2000), ((1, 24), 333), ((24, 1), 333)])
     def test_samples_match_unblocked(self, block_bytes, shape, n):
         lat = small_lattice(shape)
-        expected = unblocked_field(lat, batch_generator(5, 0), n)
-        got = lat.sample_batch(batch_generator(5, 0), n)
+        rng = RecordingGenerator(batch_generator(5, 0))
+        got = lat.sample_batch(rng, n)
+        expected = unblocked_field(lat, drawn_normals(lat, rng, n))
         assert got.shape == expected.shape
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
@@ -172,14 +199,16 @@ class TestMcExcursion:
         assert (coarse > u).mean() <= (fine > u).mean()
 
     def test_draws_in_flight_larger_than_memory_refused(self, monkeypatch):
-        # a 64 x 64 lattice draws 8 * 4096 * 2048 B = 67 MB per batch
-        monkeypatch.setattr(streams, "memory_budget", lambda: 10 ** 8)
+        # a 64 x 64 lattice runs in blocks of 32 samples, the remainder joining the
+        # last, so a 2048-sample batch declares two buffers of 16 B x 4096 x 63 and
+        # 8 B per maximum, 4.15 MB, beside the 98.3 kB the lattice holds
+        monkeypatch.setattr(streams, "memory_budget", lambda: 6 * 10 ** 6)
         lat = build_lattice(P_CLASSICAL, n_per_axis=64)
         drawn = []
         monkeypatch.setattr(lat, "maxima_batch", lambda rng, n, trend: drawn.append(n) or np.zeros(n))
         message = (
-            r"lattice 64x64 draws 4096 normals x 2048 samples per batch = 0\.0671 GB; "
-            r"with 2 in flight the run needs 0\.134 GB"
+            r"lattice 64x64 in blocks of at most 63 samples x 2048 samples per batch = "
+            r"0\.00415 GB; with 2 in flight the run needs 0\.00839 GB"
         )
         with pytest.raises(ValueError, match=message):
             excursion_maxima(lat, 10_000, seed=0, workers=2)
@@ -189,16 +218,31 @@ class TestMcExcursion:
 
     def test_held_factors_count_beside_the_draws(self, monkeypatch):
         # a 64 x 64 lattice holds 8 B x 3 x 64^2 = 98.3 kB (l1, l2, sigma); one
-        # 16-sample batch draws 8 B x 4096 x 16 = 524 kB, which fits in 600 kB
-        # alone but not beside what the lattice holds
+        # 16-sample batch is one block, 16 B x 4096 x 16 + 8 B x 16 = 1.05 MB, which
+        # fits in 1.1 MB alone but not beside what the lattice holds
         lat = build_lattice(P_CLASSICAL, n_per_axis=64)
         held = lat.l1.nbytes + lat.l2.nbytes + lat.sigma_grid.nbytes
-        assert lat.footprint["setup"] == held == 98_304
-        monkeypatch.setattr(streams, "memory_budget", lambda: 600_000)
+        assert lat.footprint(16)["setup"] == held == 98_304
+        monkeypatch.setattr(streams, "memory_budget", lambda: 1_100_000)
         monkeypatch.setattr(lat, "maxima_batch", lambda rng, n, trend: pytest.fail("drawn"))
-        message = r"16 samples per batch = 0\.000524 GB; with 1 in flight the run needs 0\.000623 GB"
+        message = r"16 samples per batch = 0\.00105 GB; with 1 in flight the run needs 0\.00115 GB"
         with pytest.raises(ValueError, match=message):
             excursion_maxima(lat, 100, seed=0, batch_size=16)
+
+    def test_batch_memory_does_not_grow_with_the_batch(self):
+        # one 2048-sample batch on 64 x 64 holds two 32-sample block buffers of
+        # 1 MiB each and its maxima (tracemalloc: 2.9 MB), within what its
+        # footprint declares
+        lat = build_lattice(P_CLASSICAL, n_per_axis=64)
+        footprint = lat.footprint(2048)
+        tracemalloc.start()
+        try:
+            lat.maxima_batch(batch_generator(3, 0), 2048, (0.0, 0.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5e6
+        assert peak <= footprint["batch_bytes"] + 2048 * footprint["item_bytes"]
 
     def test_set_up_larger_than_memory_refused(self, monkeypatch):
         # a 200 x 200 lattice: 8 B x (3 x 200^2 + 5 x 200^2) = 2.56 MB of set-up
