@@ -70,8 +70,6 @@ def _write_table(
 
 def run_constants(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
     params = cfg.model
-    k_b = quad.k_beta(params.beta)
-    untrended_k2 = (params.beta, params.c1, params.c2) == (2.0, 0.0, 0.0)  # K(0, 0) is K_2
     report = {
         "alpha": params.alpha,
         "beta": params.beta,
@@ -79,10 +77,10 @@ def run_constants(cfg: ExperimentConfig, out: Path, manifest: Manifest) -> None:
         "c1": params.c1,
         "c2": params.c2,
         "G_beta": quad.g_beta(params.beta),
-        "K_beta": k_b,
+        "K_beta": quad.k_beta(params.beta),
         "L_c1": quad.trend_l(params.c1),
         "L_c2": quad.trend_l(params.c2),
-        "K_c1_c2": k_b if untrended_k2 else quad.trend_k(params.c1, params.c2),
+        "K_c1_c2": quad.trend_k(params.c1, params.c2),
         "a0": params.a0,
         "regime": str(classify_regime(params)),
     }

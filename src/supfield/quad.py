@@ -12,9 +12,9 @@ the trend constants L(c) and K(c1, c2), the finite-domain integral
 
 (a nonzero trend slope c1, c2 requires beta = 2) together with its leading
 asymptote as u -> infinity, whose prefactors are the product-regime
-constants of `asymptotics.predict`.  K_beta and K(c1, c2) integrate its
-integrand at gamma = u = 1, a = beta/2 over the quadrant: all three call
-`_corner_integrand`, the scalar V(t).  Last comes the nested-integral family
+constants of `asymptotics.predict`.  K_beta and K(c1, c2) are its integrand
+at gamma = u = 1, a = beta/2 over the quadrant, whose homogeneity leaves one
+integral over the angle (`_critical_constant`).  Last comes the family
 
     J(lam) = int int X^(q-1) Y^(q-1) exp(-g X - g Y - g lam (XY)^p) dX dY
     A(Z)   = int_0^inf X^(-1) exp(-g X - g Z/X) dX,
@@ -28,20 +28,19 @@ against the tolerances (`_check_converged`); 2-D integrals are iterated
 1-D with the inner integral adaptive per outer node; domains [0, delta]
 whose integrand lives on scales far below delta are pre-split dyadically
 toward 0 so the adaptive routine never has to discover the scale separation
-on its own; infinite domains are cut where the envelope exp(-x^beta) drops
-below 1e-16 (`_cutoff`), and the exact tail of that envelope is added to the
-error estimate.  On the finite square, whose integrand falls along both
-axes, a panel loop stops once a bound on the panels left is below 2^-60 of
-its sum, where they could not change a bit of it (`tail_bound`).  Only the
+on its own; infinite domains are cut where an envelope exp(-s) drops below
+1e-16.  On the finite square, whose integrand falls along both axes, a
+panel loop stops once a bound on the panels left is below 2^-60 of its sum,
+where they could not change a bit of it (`tail_bound`).  Only the
 tolerances are settable; `MAX_SUBDIVISIONS` and the cut are fixed.
 
 scipy is imported by the functions that call it, on first use: scipy.special
 by the closed forms (G_beta, the log prefactor, log Psi where a prediction
-overflows) and scipy.integrate, whose import costs about as much again, by
-the quadratures.  So a run that calls neither (a Pickands or block Monte
-Carlo run) never loads scipy.  `load_scipy` imports the modules a run will
-call ahead of time, which the CLI does so that the import stays in its
-set-up; were it to miss one, the import would only move into the work.
+overflows, erfcx for K(c1, c2)) and scipy.integrate, whose import costs
+about as much again, by the quadratures.  So a run that calls neither (a
+Pickands or block Monte Carlo run) never loads scipy.  `load_scipy` imports
+the modules a run will call ahead of time, so that the CLI's import stays
+in its set-up; were it to miss one, the import would only move into the work.
 """
 
 from __future__ import annotations
@@ -71,6 +70,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_QUARTER_PI = math.pi / 4.0
 _LOG_MAX = 709.782712893384  # log of the largest float
 MAX_SUBDIVISIONS = 2000  # QUADPACK subdivision limit per panel
 _TAIL_CUT_LOG = math.log(1.0 / 1e-16)  # infinite domains end where an envelope exp(-s) is 1e-16
@@ -178,11 +178,6 @@ def _check_converged(value: float, err: float, cfg: QuadratureConfig, what: str)
     return value
 
 
-def _cutoff(power: float) -> float:
-    """The R with exp(-R^power) = 1e-16."""
-    return _TAIL_CUT_LOG ** (1.0 / power)
-
-
 def _dyadic_down(hi: float, floor: float) -> list[float]:
     """Breakpoints 0, ..., hi/4, hi/2, hi, halving from hi down to `floor`, at most 80 times."""
     pts = [hi]
@@ -210,74 +205,63 @@ def g_beta(beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     return float(special.gamma(1.0 + 1.0 / beta))
 
 
-def _corner_integrand(
-    g2: float, beta: float, a: float, u: float, c1: float, c2: float
-) -> Callable[[float], Callable[[float], float]]:
-    """f(x)(y) = exp(-g2 (x^beta + y^beta + (xy)^a) - u (c1 x + c2 y)), curried by row:
-    f(x) computes the terms in x alone once and returns y -> f(x, y).  I(u) at
-    g2 = gamma u^2, K_beta and K(c1, c2) at g2 = u = 1, a = beta/2.  A trend is
-    stated for beta = 2 only, where the sides are squared as x * x."""
+def _g(z: float) -> float:
+    """g(z) = 1 - sqrt(pi) z erfcx(z) for z >= 0.  Past z = 8, where the difference
+    loses eps 2z^2 relative, the series sum_{n>=1} (-1)^(n+1) (2n-1)!! (2z^2)^-n
+    (A&S 7.1.23), summed until a term is below an ulp of the sum."""
+    if z <= 8.0:
+        from scipy import special
+
+        return 1.0 - math.sqrt(math.pi) * z * float(special.erfcx(z))
+    total, term, n = 0.0, 0.5 / (z * z), 1
+    while total + term != total:
+        total += term
+        n += 2
+        term *= -0.5 * n / (z * z)
+    return total
+
+
+def _critical_constant(beta: float, c1: float, c2: float, cfg: QuadratureConfig) -> float:
+    """int over [0,inf)^2 of exp(-(x^beta + y^beta + (xy)^(beta/2)) - c1 x - c2 y) as one
+    integral over the angle t; the radial one is exact (a slope needs beta = 2).
+
+    With A = 1 + cos t sin t and q = 2/beta, x = (r cos t)^q, y = (r sin t)^q and the
+    radial Gamma(q) / (2 A^q) give K_beta = (q^2 Gamma(q)/2) int (cos t sin t)^(q-1)
+    A^-q dt over [0, pi/2].  With a trend, x = r cos t, y = r sin t and the radial
+    int r e^(-A r^2 - b r) dr = g(b / (2 sqrt A)) / (2A), b = c1 cos t + c2 sin t
+    (A&S 7.4.2), give K(c1, c2).  Both fold onto [0, pi/4] by t -> pi/2 - t, which
+    swaps c1 and c2, so the swap symmetry is exact; t = (pi/4) v^p, p = max(1, 1/q),
+    takes the endpoint factor t^(q-1) dt to v^max(q-1, 0) dv, bounded on [0, 1]."""
+    if not (beta > 2.0 / 171.0):
+        raise ValueError(f"K_beta needs beta > 2/171, where Gamma(2/beta) is a float; got {beta}")
     if (c1, c2) == (0.0, 0.0):
+        q = 2.0 / beta
+        p = max(1.0, 1.0 / q)
 
-        def row(x: float) -> Callable[[float], float]:
-            xb = x ** beta
-            return lambda y: math.exp(-g2 * (xb + y ** beta + (x * y) ** a))
+        def f(v: float) -> float:
+            t = _QUARTER_PI * v ** p
+            cos_t, sin_t = math.cos(t), math.sin(t)
+            cos_sinc = cos_t * (sin_t / t if t > 0.0 else 1.0)
+            return v ** max(q - 1.0, 0.0) * cos_sinc ** (q - 1.0) / (1.0 + cos_t * sin_t) ** q
 
-        return row
+        scale, hi = math.gamma(q) * _QUARTER_PI ** q * q * q * p, 1.0
+    else:
 
-    def trended_row(x: float) -> Callable[[float], float]:
-        xx, cx = x * x, c1 * x
-        return lambda y: math.exp(-g2 * (xx + y * y + (x * y) ** a) - u * (cx + c2 * y))
+        def f(t: float) -> float:
+            cos_t, sin_t = math.cos(t), math.sin(t)
+            a = 1.0 + cos_t * sin_t
+            r = 2.0 * math.sqrt(a)
+            return (_g((c1 * cos_t + c2 * sin_t) / r) + _g((c2 * cos_t + c1 * sin_t) / r)) / (2 * a)
 
-    return trended_row
-
-
-def _exp_form_integral(beta: float, c1: float, c2: float, cfg: QuadratureConfig) -> float:
-    """integral over [0,inf)^2 of exp(-(x^beta + y^beta + (xy)^(beta/2)) - c1 x - c2 y).
-
-    Computed on the triangle {x <= y} with the integrand symmetrized,
-    f(x, y) + f(y, x), which covers the full quadrant and makes the swap
-    symmetry in (c1, c2) exact; f(x, y) is taken, bit for bit, as the
-    integrand with the slopes swapped at (y, x), so both terms are rows at y.
-    The outer variable is truncated by the y^beta envelope.
-    """
-    from scipy import special
-
-    R = _cutoff(beta)
-    # discarded region {y > R, x <= y}: integrand <= 2 e^{-y^beta} on a strip
-    # of width y, so the remainder is bounded by the y-weighted tail
-    # 2 int_R^inf y e^{-y^beta} dy = 2 Gamma(2/beta, R^beta) / beta
-    s = 2.0 / beta
-    tail = 2.0 * float(special.gamma(s)) * float(special.gammaincc(s, R ** beta)) / beta
-    f = _corner_integrand(1.0, beta, beta / 2.0, 1.0, c1, c2)
-    swapped = _corner_integrand(1.0, beta, beta / 2.0, 1.0, c2, c1)  # swapped(y)(x) = f(x)(y)
-    inner_epsabs = cfg.abs_tol / (8.0 * R)
-
-    def inner(y: float) -> float:
-        if y <= 0.0:
-            return 0.0
-        pts = _dyadic_down(y, y * 2.0 ** -24)
-        fy, sy = f(y), swapped(y)
-        val, _ = _integrate_panels(
-            lambda x: sy(x) + fy(x), pts, cfg, epsabs=inner_epsabs, epsrel=cfg.rel_tol
-        )
-        return val
-
-    outer_pts = _dyadic_down(R, R * 2.0 ** -16)
-    value, err = _integrate_panels(inner, outer_pts, cfg)
-    return _check_converged(value, err + tail, cfg, "exp-form double integral")
+        scale, hi = 1.0, _QUARTER_PI
+    value, err = _integrate_panels(f, [0.0, hi], cfg, epsabs=cfg.abs_tol / scale)
+    return _check_converged(scale * value, scale * err, cfg, "critical-constant angle integral")
 
 
 def k_beta(beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Critical product constant K_beta.
-
-    K_beta = int_0^inf int_0^inf exp(-x^beta - y^beta - x^(beta/2) y^(beta/2)),
-    evaluated by iterated adaptive quadrature over the truncated quadrant,
-    exploiting the x <-> y symmetry of the integrand.
-    """
-    if not (beta > 0):
-        raise ValueError(f"beta must be positive, got {beta}")
-    return _exp_form_integral(beta, 0.0, 0.0, cfg)
+    """K_beta = int_0^inf int_0^inf exp(-x^beta - y^beta - x^(beta/2) y^(beta/2)), the
+    critical product constant: one angle integral after the radial Gamma integral."""
+    return _critical_constant(beta, 0.0, 0.0, cfg)
 
 
 def trend_l(c: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -288,7 +272,7 @@ def trend_l(c: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """
     if c < 0:
         raise ValueError(f"c must be nonnegative, got {c}")
-    R = _cutoff(2.0)
+    R = math.sqrt(_TAIL_CUT_LOG)
     value, err = _integrate_panels(lambda x: math.exp(-x * x - c * x), [0.0, R], cfg)
     # the integrand is at most e^(-x^2), whose tail past R is (sqrt(pi)/2) erfc(R)
     tail = 0.5 * math.sqrt(math.pi) * math.erfc(R)
@@ -296,13 +280,12 @@ def trend_l(c: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
 
 
 def trend_k(c1: float, c2: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """K(c1, c2) = int int exp(-x^2 - y^2 - x y - c1 x - c2 y) over the quadrant.
-
-    Symmetric in (c1, c2); coincides with k_beta(2) at c1 = c2 = 0.
-    """
+    """K(c1, c2) = int int exp(-x^2 - y^2 - x y - c1 x - c2 y) over the quadrant: one angle
+    integral after the radial erfc integral, exactly symmetric in (c1, c2), and at
+    c1 = c2 = 0 the same call as k_beta(2)."""
     if c1 < 0 or c2 < 0:
         raise ValueError(f"trend slopes must be nonnegative, got ({c1}, {c2})")
-    return _exp_form_integral(2.0, c1, c2, cfg)
+    return _critical_constant(2.0, c1, c2, cfg)
 
 
 def side_constants(
@@ -394,6 +377,27 @@ class AsymptoticPrediction:
         return math.exp(log_val) if log_val <= _LOG_MAX else math.inf
 
 
+def _corner_integrand(spec: IntegralSpec) -> Callable[[float], Callable[[float], float]]:
+    """f(x)(y) = exp(-g2 (x^beta + y^beta + (xy)^a) - u (c1 x + c2 y)), g2 = gamma u^2,
+    curried by row: f(x) computes the terms in x alone once and returns y -> f(x, y).
+    A trend is stated for beta = 2 only, where the sides are squared as x * x."""
+    g2, beta, a = spec.gamma * spec.u * spec.u, spec.beta, spec.a
+    u, c1, c2 = spec.u, spec.c1, spec.c2
+    if (c1, c2) == (0.0, 0.0):
+
+        def row(x: float) -> Callable[[float], float]:
+            xb = x ** beta
+            return lambda y: math.exp(-g2 * (xb + y ** beta + (x * y) ** a))
+
+        return row
+
+    def trended_row(x: float) -> Callable[[float], float]:
+        xx, cx = x * x, c1 * x
+        return lambda y: math.exp(-g2 * (xx + y * y + (x * y) ** a) - u * (cx + c2 * y))
+
+    return trended_row
+
+
 def _square_integral(
     spec: IntegralSpec, f: Callable[[float], Callable[[float], float]], cfg: QuadratureConfig
 ) -> float:
@@ -428,9 +432,7 @@ def _square_integral(
 def i_gamma(spec: IntegralSpec, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Direct quadrature of
     int_0^delta int_0^delta exp(-gamma u^2 (x^b + y^b + (xy)^a) - u(c1 x + c2 y))."""
-    g2 = spec.gamma * spec.u * spec.u
-    f = _corner_integrand(g2, spec.beta, spec.a, spec.u, spec.c1, spec.c2)
-    return _square_integral(spec, f, cfg)
+    return _square_integral(spec, _corner_integrand(spec), cfg)
 
 
 def i_gamma_asymptote(
@@ -460,7 +462,7 @@ def i_gamma_asymptote(
         return AsymptoticPrediction(pref, -2.0 / a, 1, uses_psi=False)
     c1, c2 = spec.c1 / math.sqrt(gamma), spec.c2 / math.sqrt(gamma)
     if br == 0:
-        const = _exp_form_integral(beta, c1, c2, cfg)
+        const = _critical_constant(beta, c1, c2, cfg)
     else:
         s1, s2 = side_constants(beta, c1, c2, cfg)
         const = s1 * s2

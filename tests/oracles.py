@@ -47,6 +47,47 @@ def i_log_ratio_second_order(u: float, gamma: float, beta: float, a: float) -> f
     return j_ratio_second_order(lam, p, 1.0 / beta, gamma)
 
 
+def k_beta_series(beta: float) -> float:
+    """K_beta by the binomial series of (1 + cos t sin t)^-q, q = 2/beta.
+
+    K_beta = (q^2 Gamma(q)/2) int_0^(pi/2) (cos t sin t)^(q-1) (1 + cos t sin t)^-q dt
+    and cos t sin t <= 1/2, so expanding the last factor and integrating term
+    by term with the Wallis integral
+    int_0^(pi/2) (cos t sin t)^m dt = 2^-m B((m+1)/2, 1/2) / 2 gives a series
+    whose terms fall like 2^-n.  Its alternating terms first grow when q is
+    large, so it cancels at small beta (about 1e-11 relative at beta = 0.2).
+    """
+    q = 2.0 / beta
+    total, coef = 0.0, 1.0  # coef = binom(-q, n), by its recurrence
+    for n in range(4000):
+        m = q - 1.0 + n
+        term = coef * 2.0 ** -m * float(special.beta((m + 1.0) / 2.0, 0.5)) / 2.0
+        total += term
+        if n > q and abs(term) <= 1e-18 * abs(total):
+            return q * q * math.gamma(q) / 2.0 * total
+        coef *= -(q + n) / (n + 1.0)
+    raise RuntimeError(f"series for K_beta did not converge at beta={beta}")
+
+
+def trend_k_cartesian(c1: float, c2: float) -> float:
+    """K(c1, c2) with the x integral in closed form, then one quadrature over y:
+
+    int_0^inf exp(-x^2 - x y - c1 x) dx = (sqrt(pi)/2) erfcx((y + c1)/2), so
+    K = (sqrt(pi)/2) int_0^inf exp(-y^2 - c2 y) erfcx((y + c1)/2) dy.  y is
+    rescaled by 1/(1 + c2), the width of the exp(-c2 y) factor; erfcx varies
+    on scale 1 + c1 or wider, so the rescaled integrand is single-scale at
+    any slope and never cancels.
+    """
+    s = 1.0 / (1.0 + c2)
+
+    def f(t: float) -> float:
+        y = s * t
+        return math.exp(-y * y - c2 * y) * float(special.erfcx((y + c1) / 2.0))
+
+    val, _ = integrate.quad(f, 0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=500)
+    return 0.5 * math.sqrt(math.pi) * s * val
+
+
 def mc_k_beta(beta: float, n: int, seed: int) -> tuple[float, float]:
     """Coarse Monte Carlo for K_beta: E exp(-(XY)^(beta/2)) under X,Y ~ Weibull.
 

@@ -18,7 +18,7 @@ from supfield.quad import (
     trend_l,
 )
 
-from oracles import mc_k_beta, phi_oracle, trend_l_closed_form
+from oracles import k_beta_series, mc_k_beta, phi_oracle, trend_k_cartesian, trend_l_closed_form
 
 CFG = QuadratureConfig()
 
@@ -132,6 +132,20 @@ class TestKBeta:
         with pytest.raises(ValueError):
             k_beta(0.0)
 
+    def test_refuses_beta_where_gamma_overflows(self):
+        with pytest.raises(ValueError, match="beta > 2/171"):
+            k_beta(0.0116)  # Gamma(2/0.0116) is past the float range
+
+    def test_beta_two_is_the_nearest_double(self):
+        assert k_beta(2.0) == 0.6045997880780726  # pi / (3 sqrt 3), correctly rounded
+
+    @pytest.mark.parametrize("beta", [0.2, 0.5, 1.0, 1.5, 3.0, 4.0, 10.0, 20.0, 50.0])
+    def test_matches_series(self, beta):
+        # beta > 2 puts an integrable t^(q-1) singularity at the ends of the angle range;
+        # at beta = 0.2 the series itself cancels to about 1e-11 relative
+        rel = 1e-10 if beta == 0.2 else 1e-12
+        assert k_beta(beta) == pytest.approx(k_beta_series(beta), rel=rel)
+
 
 class TestTrendL:
     @pytest.mark.parametrize("c", [0.0, 0.5, 1.0, 2.0, 5.0])
@@ -172,10 +186,34 @@ class TestTrendK:
         assert trend_k(0.0, 0.0) == pytest.approx(math.pi / (3.0 * math.sqrt(3.0)), abs=1e-10)
 
     def test_swap_symmetry_exact(self):
-        assert trend_k(1.0, 2.0) == trend_k(2.0, 1.0)
+        for c1, c2 in [(1.0, 2.0), (1e4, 3.0)]:
+            assert trend_k(c1, c2) == trend_k(c2, c1)
 
     def test_monotone(self):
         assert trend_k(5.0, 5.0) < trend_k(0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "c1, c2",
+        [(0.5, 0.0), (1.0, 2.0), (3.0, 3.0), (10.0, 0.1), (50.0, 20.0), (500.0, 500.0),
+         (1e4, 1e4), (1e4, 0.0)],
+    )
+    def test_matches_cartesian_oracle(self, c1, c2):
+        # from (50, 20) on, z > 8 somewhere: the large-z series of g
+        assert trend_k(c1, c2) == pytest.approx(trend_k_cartesian(c1, c2), rel=1e-13)
+
+
+class TestCriticalConstantIsOneIntegral:
+    @pytest.mark.parametrize("call", [lambda: k_beta(1.5), lambda: trend_k(3.0, 1.0)])
+    def test_one_panel_call(self, monkeypatch, call):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return _integrate_panels(*args, **kwargs)
+
+        monkeypatch.setattr(quad, "_integrate_panels", counting)
+        call()
+        assert len(calls) == 1
 
 
 class TestAsymptoticPrediction:
