@@ -2,9 +2,10 @@
 """Run the full desk-scale verification sequence into results/.
 
 Chains the six CLI experiments with the shipped configs: constants,
-integral asymptotics, the regime sweep, the Pickands estimate, and the two
-excursion Monte Carlo studies.  The Monte Carlo steps dominate (~15 min on
-one core); pass --quick to run everything at toy sizes as a smoke check.
+integral asymptotics, the regime sweep, the Pickands estimate, the two
+excursion Monte Carlo studies and the corner blocks, then the trended
+constants, sweep and Monte Carlo.  The Monte Carlo steps dominate (~15 min
+on one core); pass --quick to run everything at toy sizes as a smoke check.
 
 At the end it prints one `sha256  path` line per CSV, JSON and SVG file the
 steps wrote, with paths relative to --out, so two runs compare with `diff`
@@ -28,6 +29,9 @@ STEPS = [
     ("mc", "mc_classical.yaml"),
     ("mc", "mc_side.yaml"),
     ("blocks", "blocks.yaml"),
+    ("constants", "constants_trend.yaml"),
+    ("sweep", "sweep_trend.yaml"),
+    ("mc", "mc_trend.yaml"),
 ]
 
 def run(out_root: Path, quick: bool) -> int:

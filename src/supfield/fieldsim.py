@@ -170,12 +170,15 @@ def build_lattice(
     xs: np.ndarray | None = None,
     ys: np.ndarray | None = None,
 ) -> LatticeField:
-    """Kronecker-factorized lattice; uniform n x n unless axes are given."""
-    if xs is None or ys is None:
+    """Kronecker-factorized lattice: uniform n x n from `n_per_axis`, or on both
+    axes `xs`, `ys`; one of the two, never a mix, which would drop an argument."""
+    if xs is None and ys is None:
         if n_per_axis is None or n_per_axis < 2:
             raise ValueError("give n_per_axis >= 2 or explicit axis coordinates")
         xs = np.linspace(0.0, params.T, n_per_axis)
         ys = xs.copy()
+    elif xs is None or ys is None or n_per_axis is not None:
+        raise ValueError("give n_per_axis alone or both axes xs and ys alone")
     return LatticeField(params, xs, ys)
 
 

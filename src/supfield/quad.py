@@ -17,18 +17,20 @@ at gamma = u = 1, a = beta/2 over the quadrant, whose homogeneity leaves one
 integral over the angle (`_critical_constant`).  Last comes the family
 
     J(lam) = int int X^(q-1) Y^(q-1) exp(-g X - g Y - g lam (XY)^p) dX dY
-    A(Z)   = int_0^inf X^(-1) exp(-g X - g Z/X) dX,
+           = int_0^inf Z^(q-1) exp(-g lam Z^p) A(Z) dZ,
+    A(Z)   = int_0^inf X^(-1) exp(-g X - g Z/X) dX = 2 K0(2 g sqrt(Z)),
 
 whose ratio to the Gamma(q/p)/(p^2 g^(q/p)) * lam^(-q/p) * log(lam) leading
 term tends to 1 like O(1/log lam).
 
 Numerical strategy: every integral is a sum of QUADPACK panels between
 breakpoints (`_integrate_panels`) whose summed error estimate is checked
-against the tolerances (`_check_converged`); 2-D integrals are iterated
-1-D with the inner integral adaptive per outer node; domains [0, delta]
-whose integrand lives on scales far below delta are pre-split dyadically
-toward 0 so the adaptive routine never has to discover the scale separation
-on its own; infinite domains are cut where an envelope exp(-s) drops below
+against the tolerances (`_check_converged`); the one 2-D integral left,
+`i_gamma`, is iterated 1-D with the inner integral adaptive per outer node
+(J is one integral over the closed-form A); domains [0, delta] whose
+integrand lives on scales far below delta are pre-split dyadically toward 0
+so the adaptive routine never has to discover the scale separation on its
+own; infinite domains are cut where an envelope exp(-s) drops below
 1e-16.  On the finite square, whose integrand falls along both axes, a
 panel loop stops once a bound on the panels left is below 2^-60 of its sum,
 where they could not change a bit of it (`tail_bound`).  Only the
@@ -36,9 +38,9 @@ tolerances are settable; `MAX_SUBDIVISIONS` and the cut are fixed.
 
 scipy is imported by the functions that call it, on first use: scipy.special
 by the closed forms (G_beta, the log prefactor, log Psi where a prediction
-overflows, erfcx for K(c1, c2)) and scipy.integrate, whose import costs
-about as much again, by the quadratures.  So a run that calls neither (a
-Pickands or block Monte Carlo run) never loads scipy.  `load_scipy` imports
+overflows, erfcx for K(c1, c2), K0 for A) and scipy.integrate, whose import
+costs about as much again, by the quadratures.  So a run that calls neither
+(a Pickands or block Monte Carlo run) never loads scipy.  `load_scipy` imports
 the modules a run will call ahead of time, so that the CLI's import stays
 in its set-up; were it to miss one, the import would only move into the work.
 """
@@ -156,8 +158,6 @@ def _integrate_panels(
     # With full_output=1 QUADPACK reports trouble in its return value, not as
     # an IntegrationWarning; convergence is judged from abserr by the caller.
     for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
-        if hi <= lo:
-            continue
         if tail_bound is not None and (bound := tail_bound(lo)) <= total * 2.0 ** -60:
             err += bound
             break
@@ -470,33 +470,26 @@ def i_gamma_asymptote(
 
 
 # ---------------------------------------------------------------------------
-# Nested inner/outer integrals behind the logarithmic branch
+# The J(lam) family behind the logarithmic branch
 # ---------------------------------------------------------------------------
 
 
 def inner_a(Z: float, cfg: QuadratureConfig = DEFAULT_CONFIG, gamma: float = 1.0) -> float:
     """A(Z) = int_0^inf X^(-1) exp(-g X - g Z/X) dX, with g = gamma.
 
-    Behaves like -log Z + O(1) as Z -> 0 and decays to 0 exponentially as
-    Z -> infinity.  Computed after the substitution X = e^t, which turns the
-    integrand into a smooth plateau with double-exponential tails.  A fixed
-    trend would move only bounded terms of the log branch (see
-    `i_gamma_asymptote`), so A carries none.
+    Evaluated in closed form as 2 K0(2 g sqrt(Z)) (DLMF 10.32.10, A&S 9.6.24)
+    through scipy.special.k0.  Behaves like -log Z + O(1) as Z -> 0 and decays to 0
+    exponentially as Z -> infinity.  A fixed trend would move only bounded
+    terms of the log branch (see `i_gamma_asymptote`), so A carries none.
+    `cfg` is accepted for interface uniformity, as in `g_beta`.
     """
     if not (Z > 0):
         raise ValueError(f"Z must be positive, got {Z}")
     if not (gamma > 0):
         raise ValueError(f"gamma must be positive, got {gamma}")
-    b_coef = gamma * Z
-    t_hi = math.log(_TAIL_CUT_LOG / gamma) + 3.0
-    t_lo = -math.log(_TAIL_CUT_LOG / b_coef) - 3.0
+    from scipy import special
 
-    def f(t: float) -> float:
-        return math.exp(-gamma * math.exp(t) - b_coef * math.exp(-t))
-
-    mid = sorted({t_lo, min(0.0, 0.5 * (t_lo + t_hi)), 0.0, t_hi})
-    value, err = _integrate_panels(f, mid, cfg, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol)
-    return _check_converged(value, err, cfg, "inner plateau integral")
+    return 2.0 * float(special.k0(2.0 * gamma * math.sqrt(Z)))
 
 
 def j_lambda_ratio(
@@ -506,10 +499,10 @@ def j_lambda_ratio(
     gamma: float,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> float:
-    """J(lam) by nested quadrature, divided by its leading asymptote.
+    """J(lam), one quadrature over the closed-form A, divided by its leading asymptote.
 
-    J(lam) = int_0^inf Z^(q-1) exp(-gamma lam Z^p) A(Z) dZ with A the inner
-    integral above; the leading term is
+    J(lam) = int_0^inf Z^(q-1) exp(-gamma lam Z^p) A(Z) dZ with A = `inner_a`;
+    the leading term is
     Gamma(q/p) / (p^2 gamma^(q/p)) * lam^(-q/p) * log(lam).  The ratio tends
     to 1 at rate O(1/log lam).
 
@@ -527,8 +520,6 @@ def j_lambda_ratio(
 
     # J = lam^{-q/p} * int W^{q-1} e^{-gamma W^p} A(scale * W) dW; then V = W^q.
     def f(V: float) -> float:
-        if V <= 0.0:
-            return 0.0
         W = V ** (1.0 / q)
         return math.exp(-gamma * W ** p) * inner_a(scale * W, cfg, gamma) / q
 

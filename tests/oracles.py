@@ -29,9 +29,19 @@ def trend_l_closed_form(c: float) -> float:
     return 0.5 * math.sqrt(math.pi) * math.exp(c * c / 4.0) * math.erfc(c / 2.0)
 
 
-def inner_a_closed_form(Z: float, gamma: float = 1.0) -> float:
-    """2 K0(2 gamma sqrt(Z)) via the modified Bessel function."""
-    return 2.0 * float(special.k0(2.0 * gamma * math.sqrt(Z)))
+def inner_a_cosh_form(Z: float, gamma: float = 1.0) -> float:
+    """A(Z) = 2 K0(x), x = 2 gamma sqrt(Z), by quadrature of the integral
+    representation K0(x) = int_0^inf exp(-x cosh s) ds (DLMF 10.32.9), not
+    through the Bessel routine the library calls.
+
+    The factor e^(-x) comes out in front, so the integrand exp(-x (cosh s - 1))
+    is 1 at s = 0 at every scale, and the range ends where it is e^-50.
+    """
+    x = 2.0 * gamma * math.sqrt(Z)
+    s_max = math.acosh(1.0 + 50.0 / x)
+    val, _ = integrate.quad(lambda s: math.exp(-x * (math.cosh(s) - 1.0)), 0.0, s_max,
+                            epsabs=0.0, epsrel=1e-13, limit=500)
+    return 2.0 * math.exp(-x) * val
 
 
 def j_ratio_second_order(lam: float, p: float, q: float, gamma: float) -> float:

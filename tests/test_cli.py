@@ -36,6 +36,10 @@ class TestConfig:
         assert cfg.model == ModelParams(1.0, 2.0, 0.4)
         assert cfg.pickands.s_ladder == (1.0, 2.0)
 
+    @pytest.mark.parametrize("text", ["", "model:\n"], ids=["empty-file", "empty-section"])
+    def test_empty_file_or_section_keeps_the_defaults(self, tmp_path, text):
+        assert load_config(write_cfg(tmp_path, text)) == ExperimentConfig()
+
     def test_unknown_top_level_key_rejected(self, tmp_path):
         path = write_cfg(tmp_path, "bogus_key: 3\n")
         with pytest.raises(ConfigError, match="bogus_key"):
@@ -138,6 +142,11 @@ class TestConfig:
             ),
             ("pickands: {sampler: brownian}\n", "config.pickands: unknown sampler 'brownian'"),
             ("u_ladder: [1.0]\n", "config.u_ladder: levels must exceed 1, got 1.0"),
+            ("workers: 0\n", "config.workers: must be at least 1"),
+            ("batch_size: 0\n", "config.batch_size: must be at least 1"),
+            ("u_ladder: 2.0\n", "config.u_ladder: expected a list, got 2.0"),
+            ("model: 3\n", "config.model: expected a mapping, got int"),
+            ("- seed: 1\n", "cfg.yaml: top level must be a mapping"),
         ],
         ids=[
             "grid-kind",
@@ -174,6 +183,11 @@ class TestConfig:
             "pickands-inf-rung",
             "pickands-brownian-sampler",
             "u-ladder-one",
+            "no-workers",
+            "zero-batch",
+            "u-ladder-scalar",
+            "model-not-mapping",
+            "top-level-list",
         ],
     )
     def test_bad_section_fails_at_load(self, tmp_path, capsys, kind, text, message):

@@ -63,6 +63,20 @@ class TestLatticeField:
             build_lattice(P_CLASSICAL, xs=np.array([0.0, 0.5]), ys=np.array([0.5, 0.2]))
         with pytest.raises(ValueError):
             build_lattice(P_CLASSICAL, xs=np.array([0.0, 1.5]), ys=np.array([0.0, 0.5]))
+        with pytest.raises(ValueError, match="nonempty 1-D"):
+            LatticeField(P_CLASSICAL, np.zeros((2, 2)), np.array([0.0, 0.5]))
+        with pytest.raises(ValueError, match="nonempty 1-D"):
+            LatticeField(P_CLASSICAL, np.array([0.0, 0.5]), np.array([]))
+        with pytest.raises(ValueError, match="give n_per_axis >= 2"):
+            build_lattice(P_CLASSICAL)
+
+    @pytest.mark.parametrize("axes", [("xs",), ("xs", "ys")], ids=["one-axis", "both-axes"])
+    def test_size_with_axes_refused(self, axes):
+        # one of the two would be dropped: the axis for a uniform 8 x 8 lattice,
+        # or the size for the axes' lattice
+        given = {name: np.array([0.0, 0.5]) for name in axes}
+        with pytest.raises(ValueError, match="n_per_axis alone or both axes"):
+            build_lattice(P_CLASSICAL, n_per_axis=8, **given)
 
 
 class RecordingGenerator:

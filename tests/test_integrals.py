@@ -19,7 +19,7 @@ from supfield.quad import (
 
 from oracles import (
     i_log_ratio_second_order,
-    inner_a_closed_form,
+    inner_a_cosh_form,
     j_ratio_second_order,
 )
 
@@ -34,6 +34,18 @@ class TestIGamma:
     def test_non_finite_level_refused(self):
         with pytest.raises(ValueError, match="level u must be finite, got inf"):
             spec(u=math.inf)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            (dict(delta=0.0), "delta must be positive, got 0.0"),
+            (dict(c1=-1.0), "trend slopes must be nonnegative"),
+        ],
+        ids=["zero-delta", "negative-slope"],
+    )
+    def test_bad_spec_refused(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            spec(**kwargs)
 
     def test_small_u_limit_is_area(self):
         val = i_gamma(spec(u=1e-6), CFG)
@@ -188,7 +200,7 @@ class TestIGammaAsymptote:
 class TestInnerA:
     @pytest.mark.parametrize("Z", [1e-6, 1e-4, 1e-2, 1.0, 10.0])
     def test_matches_bessel_oracle(self, Z):
-        assert inner_a(Z, cfg=CFG) == pytest.approx(inner_a_closed_form(Z), rel=1e-10)
+        assert inner_a(Z, cfg=CFG) == pytest.approx(inner_a_cosh_form(Z), rel=1e-12, abs=0.0)
 
     def test_log_law(self):
         for Z in (1e-2, 1e-4, 1e-6):
@@ -202,12 +214,21 @@ class TestInnerA:
 
     def test_gamma_argument(self):
         assert inner_a(0.5, gamma=2.0, cfg=CFG) == pytest.approx(
-            inner_a_closed_form(0.5, gamma=2.0), rel=1e-10
+            inner_a_cosh_form(0.5, gamma=2.0), rel=1e-12, abs=0.0
+        )
+
+    def test_far_tail_at_gamma_2(self):
+        # A = 1.68e-18 is far below the 1e-12 absolute tolerance of a quadrature;
+        # A must keep its relative accuracy there all the same
+        assert inner_a(100.0, gamma=2.0, cfg=CFG) == pytest.approx(
+            inner_a_cosh_form(100.0, gamma=2.0), rel=1e-12, abs=0.0
         )
 
     def test_rejects_bad_z(self):
         with pytest.raises(ValueError):
             inner_a(0.0, cfg=CFG)
+        with pytest.raises(ValueError, match="gamma must be positive, got 0.0"):
+            inner_a(1.0, gamma=0.0, cfg=CFG)
 
 
 class TestJLambdaRatio:
@@ -233,6 +254,20 @@ class TestJLambdaRatio:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             j_lambda_ratio(0.5, 1.0 / 3.0, 0.5, 1.0, CFG)
+        with pytest.raises(ValueError, match="p, q, gamma must be positive"):
+            j_lambda_ratio(1e4, 0.0, 0.5, 1.0, CFG)
+
+    def test_one_panel_call(self, monkeypatch):
+        # A is closed form, so J is a single quadrature, not a nested one
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return _integrate_panels(*args, **kwargs)
+
+        monkeypatch.setattr(quad, "_integrate_panels", counting)
+        j_lambda_ratio(1e4, 1.0 / 3.0, 0.5, 1.0, CFG)
+        assert len(calls) == 1
 
 
 class TestITrend:

@@ -36,6 +36,7 @@ class TestModelParams:
             dict(alpha=1.0, beta=2.5, a=1.0, c1=1.0),  # a trend needs beta = 2
             dict(alpha=1.0, beta=1.5, a=1.0, c2=0.5),
             dict(alpha=math.nan, beta=2.0, a=1.0),
+            dict(alpha=1.0, beta=math.inf, a=1.0),
         ],
     )
     def test_constructor_rejects_invalid(self, kwargs):
@@ -50,6 +51,8 @@ class TestModelParams:
             variance_loss(P_CRIT, Point2(1.2, 0.5))
         with pytest.raises(ValueError):
             correlation(P_CRIT, Point2(0.1, 0.1), Point2(-0.01, 0.5))
+        with pytest.raises(ValueError, match="non-finite coordinates"):
+            P_CRIT.check_point(Point2(math.nan, 0.5))
 
 
 class TestVarianceLoss:

@@ -319,6 +319,12 @@ class TestRunBatches:
         with pytest.raises(ValueError, match="at least 1, got 4 and 0"):
             streams.run_batches(work, 10, 4, 0, what="x", item="items", item_bytes=8)
 
+    def test_negative_batch_index_and_count_refused(self):
+        with pytest.raises(ValueError, match="batch_index must be nonnegative"):
+            batch_generator(1, -1)
+        with pytest.raises(ValueError, match="n_total must be nonnegative"):
+            batch_sizes(-1)
+
     @pytest.mark.parametrize("exc", [FirstBatch, KeyboardInterrupt])
     def test_failed_batch_stops_the_queue(self, exc):
         started = []
@@ -363,6 +369,8 @@ class TestProtocol:
             ExtrapolationProtocol(spacing_factor=1.5)
         with pytest.raises(ValueError, match="batch_size"):
             ExtrapolationProtocol(batch_size=0)
+        with pytest.raises(ValueError, match="at least 2 replicates"):
+            ExtrapolationProtocol(n_replicates=1)
 
     def test_point_cap_enforced(self):
         # 4 * 10^6 increments at alpha = 1: refused before any path is drawn

@@ -116,6 +116,10 @@ class TestGBeta:
         )
         assert abs(g_beta(beta) - quad_val) <= 1e-9
 
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError, match="beta must be positive, got 0.0"):
+            g_beta(0.0)
+
 
 class TestKBeta:
     def test_beta_two_closed_form(self):
@@ -191,6 +195,10 @@ class TestTrendK:
 
     def test_monotone(self):
         assert trend_k(5.0, 5.0) < trend_k(0.0, 0.0)
+
+    def test_rejects_negative_slope(self):
+        with pytest.raises(ValueError, match="trend slopes must be nonnegative"):
+            trend_k(-1.0, 0.0)
 
     @pytest.mark.parametrize(
         "c1, c2",
