@@ -24,17 +24,18 @@ whose ratio to the Gamma(q/p)/(p^2 g^(q/p)) * lam^(-q/p) * log(lam) leading
 term tends to 1 like O(1/log lam).
 
 Numerical strategy: every integral is a sum of QUADPACK panels between
-breakpoints (`_integrate_panels`) whose summed error estimate is checked
-against the tolerances (`_check_converged`); the one 2-D integral left,
-`i_gamma`, is iterated 1-D with the inner integral adaptive per outer node
-(J is one integral over the closed-form A); domains [0, delta] whose
-integrand lives on scales far below delta are pre-split dyadically toward 0
-so the adaptive routine never has to discover the scale separation on its
-own; infinite domains are cut where an envelope exp(-s) drops below
-1e-16.  On the finite square, whose integrand falls along both axes, a
-panel loop stops once a bound on the panels left is below 2^-60 of its sum,
-where they could not change a bit of it (`tail_bound`).  Only the
-tolerances are settable; `MAX_SUBDIVISIONS` and the cut are fixed.
+breakpoints (`_integrate_panels`), each asked for the tolerances its caller
+states, whose summed error estimate is checked against the configured ones
+(`_check_converged`).  The one 2-D integral left, `i_gamma`, is iterated 1-D
+with the inner integral adaptive per outer node (J is one integral over the
+closed-form A).  Domains [0, delta] whose integrand lives on scales far below
+delta are pre-split dyadically toward 0 so the adaptive routine never has to
+discover the scale separation on its own; infinite domains are cut where an
+envelope exp(-s) drops below 1e-16.  On the finite square, whose integrand
+falls along both axes, a panel loop stops once a bound on the panels left is
+below 2^-60 of its sum, where they could not change a bit of it
+(`tail_bound`).  Only the tolerances are settable; `MAX_SUBDIVISIONS` and the
+cut are fixed.
 
 scipy is imported by the functions that call it, on first use: scipy.special
 by the closed forms (G_beta, the log prefactor, log Psi where a prediction
@@ -132,13 +133,13 @@ def normal_survival(u: float) -> float:
 def _integrate_panels(
     f: Callable[[float], float],
     breakpoints: Sequence[float],
-    cfg: QuadratureConfig,
-    epsabs: float | None = None,
-    epsrel: float | None = None,
+    epsabs: float,
+    epsrel: float,
     tail_bound: Callable[[float], float] | None = None,
 ) -> tuple[float, float]:
     """Sum of QUADPACK panels between consecutive breakpoints: (value, error estimate).
 
+    Each panel is asked for `epsabs` and `epsrel`; the caller states both.
     `tail_bound(lo)` bounds the integral from lo to the last breakpoint, as
     (end - lo) f(lo) does for a positive non-increasing f.  Once it is at
     most 2^-60 of the sum so far, the loop adds it to the error and stops.
@@ -149,10 +150,6 @@ def _integrate_panels(
     """
     from scipy import integrate
 
-    if epsabs is None:
-        epsabs = cfg.abs_tol / max(1, len(breakpoints) - 1)
-    if epsrel is None:
-        epsrel = cfg.rel_tol
     total = 0.0
     err = 0.0
     # With full_output=1 QUADPACK reports trouble in its return value, not as
@@ -232,8 +229,8 @@ def _critical_constant(beta: float, c1: float, c2: float, cfg: QuadratureConfig)
     (A&S 7.4.2), give K(c1, c2).  Both fold onto [0, pi/4] by t -> pi/2 - t, which
     swaps c1 and c2, so the swap symmetry is exact; t = (pi/4) v^p, p = max(1, 1/q),
     takes the endpoint factor t^(q-1) dt to v^max(q-1, 0) dv, bounded on [0, 1]."""
-    if not (beta > 2.0 / 171.0):
-        raise ValueError(f"K_beta needs beta > 2/171, where Gamma(2/beta) is a float; got {beta}")
+    if not (2.0 / 171.0 < beta < math.inf):
+        raise ValueError(f"K_beta needs a finite beta > 2/171 (Gamma(2/beta) a float); got {beta}")
     if (c1, c2) == (0.0, 0.0):
         q = 2.0 / beta
         p = max(1.0, 1.0 / q)
@@ -254,7 +251,7 @@ def _critical_constant(beta: float, c1: float, c2: float, cfg: QuadratureConfig)
             return (_g((c1 * cos_t + c2 * sin_t) / r) + _g((c2 * cos_t + c1 * sin_t) / r)) / (2 * a)
 
         scale, hi = 1.0, _QUARTER_PI
-    value, err = _integrate_panels(f, [0.0, hi], cfg, epsabs=cfg.abs_tol / scale)
+    value, err = _integrate_panels(f, [0.0, hi], cfg.abs_tol / scale, cfg.rel_tol)
     return _check_converged(scale * value, scale * err, cfg, "critical-constant angle integral")
 
 
@@ -270,10 +267,12 @@ def trend_l(c: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     Satisfies the closed form (sqrt(pi)/2) e^(c^2/4) erfc(c/2), which the
     test suite uses as an independent oracle.
     """
-    if c < 0:
-        raise ValueError(f"c must be nonnegative, got {c}")
+    if not (0.0 <= c < math.inf):
+        raise ValueError(f"c must be nonnegative and finite, got {c}")
     R = math.sqrt(_TAIL_CUT_LOG)
-    value, err = _integrate_panels(lambda x: math.exp(-x * x - c * x), [0.0, R], cfg)
+    value, err = _integrate_panels(
+        lambda x: math.exp(-x * x - c * x), [0.0, R], cfg.abs_tol, cfg.rel_tol
+    )
     # the integrand is at most e^(-x^2), whose tail past R is (sqrt(pi)/2) erfc(R)
     tail = 0.5 * math.sqrt(math.pi) * math.erfc(R)
     return _check_converged(value, err + tail, cfg, "integral")
@@ -283,8 +282,8 @@ def trend_k(c1: float, c2: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> flo
     """K(c1, c2) = int int exp(-x^2 - y^2 - x y - c1 x - c2 y) over the quadrant: one angle
     integral after the radial erfc integral, exactly symmetric in (c1, c2), and at
     c1 = c2 = 0 the same call as k_beta(2)."""
-    if c1 < 0 or c2 < 0:
-        raise ValueError(f"trend slopes must be nonnegative, got ({c1}, {c2})")
+    if not (0.0 <= c1 < math.inf and 0.0 <= c2 < math.inf):
+        raise ValueError(f"trend slopes must be nonnegative and finite, got ({c1}, {c2})")
     return _critical_constant(2.0, c1, c2, cfg)
 
 
@@ -306,7 +305,7 @@ def side_constants(
 
 @dataclass(frozen=True)
 class IntegralSpec:
-    """Parameters of the finite-domain double integrals.
+    """Parameters of the finite-domain double integrals, all finite.
 
     gamma : exponential rate multiplier (> 0)
     beta  : side exponent (> 0)
@@ -325,11 +324,14 @@ class IntegralSpec:
     c2: float = 0.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.u):
+            raise ValueError(f"level u must be finite, got {self.u}")
+        for name in ("gamma", "beta", "a", "delta", "c1", "c2"):  # nan fails no sign check
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("gamma", "beta", "a", "delta", "u"):
             if not (getattr(self, name) > 0):
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not math.isfinite(self.u):
-            raise ValueError(f"level u must be finite, got {self.u}")
         if self.c1 < 0 or self.c2 < 0:
             raise ValueError("trend slopes must be nonnegative")
         if (self.c1, self.c2) != (0.0, 0.0) and self.beta != 2.0:
@@ -377,11 +379,19 @@ class AsymptoticPrediction:
         return math.exp(log_val) if log_val <= _LOG_MAX else math.inf
 
 
-def _corner_integrand(spec: IntegralSpec) -> Callable[[float], Callable[[float], float]]:
-    """f(x)(y) = exp(-g2 (x^beta + y^beta + (xy)^a) - u (c1 x + c2 y)), g2 = gamma u^2,
-    curried by row: f(x) computes the terms in x alone once and returns y -> f(x, y).
-    A trend is stated for beta = 2 only, where the sides are squared as x * x."""
-    g2, beta, a = spec.gamma * spec.u * spec.u, spec.beta, spec.a
+def i_gamma(spec: IntegralSpec, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """Direct quadrature of the corner integral of f(x, y) = exp(-g2 (x^beta + y^beta
+    + (xy)^a) - u(c1 x + c2 y)) over [0, delta]^2, g2 = gamma u^2, iterated 1-D.
+
+    row(x) computes the terms in x alone once and returns y -> f(x, y); a trend is
+    stated for beta = 2 only, where the sides are squared as x * x.  f lives on scales
+    g2^(-1/beta), g2^(-1/(2a)) and below, so both axes are split dyadically from delta
+    down past the smallest and each panel sees a single scale.  f decreases in each
+    variable, so the panels from y on hold at most (delta - y) f(x, y) and those from
+    x on at most (delta - x) delta f(x, 0): the tail bounds that let `_integrate_panels`
+    skip the panels that cannot change a bit of the sum, among them all that underflow.
+    """
+    g2, beta, a, delta = spec.gamma * spec.u * spec.u, spec.beta, spec.a, spec.delta
     u, c1, c2 = spec.u, spec.c1, spec.c2
     if (c1, c2) == (0.0, 0.0):
 
@@ -389,50 +399,23 @@ def _corner_integrand(spec: IntegralSpec) -> Callable[[float], Callable[[float],
             xb = x ** beta
             return lambda y: math.exp(-g2 * (xb + y ** beta + (x * y) ** a))
 
-        return row
+    else:
 
-    def trended_row(x: float) -> Callable[[float], float]:
-        xx, cx = x * x, c1 * x
-        return lambda y: math.exp(-g2 * (xx + y * y + (x * y) ** a) - u * (cx + c2 * y))
+        def row(x: float) -> Callable[[float], float]:
+            xx, cx = x * x, c1 * x
+            return lambda y: math.exp(-g2 * (xx + y * y + (x * y) ** a) - u * (cx + c2 * y))
 
-    return trended_row
-
-
-def _square_integral(
-    spec: IntegralSpec, f: Callable[[float], Callable[[float], float]], cfg: QuadratureConfig
-) -> float:
-    """integral over [0, delta]^2 of the corner integrand f(x)(y), dyadically pre-split.
-
-    The integrand concentrates on scales (gamma u^2)^(-1/beta) and smaller;
-    both axes are split dyadically from delta down past the smallest relevant
-    scale so panel adaptivity only ever sees a single-scale problem.
-
-    f decreases in each variable (gamma, u > 0 and c1, c2 >= 0), so the
-    panels from y on hold at most (delta - y) f(x, y) and those from x on at
-    most (delta - x) delta f(x, 0): the tail bounds that let
-    `_integrate_panels` skip panels that cannot change a bit of the sum,
-    among them every panel where the integrand underflows.
-    """
-    g2 = spec.gamma * spec.u * spec.u
-    delta = spec.delta
-    floor = min(g2 ** (-1.0 / spec.beta), g2 ** (-1.0 / (2.0 * spec.a)), delta)
+    floor = min(g2 ** (-1.0 / beta), g2 ** (-1.0 / (2.0 * a)), delta)
     pts = _dyadic_down(delta, floor / 64.0)
 
-    def panels(g: Callable[[float], float], bound: Callable[[float], float]) -> tuple[float, float]:
-        return _integrate_panels(g, pts, cfg, epsabs=0.0, epsrel=cfg.rel_tol, tail_bound=bound)
-
     def inner(x: float) -> float:
-        fx = f(x)
-        return panels(fx, lambda y: (delta - y) * fx(y))[0]
+        fx = row(x)
+        return _integrate_panels(fx, pts, 0.0, cfg.rel_tol, lambda y: (delta - y) * fx(y))[0]
 
-    value, err = panels(inner, lambda x: (delta - x) * delta * f(x)(0.0))
+    value, err = _integrate_panels(
+        inner, pts, 0.0, cfg.rel_tol, lambda x: (delta - x) * delta * row(x)(0.0)
+    )
     return _check_converged(value, err, cfg, "finite-domain double integral")
-
-
-def i_gamma(spec: IntegralSpec, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Direct quadrature of
-    int_0^delta int_0^delta exp(-gamma u^2 (x^b + y^b + (xy)^a) - u(c1 x + c2 y))."""
-    return _square_integral(spec, _corner_integrand(spec), cfg)
 
 
 def i_gamma_asymptote(
@@ -510,10 +493,10 @@ def j_lambda_ratio(
     Z^(q-1) is removed by a further power substitution, so the outer
     integrand is bounded and single-scale.
     """
-    if not (lam > 1):
-        raise ValueError(f"lam must exceed 1, got {lam}")
-    if p <= 0 or q <= 0 or gamma <= 0:
-        raise ValueError("p, q, gamma must be positive")
+    if not (1.0 < lam < math.inf):
+        raise ValueError(f"lam must be finite and exceed 1, got {lam}")
+    if not all(0.0 < v < math.inf for v in (p, q, gamma)):
+        raise ValueError(f"p, q, gamma must be positive and finite, got ({p}, {q}, {gamma})")
     from scipy import special
 
     scale = lam ** (-1.0 / p)
@@ -526,7 +509,7 @@ def j_lambda_ratio(
     w_max = (_TAIL_CUT_LOG / gamma) ** (1.0 / p)
     v_max = w_max ** q
     pts = _dyadic_down(v_max, min(1.0, v_max) * 2.0 ** -20)
-    value, err = _integrate_panels(f, pts, cfg, epsabs=0.0, epsrel=max(cfg.rel_tol, 1e-9))
+    value, err = _integrate_panels(f, pts, 0.0, max(cfg.rel_tol, 1e-9))
     _check_converged(value, err, cfg, "outer scale integral")
     j_val = lam ** (-q / p) * value
     leading = (

@@ -15,8 +15,6 @@ _ML, _MR, _MT, _MB = 70, 20, 40, 50
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / max(n - 1, 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s for s in (mag, 2 * mag, 2.5 * mag, 5 * mag, 10 * mag) if s >= raw)
@@ -40,12 +38,8 @@ def line_plot(
     """Write a simple multi-series line plot with optional vertical markers."""
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys if math.isfinite(y)]
-    if not xs_all or not ys_all:
-        raise ValueError("nothing to plot")
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
     pad = 0.05 * (y_hi - y_lo) or 0.5
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

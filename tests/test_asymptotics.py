@@ -97,7 +97,7 @@ class TestPredictTrend:
     def test_side_dominated_sum_of_sides(self):
         p = ModelParams(1.0, 2.0, 0.5, c1=1.0, c2=2.0)
         pred = predict(p)
-        assert pred.prefactor == pytest.approx(trend_l(1.0) + trend_l(2.0), rel=1e-10)
+        assert pred.prefactor == pytest.approx(trend_l(1.0) + trend_l(2.0), rel=1e-10, abs=0.0)
         assert (pred.u_power, pred.log_power) == (1.0, 0)
 
     def test_log_regime_trend_free(self):
@@ -107,12 +107,12 @@ class TestPredictTrend:
 
     def test_critical_uses_trend_constant(self):
         p = ModelParams(1.0, 2.0, 1.0, c1=0.5, c2=1.5)
-        assert predict(p).prefactor == pytest.approx(trend_k(0.5, 1.5), rel=1e-10)
+        assert predict(p).prefactor == pytest.approx(trend_k(0.5, 1.5), rel=1e-10, abs=0.0)
 
     def test_classical_uses_product_of_sides(self):
         p = ModelParams(1.0, 2.0, 1.5, c1=0.5, c2=1.5)
         assert predict(p).prefactor == pytest.approx(
-            trend_l(0.5) * trend_l(1.5), rel=1e-10
+            trend_l(0.5) * trend_l(1.5), rel=1e-10, abs=0.0
         )
 
     def test_one_sided_trend_uses_trend_constants(self):
@@ -130,7 +130,7 @@ class TestRegimeSweep:
         assert by_a[0.5].u_power == 1.0 and by_a[0.5].log_power == 0
         assert by_a[2.0 / 3.0].u_power == pytest.approx(1.0, abs=1e-12)
         assert by_a[2.0 / 3.0].log_power == 1
-        assert by_a[0.9].u_power == pytest.approx(4.0 - 2.0 / 0.9, rel=1e-12)
+        assert by_a[0.9].u_power == pytest.approx(4.0 - 2.0 / 0.9, rel=1e-12, abs=0.0)
         # from beta/2 on the power freezes at 2 and the log switches off
         assert by_a[1.0].u_power == 2.0 and by_a[1.0].log_power == 0
         assert by_a[1.2].u_power == 2.0
@@ -148,5 +148,9 @@ class TestRegimeSweep:
     def test_keeps_the_trend(self):
         p = ModelParams(1.0, 2.0, 1.0, c1=0.7, c2=1.3)
         side, critical = regime_sweep(p, [0.5, 1.0], h_alpha=1.37)
-        assert side.prefactor == pytest.approx(1.37 * (trend_l(0.7) + trend_l(1.3)), rel=1e-12)
-        assert critical.prefactor == pytest.approx(1.37 ** 2 * trend_k(0.7, 1.3), rel=1e-12)
+        assert side.prefactor == pytest.approx(
+            1.37 * (trend_l(0.7) + trend_l(1.3)), rel=1e-12, abs=0.0
+        )
+        assert critical.prefactor == pytest.approx(
+            1.37 ** 2 * trend_k(0.7, 1.3), rel=1e-12, abs=0.0
+        )

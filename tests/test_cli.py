@@ -327,7 +327,7 @@ class TestConstantsCommand:
         assert report["G_beta"] == pytest.approx(0.8862269, abs=1e-6)
         assert report["K_beta"] == pytest.approx(0.6045998, abs=1e-6)
         assert report["K_c1_c2"] == report["K_beta"]  # zero trend coincides
-        assert report["a0"] == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert report["a0"] == pytest.approx(2.0 / 3.0, rel=1e-12, abs=0.0)
         assert report["regime"] == "CriticalProduct"
         assert (out / "MANIFEST").exists()
         assert "G_beta" in capsys.readouterr().out

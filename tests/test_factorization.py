@@ -16,6 +16,6 @@ class TestCholWithJitter:
         # eigenvalues -1 and 3: no shift up to the ceiling makes it positive definite
         with pytest.raises(FactorizationError) as info:
             chol_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]), max_jitter=1e-6)
-        assert info.value.min_eigenvalue == pytest.approx(-1.0, rel=1e-12)
+        assert info.value.min_eigenvalue == pytest.approx(-1.0, rel=1e-12, abs=0.0)
         assert info.value.max_jitter == 1e-6
         assert "jitter ceiling 1.0e-06" in str(info.value)

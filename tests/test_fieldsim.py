@@ -305,7 +305,7 @@ class TestBlocks:
         res = mc_block_exceedance(p, spec, 4000, seed=3, n_grid=12, h_replicates=4000)
         assert res.h1 == res.h2  # same side multiplier, shared estimate
         assert res.prediction == pytest.approx(
-            res.h1 * res.h2 * normal_survival(3.0), rel=1e-12
+            res.h1 * res.h2 * normal_survival(3.0), rel=1e-12, abs=0.0
         )
 
     def test_interior_block_variance_penalty(self):
@@ -315,7 +315,7 @@ class TestBlocks:
         res = mc_block_exceedance(p, spec, 4000, seed=3, n_grid=12, h_replicates=4000)
         v_loss = 0.2 ** 2 + 0.2 ** 2 + (0.2 * 0.2) ** 1.0
         assert res.prediction == pytest.approx(
-            res.h1 * res.h2 * normal_survival(3.0) * math.exp(-9.0 * v_loss), rel=1e-12
+            res.h1 * res.h2 * normal_survival(3.0) * math.exp(-9.0 * v_loss), rel=1e-12, abs=0.0
         )
 
     def test_degenerate_side_gives_unit_factor(self):
@@ -323,7 +323,7 @@ class TestBlocks:
         spec = BlockSpec(Point2(0.0, 0.0), 0.0, 2.0, 3.0)
         res = mc_block_exceedance(p, spec, 4000, seed=3, n_grid=12, h_replicates=4000)
         assert res.h1 == 1.0
-        assert res.prediction == pytest.approx(res.h2 * normal_survival(3.0), rel=1e-12)
+        assert res.prediction == pytest.approx(res.h2 * normal_survival(3.0), rel=1e-12, abs=0.0)
 
     def test_h_factor_over_the_path_point_cap_refused(self, monkeypatch):
         # the H(2) factor: 12 points x 4000 paths = 4.8 * 10^4 path points
@@ -375,7 +375,7 @@ class TestRatioHarness:
         rows = ratio_harness(P_SIDE, [2.0, 3.0], lat, 2000, seed=4)
         for r in rows:
             expected = math.sqrt(math.pi) * r.u * normal_survival(r.u)
-            assert r.prediction == pytest.approx(expected, rel=1e-12)
+            assert r.prediction == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_trend_params_use_trend_prediction(self):
         p = ModelParams(1.0, 2.0, 0.4, c1=1.0, c2=2.0)
@@ -384,7 +384,7 @@ class TestRatioHarness:
         from supfield.quad import trend_l
 
         expected = (trend_l(1.0) + trend_l(2.0)) * 2.0 * normal_survival(2.0)
-        assert rows[0].prediction == pytest.approx(expected, rel=1e-10)
+        assert rows[0].prediction == pytest.approx(expected, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("ladder", [[2.0, math.inf], [math.nan]])
     def test_non_finite_level_refused_before_drawing(self, monkeypatch, ladder):

@@ -86,7 +86,7 @@ class TestSigma:
         assert sigma(P_CRIT, Point2(0.0, 0.0)) == 1.0
 
     def test_corner_value(self):
-        assert sigma(P_CRIT, Point2(1.0, 1.0)) == pytest.approx(math.exp(-3.0), rel=1e-15)
+        assert sigma(P_CRIT, Point2(1.0, 1.0)) == pytest.approx(math.exp(-3.0), rel=1e-15, abs=0.0)
 
     def test_unique_max_on_grid(self):
         xs = np.linspace(0.0, 1.0, 21)
@@ -129,7 +129,7 @@ class TestCorrelation:
 
     def test_explicit_value(self):
         r = correlation(P_CRIT, Point2(0.0, 0.0), Point2(0.3, 0.4))
-        assert r == pytest.approx(math.exp(-0.7), rel=1e-15)
+        assert r == pytest.approx(math.exp(-0.7), rel=1e-15, abs=0.0)
 
     def test_symmetry_random_pairs(self, rng):
         for _ in range(100):
@@ -162,7 +162,9 @@ class TestCovariance:
     def test_diagonal_is_sigma_squared(self, rng):
         for _ in range(20):
             t = Point2(*rng.uniform(0, 1, 2))
-            assert covariance(P_CRIT, t, t) == pytest.approx(sigma(P_CRIT, t) ** 2, rel=1e-15)
+            assert covariance(P_CRIT, t, t) == pytest.approx(
+                sigma(P_CRIT, t) ** 2, rel=1e-15, abs=0.0
+            )
 
     @pytest.mark.parametrize("alpha,beta,a", [(1.0, 2.0, 1.0), (0.8, 2.0, 0.5), (2.0, 3.0, 2.0)])
     def test_gram_psd_random_points(self, alpha, beta, a, rng):
@@ -195,14 +197,20 @@ class TestRegime:
         assert classify_regime(p) is classify_regime(p)
 
     def test_threshold_value(self):
-        assert ModelParams(1, 2, 1).a0 == pytest.approx(2.0 / 3.0, rel=1e-15)
+        assert ModelParams(1, 2, 1).a0 == pytest.approx(2.0 / 3.0, rel=1e-15, abs=0.0)
 
 
 class TestCorrelationScale:
     def test_power_law(self):
-        assert correlation_scale(ModelParams(1, 2, 1), 10.0) == pytest.approx(0.01, rel=1e-14)
-        assert correlation_scale(ModelParams(2, 3, 1), 100.0) == pytest.approx(0.01, rel=1e-14)
-        assert correlation_scale(ModelParams(0.5, 2, 1), 10.0) == pytest.approx(1e-4, rel=1e-12)
+        assert correlation_scale(ModelParams(1, 2, 1), 10.0) == pytest.approx(
+            0.01, rel=1e-14, abs=0.0
+        )
+        assert correlation_scale(ModelParams(2, 3, 1), 100.0) == pytest.approx(
+            0.01, rel=1e-14, abs=0.0
+        )
+        assert correlation_scale(ModelParams(0.5, 2, 1), 10.0) == pytest.approx(
+            1e-4, rel=1e-12, abs=0.0
+        )
 
     def test_rejects_nonpositive_level(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from supfield.quad import (
     g_beta,
     k_beta,
     normal_survival,
+    side_constants,
     trend_k,
     trend_l,
 )
@@ -62,12 +63,14 @@ class TestIntegratePanels:
             nodes.append(x)
             return math.exp(-x)
 
-        full, _ = _integrate_panels(f, breakpoints, CFG)
+        full, _ = _integrate_panels(f, breakpoints, CFG.abs_tol, CFG.rel_tol)
         full_nodes = len(nodes)
         nodes.clear()
-        value, _ = _integrate_panels(
-            f, breakpoints, CFG, tail_bound=lambda lo: (80.0 - lo) * math.exp(-lo)
-        )
+
+        def bound(lo):
+            return (80.0 - lo) * math.exp(-lo)
+
+        value, _ = _integrate_panels(f, breakpoints, CFG.abs_tol, CFG.rel_tol, bound)
         assert value == full
         # (80 - 46) e^-46 is the first bound under 2^-60: panels from 46 on are skipped
         assert max(nodes) < 46.0 and len(nodes) < 0.7 * full_nodes
@@ -79,7 +82,8 @@ class TestIntegratePanels:
             nodes.append(x)
             return 0.0
 
-        assert _integrate_panels(f, [0.0, 1.0, 2.0], CFG, tail_bound=lambda lo: 0.0) == (0.0, 0.0)
+        zero = _integrate_panels(f, [0.0, 1.0, 2.0], CFG.abs_tol, CFG.rel_tol, lambda lo: 0.0)
+        assert zero == (0.0, 0.0)
         assert nodes == []
 
 
@@ -103,10 +107,10 @@ class TestNormalSurvival:
 
 class TestGBeta:
     def test_beta_one(self):
-        assert g_beta(1.0) == pytest.approx(1.0, rel=1e-14)
+        assert g_beta(1.0) == pytest.approx(1.0, rel=1e-14, abs=0.0)
 
     def test_beta_two(self):
-        assert g_beta(2.0) == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-13)
+        assert g_beta(2.0) == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("beta", [1.0, 1.5, 2.0, 3.0])
     def test_agrees_with_quadrature(self, beta):
@@ -136,6 +140,11 @@ class TestKBeta:
         with pytest.raises(ValueError):
             k_beta(0.0)
 
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_rejects_non_finite(self, beta):
+        with pytest.raises(ValueError, match=f"a finite beta > 2/171 .*; got {beta}"):
+            k_beta(beta)
+
     def test_refuses_beta_where_gamma_overflows(self):
         with pytest.raises(ValueError, match="beta > 2/171"):
             k_beta(0.0116)  # Gamma(2/0.0116) is past the float range
@@ -148,7 +157,7 @@ class TestKBeta:
         # beta > 2 puts an integrable t^(q-1) singularity at the ends of the angle range;
         # at beta = 0.2 the series itself cancels to about 1e-11 relative
         rel = 1e-10 if beta == 0.2 else 1e-12
-        assert k_beta(beta) == pytest.approx(k_beta_series(beta), rel=rel)
+        assert k_beta(beta) == pytest.approx(k_beta_series(beta), rel=rel, abs=0.0)
 
 
 class TestTrendL:
@@ -165,6 +174,19 @@ class TestTrendL:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             trend_l(-0.5)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: trend_l(math.nan),
+            lambda: trend_l(math.inf),
+            lambda: side_constants(2.0, math.nan, 0.0),
+        ],
+        ids=["nan", "inf", "side-constants-nan"],
+    )
+    def test_rejects_non_finite(self, call):
+        with pytest.raises(ValueError, match="c must be nonnegative and finite, got (nan|inf)"):
+            call()
 
     def test_convergence_error_carries_estimate(self, monkeypatch):
         monkeypatch.setattr(quad, "MAX_SUBDIVISIONS", 1)
@@ -200,6 +222,12 @@ class TestTrendK:
         with pytest.raises(ValueError, match="trend slopes must be nonnegative"):
             trend_k(-1.0, 0.0)
 
+    @pytest.mark.parametrize("c1, c2", [(math.nan, 0.0), (0.0, math.inf)])
+    def test_rejects_non_finite_slope(self, c1, c2, deadline):
+        # unrefused, a nan slope never leaves the large-z series loop of g
+        with pytest.raises(ValueError, match="trend slopes must be nonnegative and finite"):
+            trend_k(c1, c2)
+
     @pytest.mark.parametrize(
         "c1, c2",
         [(0.5, 0.0), (1.0, 2.0), (3.0, 3.0), (10.0, 0.1), (50.0, 20.0), (500.0, 500.0),
@@ -207,7 +235,7 @@ class TestTrendK:
     )
     def test_matches_cartesian_oracle(self, c1, c2):
         # from (50, 20) on, z > 8 somewhere: the large-z series of g
-        assert trend_k(c1, c2) == pytest.approx(trend_k_cartesian(c1, c2), rel=1e-13)
+        assert trend_k(c1, c2) == pytest.approx(trend_k_cartesian(c1, c2), rel=1e-13, abs=0.0)
 
 
 class TestCriticalConstantIsOneIntegral:
@@ -229,11 +257,11 @@ class TestAsymptoticPrediction:
         pred = AsymptoticPrediction(2.0, 1.0, 1, uses_psi=True)
         u = 3.0
         expected = 2.0 * u * math.log(u) * normal_survival(u)
-        assert pred.evaluate(u) == pytest.approx(expected, rel=1e-14)
+        assert pred.evaluate(u) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_without_psi(self):
         pred = AsymptoticPrediction(1.5, -2.0, 0, uses_psi=False)
-        assert pred.evaluate(10.0) == pytest.approx(0.015, rel=1e-14)
+        assert pred.evaluate(10.0) == pytest.approx(0.015, rel=1e-14, abs=0.0)
 
     def test_overflowing_power_evaluated_in_log_space(self):
         # 6^400 overflows a float; 6^400 Psi(6) = 1.8e302 does not
@@ -243,7 +271,7 @@ class TestAsymptoticPrediction:
         value = AsymptoticPrediction(1.0, 400.0, 0).evaluate(6.0)
         log_space = math.exp(400.0 * math.log(6.0) + float(special.log_ndtr(-6.0)))
         assert math.isfinite(value)
-        assert value == pytest.approx(log_space, rel=1e-12)
+        assert value == pytest.approx(log_space, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("u", [math.inf, -math.inf, math.nan])
     def test_non_finite_level_refused(self, u):
