@@ -17,11 +17,11 @@ difference with far smaller variance than independent rungs would give.
 A batch draws its paths in chunks of about `streams._BLOCK_BYTES` of
 sampling work, into buffers it reuses, and keeps only each path's maximum
 on every rung segment, so its memory grows with the number of paths and
-rungs, not with the grid (cholesky, whose factor already outweighs a batch
-of paths on a fine grid, draws a batch in one chunk).
+rungs, not with the grid.
 Every sampler draws path-major (path i takes the i-th run of normals of
-the batch's stream), so the chunks together give the values of one
-whole-batch draw.
+the batch's stream), so the chunks together give the paths of one
+whole-batch draw, up to the last bit of a cholesky GEMM row on grids where
+BLAS blocks a short chunk's rows differently.
 
 The path samplers:
 
@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import copy
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -120,10 +119,10 @@ class _PathSampler:
     B(0) = 0 holds exactly in every sample.  The cholesky method factors the
     covariance of the n-1 strictly positive times densely (`factor`, with
     the diagonal `jitter` it needed); the other methods have no factor.
-    A batch loop draws its paths `chunk` at a time, about `_BLOCK_BYTES` of
-    `sample` working set (`path_bytes` per path), and is sized from the
-    sampler's `footprint` (`run_batches`); a set-up over the memory budget
-    is refused unbuilt.
+    Every method's batch loop draws its paths `chunk` at a time: the most,
+    and at least one, whose `sample` working set (`path_bytes` each) fits in
+    `_BLOCK_BYTES`.  It is sized from the sampler's `footprint`
+    (`run_batches`); a set-up over the memory budget is refused unbuilt.
     """
 
     def __init__(self, alpha: float, horizon: float, n_points: int, sampler: str = "auto"):
@@ -162,11 +161,7 @@ class _PathSampler:
             self._root[1:n_incr] /= math.sqrt(2.0)  # the complex bins
         self.drift = np.linspace(0.0, self.horizon, self.n_points) ** self.alpha  # t^alpha
         self.path_bytes = _SAMPLE_BYTES_PER_POINT[self.method] * self.n_points
-        # A cholesky chunk is one GEMM that reads the whole factor, so a batch
-        # is drawn in one: short chunks would each read the factor again.
         self.chunk = max(1, _BLOCK_BYTES // self.path_bytes)
-        if self.method == "cholesky":
-            self.chunk = sys.maxsize
         # Footprint of a batch loop: as set-up what the sampler holds, the
         # cholesky factor or the half spectrum.
         held = self.factor if self.method == "cholesky" else self._root
@@ -304,13 +299,11 @@ class ExtrapolationProtocol:
         return n_incr + 1, idx
 
 
-DEFAULT_PROTOCOL = ExtrapolationProtocol()
-
-
-def _mean_se(s1: float, s2: float, n: int) -> tuple[float, float]:
-    m = float(s1) / n
-    v = max(float(s2) / n - m * m, 0.0)
-    return m, math.sqrt(v / n)
+def _mean_se(acc: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of each column of `_ladder_sums` over n paths."""
+    mean = acc[0] / n
+    var = np.maximum(acc[1] / n - mean * mean, 0.0)
+    return mean, np.sqrt(var / n)
 
 
 def _ladder_sums(
@@ -322,20 +315,20 @@ def _ladder_sums(
     batch_size: int,
     workers: int,
 ) -> np.ndarray:
-    """Sums over all paths of each per-path statistic, then of its square.
+    """(2, m) sums over all paths of m per-path statistics and of their squares.
 
-    The statistics are exp(max of sqrt(2) B(t) - t^alpha up to each rung),
-    read off the prefix maxima of one path per replicate.  With two or more
-    rungs, six more entries follow: the slope across the top two rungs, the
-    naive ratio at the top rung and their difference, each with its square.
-    Fewer than two replicates, more than MAX_PATH_POINTS path points, or
-    batches in flight over the memory budget are refused before any path.
+    The table's first k columns are exp(max of sqrt(2) B(t) - t^alpha up to
+    each rung), read off the prefix maxima of one path per replicate.  With
+    two or more rungs three more follow: the slope across the top two
+    rungs, the naive ratio at the top rung and their difference.  Fewer
+    than two replicates, more than MAX_PATH_POINTS path points, or batches
+    in flight over the memory budget are refused before any path.
 
     A batch draws its paths from its one stream `ps.chunk` at a time, into
     buffers it reuses, and keeps only each path's maxima on the k rung
-    segments, so it holds one chunk of paths plus a few k-vectors per path,
-    whatever the grid.  The prefix maxima, exp and every sum are taken over
-    the whole batch.
+    segments, so it holds one chunk of paths plus its table, whatever the
+    grid.  The prefix maxima, exp and every sum are taken over the whole
+    batch.
     """
     if n_replicates < 2:
         raise ValueError("need at least 2 replicates")
@@ -350,7 +343,6 @@ def _ladder_sums(
             f"fewer replicates"
         )
     k = len(rungs)
-    width = 2 * k + 6 if k > 1 else 2
     # rung i's segment of a path runs from just past rung i-1 to rung i
     starts = [0] + [i + 1 for i in rung_idx[:-1]]
 
@@ -367,30 +359,24 @@ def _ladder_sums(
             np.maximum.reduceat(
                 paths[:, : rung_idx[-1] + 1], starts, axis=1, out=seg[c0 : c0 + len(paths)]
             )
-        del chunks, paths  # before the reductions below
-        # column-major, as the rung columns of a whole-batch path array were:
-        # the sums below then add in the same order
-        vals = np.exp(np.asfortranarray(np.maximum.accumulate(seg, axis=1)))
-        acc = np.empty(width)
-        acc[:k] = vals.sum(axis=0)
-        acc[k : 2 * k] = (vals * vals).sum(axis=0)
+        del chunks, paths  # before the table below
+        # column-major, so each column sums pairwise as one contiguous vector
+        table = np.empty((take, k + 3 if k > 1 else 1), order="F")
+        vals = np.exp(np.maximum.accumulate(seg, axis=1, out=seg), out=table[:, :k])
         if k > 1:
-            slope_i = (vals[:, -1] - vals[:, -2]) / (rungs[-1] - rungs[-2])
-            naive_i = vals[:, -1] / rungs[-1]
-            cons_i = slope_i - naive_i
-            acc[-6:] = [s for x in (slope_i, naive_i, cons_i) for s in (x.sum(), (x * x).sum())]
-        return acc
+            table[:, k] = (vals[:, -1] - vals[:, -2]) / (rungs[-1] - rungs[-2])
+            table[:, k + 1] = vals[:, -1] / rungs[-1]
+            table[:, k + 2] = table[:, k] - table[:, k + 1]
+        return np.stack([table.sum(axis=0), (table * table).sum(axis=0)])
 
-    # a batch holds one chunk of paths, and per path the segment maxima and
-    # the reductions over them (tracemalloc: at most 3k + 6 floats)
+    # a batch holds one chunk of paths, and per path the segment maxima, the
+    # table and its square (tracemalloc: at most 3k + 6 floats)
     chunk_bytes = min(ps.chunk, batch_size, n_replicates) * ps.path_bytes
-    acc = np.zeros(width)
-    for part in run_batches(
+    parts = run_batches(
         work, n_replicates, batch_size, workers,
         item_bytes=8 * (3 * k + 6), batch_bytes=chunk_bytes, **ps.footprint,
-    ):
-        acc += part
-    return acc
+    )
+    return sum(parts)
 
 
 def pickands_finite(
@@ -411,10 +397,10 @@ def pickands_finite(
     """
     ps = _PathSampler(alpha, S, n_points)
     acc = _ladder_sums(ps, (S,), [ps.n_points - 1], n_replicates, seed, batch_size, workers)
-    value, std_err = _mean_se(acc[0], acc[1], n_replicates)
+    mean, se = _mean_se(acc, n_replicates)
     return PickandsEstimate(
-        value=value,
-        std_err=std_err,
+        value=float(mean[0]),
+        std_err=float(se[0]),
         n_replicates=n_replicates,
         grid=ps.describe(),
         seed=seed,
@@ -423,7 +409,7 @@ def pickands_finite(
 
 def pickands_constant(
     alpha: float,
-    protocol: ExtrapolationProtocol = DEFAULT_PROTOCOL,
+    protocol: ExtrapolationProtocol = ExtrapolationProtocol(),
     seed: int = 0,
     workers: int = 1,
 ) -> PickandsEstimate:
@@ -443,10 +429,8 @@ def pickands_constant(
     k = len(s_ladder)
     ps = _PathSampler(alpha, s_max, n_points, protocol.sampler)
     acc = _ladder_sums(ps, s_ladder, rung_idx, n, seed, protocol.batch_size, workers)
-    rung_means, rung_ses = zip(*(_mean_se(acc[i], acc[k + i], n) for i in range(k)))
-    slope, slope_se = _mean_se(acc[-6], acc[-5], n)
-    naive, naive_se = _mean_se(acc[-4], acc[-3], n)
-    cons, cons_se = _mean_se(acc[-2], acc[-1], n)
+    mean, se = (x.tolist() for x in _mean_se(acc, n))
+    (slope, naive, cons), (slope_se, naive_se, cons_se) = mean[k:], se[k:]
     consistent = bool(abs(cons) <= 3.0 * cons_se) if cons_se > 0 else True
     if not consistent:
         warnings.warn(
@@ -463,8 +447,8 @@ def pickands_constant(
         seed=seed,
         naive=naive,
         naive_std_err=naive_se,
-        rung_values=tuple(rung_means),
-        rung_std_errs=tuple(rung_ses),
+        rung_values=tuple(mean[:k]),
+        rung_std_errs=tuple(se[:k]),
         rungs=tuple(s_ladder),
         slope_naive_consistent=consistent,
     )

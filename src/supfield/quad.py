@@ -195,6 +195,8 @@ def g_beta(beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     against this value in the test suite.  `cfg` is accepted for interface
     uniformity.
     """
+    if not math.isfinite(beta):  # Gamma(1) at beta = inf
+        raise ValueError(f"beta must be finite, got {beta}")
     if not (beta > 0):
         raise ValueError(f"beta must be positive, got {beta}")
     from scipy import special
@@ -291,10 +293,12 @@ def side_constants(
     beta: float, c1: float, c2: float, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> tuple[float, float]:
     """The one-dimensional constants of the two sides: L(c1), L(c2) when a
-    slope is nonzero (a trend is stated for beta = 2), else G_beta for both."""
+    slope is nonzero (a trend needs beta = 2), else G_beta for both."""
     if (c1, c2) == (0.0, 0.0):
         gb = g_beta(beta)
         return gb, gb
+    if beta != 2.0:
+        raise ValueError(f"a trend requires beta = 2 exactly, got beta={beta}")
     return trend_l(c1, cfg), trend_l(c2, cfg)
 
 
@@ -466,10 +470,11 @@ def inner_a(Z: float, cfg: QuadratureConfig = DEFAULT_CONFIG, gamma: float = 1.0
     terms of the log branch (see `i_gamma_asymptote`), so A carries none.
     `cfg` is accepted for interface uniformity, as in `g_beta`.
     """
-    if not (Z > 0):
-        raise ValueError(f"Z must be positive, got {Z}")
-    if not (gamma > 0):
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    for name, x in (("Z", Z), ("gamma", gamma)):  # A = 0 at an infinite Z or gamma
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x}")
+        if not (x > 0):
+            raise ValueError(f"{name} must be positive, got {x}")
     from scipy import special
 
     return 2.0 * float(special.k0(2.0 * gamma * math.sqrt(Z)))

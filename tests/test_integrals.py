@@ -239,6 +239,11 @@ class TestInnerA:
             inner_a(0.0, cfg=CFG)
         with pytest.raises(ValueError, match="gamma must be positive, got 0.0"):
             inner_a(1.0, gamma=0.0, cfg=CFG)
+        # 2 K0(inf) reads 0.0: an infinite Z or gamma is refused, not answered
+        with pytest.raises(ValueError, match="Z must be finite, got inf"):
+            inner_a(math.inf, cfg=CFG)
+        with pytest.raises(ValueError, match="gamma must be finite, got inf"):
+            inner_a(1.0, gamma=math.inf, cfg=CFG)
 
 
 class TestJLambdaRatio:

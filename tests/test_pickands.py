@@ -1,5 +1,4 @@
 import math
-import sys
 import time
 import tracemalloc
 
@@ -436,6 +435,19 @@ class TestProtocol:
         admitted(monkeypatch, alpha, ExtrapolationProtocol())
 
 
+def statistics_table(ps, rungs, rung_idx, rng, take):
+    """(take, m) per-path statistics of `_ladder_sums`, from one whole-batch
+    path array: exp of the prefix maxima at the rungs, then, with two or
+    more rungs, the slope, the naive ratio and their difference."""
+    y = math.sqrt(2.0) * ps.sample(rng, take) - ps.drift
+    vals = np.exp(np.maximum.accumulate(y, axis=1)[:, rung_idx])
+    if len(rungs) == 1:
+        return vals
+    slope = (vals[:, -1] - vals[:, -2]) / (rungs[-1] - rungs[-2])
+    naive = vals[:, -1] / rungs[-1]
+    return np.column_stack([vals, slope, naive, slope - naive])
+
+
 class TestLadderSums:
     @pytest.mark.parametrize(
         "alpha,sampler,n_points",
@@ -447,22 +459,14 @@ class TestLadderSums:
         idx = [(n_points - 1) // 4, (n_points - 1) // 2, n_points - 1]
         n, batch, seed = 2500, 1000, 9
         acc = _ladder_sums(ps, rungs, idx, n, seed, batch, workers=1)
-        drift = np.linspace(0.0, 2.0, n_points) ** alpha
-        vals = []
-        for b, take in enumerate(batch_sizes(n, batch)):
-            y = math.sqrt(2.0) * ps.sample(batch_generator(seed, b), take) - drift
-            vals.append(np.exp(np.maximum.accumulate(y, axis=1)[:, idx]))
-        vals = np.concatenate(vals)
-        slope = (vals[:, 2] - vals[:, 1]) / (rungs[2] - rungs[1])
-        naive = vals[:, 2] / rungs[2]
-        cons = slope - naive
-        expected = np.concatenate(
+        table = np.concatenate(
             [
-                vals.sum(axis=0),
-                (vals * vals).sum(axis=0),
-                [s for x in (slope, naive, cons) for s in (x.sum(), (x * x).sum())],
+                statistics_table(ps, rungs, idx, batch_generator(seed, b), take)
+                for b, take in enumerate(batch_sizes(n, batch))
             ]
         )
+        assert table.shape == (n, 6)
+        expected = np.stack([table.sum(axis=0), (table * table).sum(axis=0)])
         np.testing.assert_allclose(acc, expected, rtol=1e-12)
 
     @pytest.mark.parametrize(
@@ -482,28 +486,21 @@ class TestLadderSums:
     ):
         # a batch drawn chunk by chunk: its segment maxima and their running
         # maximum are the prefix maxima at the rungs of the whole batch's
-        # paths, and the sums add them in the same order
+        # paths, and each column of its table sums as one contiguous vector
         ps = _PathSampler(alpha, 4.0, n_points, sampler)
-        if sampler == "cholesky":  # one chunk per batch, drawn path-major
-            assert ps.chunk >= batch
-        elif n_points > 10_000:  # a chunk is one path
+        if n_points > 10_000:  # a chunk is one path
             assert ps.chunk == 1 and 2 * ps.path_bytes > streams._BLOCK_BYTES
         else:  # several chunks, the last one short
             assert 1 < ps.chunk < batch and batch % ps.chunk
         rungs = tuple(4.0 * i / (n_points - 1) for i in rung_idx)
         seed = 3
         acc = _ladder_sums(ps, rungs, rung_idx, n, seed, batch, workers=1)
+        assert acc.shape == (2, len(rungs) + 3 if len(rungs) > 1 else 1)
         expected = np.zeros_like(acc)
         for b, take in enumerate(batch_sizes(n, batch)):
-            y = math.sqrt(2.0) * ps.sample(batch_generator(seed, b), take) - ps.drift
-            vals = np.exp(np.maximum.accumulate(y, axis=1)[:, rung_idx])
-            part = [vals.sum(axis=0), (vals * vals).sum(axis=0)]
-            if len(rungs) > 1:
-                slope = (vals[:, -1] - vals[:, -2]) / (rungs[-1] - rungs[-2])
-                naive = vals[:, -1] / rungs[-1]
-                stats = (slope, naive, slope - naive)
-                part += [[s for x in stats for s in (x.sum(), (x * x).sum())]]
-            expected += np.concatenate(part)
+            table = statistics_table(ps, rungs, rung_idx, batch_generator(seed, b), take)
+            cols = [np.ascontiguousarray(x) for x in table.T]
+            expected += [[x.sum() for x in cols], [(x * x).sum() for x in cols]]
         assert acc.tobytes() == expected.tobytes()
 
 
@@ -535,24 +532,26 @@ class TestFootprint:
         # takes about 130 kB of its own per call
         assert ps.path_bytes == per_point * 257
         assert sample_peak <= m * ps.path_bytes + 2 ** 18
-        # a chunk is the most paths that fit in _BLOCK_BYTES, but a cholesky
-        # batch is one GEMM over the factor
-        if sampler == "cholesky":
-            assert ps.chunk == sys.maxsize
-        else:
-            assert ps.chunk == streams._BLOCK_BYTES // ps.path_bytes
+        # a chunk is the most paths that fit in _BLOCK_BYTES, for every method
+        assert ps.chunk == streams._BLOCK_BYTES // ps.path_bytes
         # beyond the setup the sampler holds its drift, 8 B per point, and a few objects
         assert setup + 8 * 257 <= held <= setup + 8 * 257 + 4096
 
-    def test_batch_memory_does_not_grow_with_the_batch(self):
-        # one 2048-path batch on 1,601 points, 4 rungs: one 81-path chunk
-        # (2.07 MB) and 144 B per path of segment maxima; drawn whole, its
-        # paths alone took 52 MB
-        ps = _PathSampler(1.0, 4.0, 1601)
-        assert ps.chunk == 81
+    @pytest.mark.parametrize(
+        "alpha,sampler,n_points,chunk",
+        [(1.0, "auto", 1601, 81), (1.4, "cholesky", 1025, 127)],
+        ids=["brownian", "cholesky"],
+    )
+    def test_batch_memory_does_not_grow_with_the_batch(self, alpha, sampler, n_points, chunk):
+        # one 2048-path batch, 4 rungs: one chunk (2.07 MB of Brownian paths on
+        # 1,601 points, 2.08 MB of cholesky paths on 1,025 beside the factor)
+        # and 144 B per path; drawn whole, its paths alone took 52 and 34 MB
+        ps = _PathSampler(alpha, 4.0, n_points, sampler)
+        assert ps.chunk == chunk
+        rung_idx = [(n_points - 1) // d for d in (8, 4, 2, 1)]
 
         def batch():
-            _ladder_sums(ps, (0.5, 1.0, 2.0, 4.0), [200, 400, 800, 1600], 2048, 1, 2048, 1)
+            _ladder_sums(ps, (0.5, 1.0, 2.0, 4.0), rung_idx, 2048, 1, 2048, 1)
 
         batch()  # numpy's first-call allocations
         tracemalloc.start()

@@ -124,6 +124,12 @@ class TestGBeta:
         with pytest.raises(ValueError, match="beta must be positive, got 0.0"):
             g_beta(0.0)
 
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_rejects_non_finite(self, beta):
+        # Gamma(1 + 1/beta) reads Gamma(1) = 1.0 at beta = inf instead of refusing
+        with pytest.raises(ValueError, match=f"beta must be finite, got {beta}"):
+            g_beta(beta)
+
 
 class TestKBeta:
     def test_beta_two_closed_form(self):
@@ -187,6 +193,12 @@ class TestTrendL:
     def test_rejects_non_finite(self, call):
         with pytest.raises(ValueError, match="c must be nonnegative and finite, got (nan|inf)"):
             call()
+
+    @pytest.mark.parametrize("c1,c2", [(1.0, 0.0), (0.0, 0.5)])
+    def test_side_constants_refuse_a_trend_off_beta_two(self, c1, c2):
+        # L(c) is the beta = 2 side constant; at beta = 3 it would be silently wrong
+        with pytest.raises(ValueError, match="a trend requires beta = 2 exactly, got beta=3.0"):
+            side_constants(3.0, c1, c2)
 
     def test_convergence_error_carries_estimate(self, monkeypatch):
         monkeypatch.setattr(quad, "MAX_SUBDIVISIONS", 1)
