@@ -32,7 +32,7 @@ import numpy as np
 from . import asymptotics, pickands, quad
 from .factorization import chol_with_jitter
 from .model import ModelParams, Point2, correlation_scale, variance_loss_at
-from .streams import _BLOCK_BYTES, DEFAULT_BATCH, _refuse_over_budget, batch_generator, run_batches
+from .streams import DEFAULT_BATCH, _refuse_over_budget, batch_generator, block_items, run_batches
 
 __all__ = [
     "LatticeField",
@@ -88,45 +88,33 @@ class LatticeField:
         self.l1, self.jitter1 = chol_with_jitter(_axis_correlation(params, xs), 1e-9)
         self.l2, self.jitter2 = chol_with_jitter(_axis_correlation(params, ys), 1e-9)
         self.sigma_grid = np.exp(-variance_loss_at(params, xs[:, None], ys[None, :]))
+        self.held = self.l1.nbytes + self.l2.nbytes + self.sigma_grid.nbytes
+        # samples per block: two buffers of 8 B per cell, in whole `_BLOCK_ALIGN` columns
+        self.per_block = block_items(16 * n1 * n2, _BLOCK_ALIGN // math.gcd(n2, _BLOCK_ALIGN))
 
-    def footprint(self, batch: int) -> dict:
-        """A batch loop's footprint at `batch` samples per batch: the factors and
-        sigma held, and per batch two buffers of 8 B per cell for its largest
-        block (the remainder joins the last one, so below two blocks) and 8 B
-        per maximum."""
-        n1, n2 = len(self.xs), len(self.ys)
-        most = min(batch, 2 * self._per_block() - 1)
-        held = self.l1.nbytes + self.l2.nbytes + self.sigma_grid.nbytes
-        return dict(
-            what=f"{self.describe()} in blocks of at most {most} samples",
-            item="samples", item_bytes=8, batch_bytes=16 * n1 * n2 * most, setup=held,
-        )
-
-    def _per_block(self) -> int:
-        """Samples per block: two buffers in `_BLOCK_BYTES`, a multiple of
-        `_BLOCK_ALIGN` columns, and at least one sample."""
-        n1, n2 = len(self.xs), len(self.ys)
-        step = _BLOCK_ALIGN // math.gcd(n2, _BLOCK_ALIGN)
-        return max(1, _BLOCK_BYTES // (16 * n1 * n2 * step)) * step
+    def batch_bytes(self, take: int) -> int:
+        """What a batch of `take` samples holds: two buffers of 8 B per cell for
+        its largest block (the remainder joins the last one, so below two
+        blocks) and 8 B per maximum."""
+        return 16 * len(self.xs) * len(self.ys) * min(take, 2 * self.per_block - 1) + 8 * take
 
     def _blocks(self, rng: np.random.Generator, n: int, trend: tuple[float, float]):
         """Yield (first sample, field block) for n samples, block by block.
 
-        Blocks hold `_per_block()` samples each, the remainder joining the
+        Blocks hold `per_block` samples each, the remainder joining the
         last one.  Each block draws its normals from `rng` when it is
         computed, into a buffer laid out (n1, k * n2), so that sample s of
         the block owns columns s n2 ... (s + 1) n2 - 1: the stream fills the
         blocks in order, and the block partition (lattice shape, n,
-        `_BLOCK_BYTES`, `_BLOCK_ALIGN`) decides which normals each sample
-        gets.  Then come two BLAS products, the second written back over the
-        draw, and the sigma scaling and the trend in place; the two buffers,
-        about `_BLOCK_BYTES` together, are allocated once per batch.  A block
-        is an (n1, k, n2) view of a reused buffer, valid until the next one
-        is yielded.
+        `streams._BLOCK_BYTES`, `_BLOCK_ALIGN`) decides which normals each
+        sample gets.  Then come two BLAS products, the second written back
+        over the draw, and the sigma scaling and the trend in place; the two
+        buffers, about `streams._BLOCK_BYTES` together, are allocated once per
+        batch.  A block is an (n1, k, n2) view of a reused buffer, valid until
+        the next one is yielded.
         """
         n1, n2 = len(self.xs), len(self.ys)
-        per_block = self._per_block()
-        bounds = [i * per_block for i in range(max(1, n // per_block))] + [n]
+        bounds = [i * self.per_block for i in range(max(1, n // self.per_block))] + [n]
         size = n1 * (n - bounds[-2]) * n2
         g_buf, a_buf = np.empty(size), np.empty(size)
         sigma = self.sigma_grid[:, None, :]
@@ -281,12 +269,17 @@ def excursion_maxima(
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     trend = (float(trend[0]), float(trend[1]))
+    if not all(map(math.isfinite, trend)):  # a nan maximum exceeds no level
+        raise ValueError(f"trend slopes must be finite, got {trend}")
 
     def work(b: int, take: int) -> np.ndarray:
         return field.maxima_batch(batch_generator(seed, b), take, trend)
 
-    footprint = field.footprint(min(batch_size, n_samples))
-    return np.concatenate(run_batches(work, n_samples, batch_size, workers, **footprint))
+    parts = run_batches(
+        work, n_samples, batch_size, workers, what=field.describe(), item="samples",
+        held=field.held, batch_bytes=field.batch_bytes(min(batch_size, n_samples)),
+    )
+    return np.concatenate(parts)
 
 
 def _estimate_from_maxima(maxima: np.ndarray, u: float) -> MCEstimate:
@@ -327,15 +320,14 @@ def mc_block_exceedance(
     block itself uses, so both sides of the comparison carry the same
     discretization bias; degenerate sides (S = 0) contribute the exact
     factor H(0) = 1.  `spec.bounds` refuses a trended model or a block
-    outside [0, T]^2 before anything is drawn.
+    outside [0, T]^2 before anything is drawn.  The lattice is set up before
+    the H factors and sampled after them, so a refused H factor draws no field.
     """
     x0, x1, y0, y1 = spec.bounds(params)
     u = spec.level_u
     xs = np.linspace(x0, x1, n_grid) if spec.s1 > 0 else np.array([x0])
     ys = np.linspace(y0, y1, n_grid) if spec.s2 > 0 else np.array([y0])
     field = LatticeField(params, xs, ys)
-    maxima = excursion_maxima(field, n_samples, seed, (0.0, 0.0), batch_size, workers)
-    est = _estimate_from_maxima(maxima, u)
 
     def h_of(s_mult: float, n_axis: int, sub_seed: int) -> float:
         if s_mult <= 0:
@@ -346,6 +338,8 @@ def mc_block_exceedance(
 
     h1 = h_of(spec.s1, len(xs), seed + 1)
     h2 = h1 if (spec.s2 == spec.s1) else h_of(spec.s2, len(ys), seed + 2)
+    maxima = excursion_maxima(field, n_samples, seed, (0.0, 0.0), batch_size, workers)
+    est = _estimate_from_maxima(maxima, u)
     v_base = variance_loss_at(params, x0, y0)
     prediction = h1 * h2 * quad.normal_survival(u) * math.exp(-u * u * v_base)
     return BlockResult(estimate=est, prediction=prediction, h1=h1, h2=h2)

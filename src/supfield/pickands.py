@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factorization import chol_with_jitter
-from .streams import _BLOCK_BYTES, DEFAULT_BATCH, _refuse_over_budget, batch_generator, run_batches
+from .streams import DEFAULT_BATCH, _refuse_over_budget, batch_generator, block_items, run_batches
 
 __all__ = [
     "PickandsEstimate",
@@ -121,14 +121,14 @@ class _PathSampler:
     the diagonal `jitter` it needed); the other methods have no factor.
     Every method's batch loop draws its paths `chunk` at a time: the most,
     and at least one, whose `sample` working set (`path_bytes` each) fits in
-    `_BLOCK_BYTES`.  It is sized from the sampler's `footprint`
-    (`run_batches`); a set-up over the memory budget is refused unbuilt.
+    `streams._BLOCK_BYTES`.  `run_batches` counts what the sampler holds,
+    `held`, beside the batches; a set-up over the memory budget is refused unbuilt.
     """
 
     def __init__(self, alpha: float, horizon: float, n_points: int, sampler: str = "auto"):
         _check_alpha(alpha)
-        if not (horizon > 0):
-            raise ValueError(f"horizon must be positive, got {horizon}")
+        if not (0 < horizon < math.inf):  # an infinite horizon makes nan paths
+            raise ValueError(f"horizon must be positive and finite, got {horizon}")
         if n_points < 2:
             raise ValueError(f"need at least 2 grid points, got {n_points}")
         self.alpha = float(alpha)
@@ -161,11 +161,11 @@ class _PathSampler:
             self._root[1:n_incr] /= math.sqrt(2.0)  # the complex bins
         self.drift = np.linspace(0.0, self.horizon, self.n_points) ** self.alpha  # t^alpha
         self.path_bytes = _SAMPLE_BYTES_PER_POINT[self.method] * self.n_points
-        self.chunk = max(1, _BLOCK_BYTES // self.path_bytes)
-        # Footprint of a batch loop: as set-up what the sampler holds, the
-        # cholesky factor or the half spectrum.
+        self.chunk = block_items(self.path_bytes)
+        self.what = run
+        # what a run holds beside its batches: the cholesky factor or the half spectrum
         held = self.factor if self.method == "cholesky" else self._root
-        self.footprint = dict(what=run, item="paths", setup=0 if held is None else held.nbytes)
+        self.held = 0 if held is None else held.nbytes
         self._scratch: dict[str, np.ndarray] | None = None
 
     def sample(self, rng: np.random.Generator, n_paths: int) -> np.ndarray:
@@ -371,10 +371,10 @@ def _ladder_sums(
 
     # a batch holds one chunk of paths, and per path the segment maxima, the
     # table and its square (tracemalloc: at most 3k + 6 floats)
-    chunk_bytes = min(ps.chunk, batch_size, n_replicates) * ps.path_bytes
+    take = min(batch_size, n_replicates)
     parts = run_batches(
-        work, n_replicates, batch_size, workers,
-        item_bytes=8 * (3 * k + 6), batch_bytes=chunk_bytes, **ps.footprint,
+        work, n_replicates, batch_size, workers, what=ps.what, item="paths", held=ps.held,
+        batch_bytes=min(ps.chunk, take) * ps.path_bytes + 8 * (3 * k + 6) * take,
     )
     return sum(parts)
 

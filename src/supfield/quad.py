@@ -449,7 +449,7 @@ def i_gamma_asymptote(
         return AsymptoticPrediction(pref, -2.0 / a, 1, uses_psi=False)
     c1, c2 = spec.c1 / math.sqrt(gamma), spec.c2 / math.sqrt(gamma)
     if br == 0:
-        const = _critical_constant(beta, c1, c2, cfg)
+        const = k_beta(beta, cfg) if (c1, c2) == (0.0, 0.0) else trend_k(c1, c2, cfg)
     else:
         s1, s2 = side_constants(beta, c1, c2, cfg)
         const = s1 * s2
@@ -509,7 +509,7 @@ def j_lambda_ratio(
     # J = lam^{-q/p} * int W^{q-1} e^{-gamma W^p} A(scale * W) dW; then V = W^q.
     def f(V: float) -> float:
         W = V ** (1.0 / q)
-        return math.exp(-gamma * W ** p) * inner_a(scale * W, cfg, gamma) / q
+        return math.exp(-gamma * W ** p) * inner_a(scale * W, gamma=gamma) / q
 
     w_max = (_TAIL_CUT_LOG / gamma) ** (1.0 / p)
     v_max = w_max ** q

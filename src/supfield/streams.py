@@ -11,8 +11,9 @@ factor products) is bit-exact for a fixed BLAS thread count, and may differ
 in the last bit under another.
 
 One memory rule serves every Monte Carlo layer, where its batches run:
-`run_batches` takes the run's footprint and refuses, before the first batch,
-a set-up plus min(workers, batches) batches over half of physical memory.
+`run_batches` refuses, before the first batch, what the sampler `held` plus
+min(workers, batches) times `batch_bytes` over half of physical memory.
+One block rule, `block_items`, cuts a batch into L2-sized blocks.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-__all__ = ["batch_generator", "batch_sizes", "run_batches", "DEFAULT_BATCH"]
+__all__ = ["batch_generator", "batch_sizes", "block_items", "run_batches", "DEFAULT_BATCH"]
 
 DEFAULT_BATCH = 2048
 # Working set of one block of a batch, sized for L2: a lattice block's draw
@@ -52,6 +53,12 @@ def batch_sizes(n_total: int, batch: int = DEFAULT_BATCH) -> list[int]:
     return out
 
 
+def block_items(item_bytes: int, step: int = 1) -> int:
+    """Items per block of a batch: the most whose `item_bytes` each fit in
+    `_BLOCK_BYTES`, a multiple of `step`, and at least `step`."""
+    return max(1, _BLOCK_BYTES // (item_bytes * step)) * step
+
+
 def run_batches(
     work: Callable[[int, int], _T],
     n_total: int,
@@ -60,15 +67,14 @@ def run_batches(
     *,
     what: str,
     item: str,
-    item_bytes: int,
-    setup: int = 0,
-    batch_bytes: int = 0,
+    held: int,
+    batch_bytes: int,
 ) -> list[_T]:
     """Evaluate work(batch_index, batch_size) over the partition of n_total.
 
-    First the run, named `what`, is sized: `setup` bytes, plus for each
-    batch in flight `batch_bytes` and `item_bytes` per `item`, refused over
-    `memory_budget()`.
+    First the run, named `what`, is sized: the `held` bytes its sampler
+    keeps, plus for each batch in flight `batch_bytes`, what one batch of
+    min(batch, n_total) `item` holds, refused over `memory_budget()`.
     Batches may run on a thread pool; the returned list is always in batch
     order, so any order-sensitive reduction downstream sees the same sequence
     regardless of `workers`.  A failed or interrupted run stops after the
@@ -79,11 +85,10 @@ def run_batches(
     sizes = batch_sizes(n_total, batch)
     take = min(batch, n_total)
     in_flight = max(1, min(workers, len(sizes)))
-    per_batch = batch_bytes + take * item_bytes
     _refuse_over_budget(
-        f"{what} x {take} {item} per batch = {per_batch / 1e9:.3g} GB; with "
+        f"{what} x {take} {item} per batch = {batch_bytes / 1e9:.3g} GB; with "
         f"{in_flight} in flight the run",
-        setup + in_flight * per_batch,
+        held + in_flight * batch_bytes,
         "use fewer workers, a smaller batch_size or a coarser grid",
     )
     if workers <= 1 or len(sizes) <= 1:

@@ -122,10 +122,31 @@ def small_lattice(shape):
 class TestBlockedKernel:
     # with 20 kB blocks every case below runs in several blocks, the last
     # one holding the remainder; the shipped block size covers one block
-    @pytest.fixture(params=[20_000, fieldsim._BLOCK_BYTES], ids=["20kB", "shipped"])
+    @pytest.fixture(params=[20_000, streams._BLOCK_BYTES], ids=["20kB", "shipped"])
     def block_bytes(self, request, monkeypatch):
-        monkeypatch.setattr(fieldsim, "_BLOCK_BYTES", request.param)
+        monkeypatch.setattr(streams, "_BLOCK_BYTES", request.param)
         return request.param
+
+    # the shipped partition decides which normals each sample gets, so it
+    # pins every seeded lattice value: the acceptance criteria's draws among them
+    @pytest.mark.parametrize(
+        "shape,per_block",
+        [((16, 16), 512), ((32, 32), 128), ((64, 64), 32), ((256, 256), 2), ("side", 12)],
+        ids=["16", "32", "64", "256", "side"],
+    )
+    def test_shipped_block_partition(self, shape, per_block):
+        if shape == "side":
+            axis = side_emphasis_axis(P_SIDE)
+            assert len(axis) == 100
+            lat = LatticeField(P_SIDE, axis, axis)
+        else:
+            lat = build_lattice(P_CLASSICAL, n_per_axis=shape[0])
+        assert lat.per_block == per_block
+        # 2 blocks and 1 over: the second block takes the remainder
+        rng = RecordingGenerator(batch_generator(1, 0))
+        lat.maxima_batch(rng, 2 * per_block + 1, (0.0, 0.0))
+        n1, n2 = len(lat.xs), len(lat.ys)
+        assert [d.shape for d in rng.drawn] == [(n1, per_block * n2), (n1, (per_block + 1) * n2)]
 
     @pytest.mark.parametrize(
         "shape,n", [((12, 12), 2000), ((9, 7), 301), ((1, 24), 333), ((24, 1), 333)]
@@ -221,7 +242,7 @@ class TestMcExcursion:
         drawn = []
         monkeypatch.setattr(lat, "maxima_batch", lambda rng, n, trend: drawn.append(n) or np.zeros(n))
         message = (
-            r"lattice 64x64 in blocks of at most 63 samples x 2048 samples per batch = "
+            r"lattice 64x64 x 2048 samples per batch = "
             r"0\.00415 GB; with 2 in flight the run needs 0\.00839 GB"
         )
         with pytest.raises(ValueError, match=message):
@@ -236,7 +257,7 @@ class TestMcExcursion:
         # fits in 1.1 MB alone but not beside what the lattice holds
         lat = build_lattice(P_CLASSICAL, n_per_axis=64)
         held = lat.l1.nbytes + lat.l2.nbytes + lat.sigma_grid.nbytes
-        assert lat.footprint(16)["setup"] == held == 98_304
+        assert lat.held == held == 98_304
         monkeypatch.setattr(streams, "memory_budget", lambda: 1_100_000)
         monkeypatch.setattr(lat, "maxima_batch", lambda rng, n, trend: pytest.fail("drawn"))
         message = r"16 samples per batch = 0\.00105 GB; with 1 in flight the run needs 0\.00115 GB"
@@ -245,10 +266,9 @@ class TestMcExcursion:
 
     def test_batch_memory_does_not_grow_with_the_batch(self):
         # one 2048-sample batch on 64 x 64 holds two 32-sample block buffers of
-        # 1 MiB each and its maxima (tracemalloc: 2.9 MB), within what its
-        # footprint declares
+        # 1 MiB each and its maxima (tracemalloc: 2.9 MB), within the bytes it
+        # declares to the memory check
         lat = build_lattice(P_CLASSICAL, n_per_axis=64)
-        footprint = lat.footprint(2048)
         tracemalloc.start()
         try:
             lat.maxima_batch(batch_generator(3, 0), 2048, (0.0, 0.0))
@@ -256,7 +276,7 @@ class TestMcExcursion:
         finally:
             tracemalloc.stop()
         assert peak < 3.5e6
-        assert peak <= footprint["batch_bytes"] + 2048 * footprint["item_bytes"]
+        assert peak <= lat.batch_bytes(2048)
 
     def test_set_up_larger_than_memory_refused(self, monkeypatch):
         # a 200 x 200 lattice: 8 B x (3 x 200^2 + 5 x 200^2) = 2.56 MB of set-up
@@ -268,6 +288,14 @@ class TestMcExcursion:
         )
         with pytest.raises(ValueError, match=message):
             build_lattice(P_CLASSICAL, n_per_axis=200)
+
+    @pytest.mark.parametrize("trend", [(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf)])
+    def test_non_finite_trend_refused_before_drawing(self, monkeypatch, trend):
+        # a nan field maximum exceeds no level: unchecked, each gave p_hat = 0.0
+        lat = build_lattice(P_CLASSICAL, n_per_axis=8)
+        monkeypatch.setattr(lat, "maxima_batch", lambda rng, n, trend: pytest.fail("drawn"))
+        with pytest.raises(ValueError, match="trend slopes must be finite"):
+            mc_excursion(lat, 2.0, trend, 2000, seed=0)
 
     def test_validation(self):
         lat = build_lattice(P_CLASSICAL, n_per_axis=8)
@@ -332,6 +360,15 @@ class TestBlocks:
         spec = BlockSpec(Point2(0.0, 0.0), 0.0, 2.0, 3.0)
         with pytest.raises(ValueError, match="MAX_PATH_POINTS"):
             mc_block_exceedance(p, spec, 4000, seed=3, n_grid=12, h_replicates=4000)
+
+    def test_h_factor_refused_before_the_lattice_draws(self, monkeypatch):
+        # one H replicate is refused by the H factor; the lattice is set up first
+        # and sampled after, so none of its 200,000 samples is drawn
+        monkeypatch.setattr(LatticeField, "maxima_batch", lambda *args: pytest.fail("drawn"))
+        p = ModelParams(1.0, 2.0, 1.0)
+        spec = BlockSpec(Point2(0.0, 0.0), 2.0, 2.0, 3.0)
+        with pytest.raises(ValueError, match="need at least 2 replicates"):
+            mc_block_exceedance(p, spec, 200_000, seed=3, n_grid=32, h_replicates=1)
 
     def test_trended_model_rejected(self, monkeypatch):
         # the prediction has no trend term, and the MC used to drop the

@@ -206,6 +206,21 @@ class TestIGammaAsymptote:
     def test_psi_not_included(self):
         assert i_gamma_asymptote(spec(a=2.0), CFG).uses_psi is False
 
+    @pytest.mark.parametrize(
+        "beta,c1,c2,name", [(1.5, 0.0, 0.0, "k_beta"), (2.0, 0.7, 1.3, "trend_k")]
+    )
+    def test_critical_constant_goes_through_its_public_name(
+        self, monkeypatch, beta, c1, c2, name
+    ):
+        # K_beta and K(c1, c2) are timed and counted under these names
+        calls = []
+        original = getattr(quad, name)
+        monkeypatch.setattr(quad, name, lambda *args: calls.append(args) or original(*args))
+        pred = i_gamma_asymptote(spec(gamma=4.0, beta=beta, a=beta / 2.0, c1=c1, c2=c2), CFG)
+        assert len(calls) == 1
+        const = original(beta, CFG) if name == "k_beta" else original(c1 / 2.0, c2 / 2.0, CFG)
+        assert pred.prefactor == 4.0 ** (-2.0 / beta) * const
+
 
 class TestInnerA:
     @pytest.mark.parametrize("Z", [1e-6, 1e-4, 1e-2, 1.0, 10.0])
@@ -288,6 +303,18 @@ class TestJLambdaRatio:
         monkeypatch.setattr(quad, "_integrate_panels", counting)
         j_lambda_ratio(1e4, 1.0 / 3.0, 0.5, 1.0, CFG)
         assert len(calls) == 1
+
+    def test_a_is_given_no_tolerances(self, monkeypatch):
+        # the closed-form A reads no QuadratureConfig, so J passes it none
+        configs = []
+
+        def spy(Z, cfg=None, gamma=1.0):
+            configs.append(cfg)
+            return inner_a(Z, gamma=gamma)
+
+        monkeypatch.setattr(quad, "inner_a", spy)
+        j_lambda_ratio(1e4, 1.0 / 3.0, 0.5, 2.0, CFG)
+        assert configs and set(configs) == {None}
 
 
 class TestITrend:

@@ -72,6 +72,8 @@ class TestSamplerValidation:
             (lambda: _PathSampler(1.0, 1.0, 8, "spectral"), "unknown sampler"),
             # auto is the brownian method at alpha = 1, the one alpha where it is exact
             (lambda: _PathSampler(1.0, 1.0, 8, "brownian"), "unknown sampler 'brownian'"),
+            # an infinite horizon gives nan paths: unchecked, the estimate was nan
+            (lambda: pickands_finite(1.0, math.inf, 5, 100, seed=0), "and finite, got inf"),
             (lambda: pickands_finite(0.0, 1.0, 2000, 2000, seed=1), "alpha must be in"),
             (lambda: pickands_constant(0.0), "alpha must be in"),
         ],
@@ -83,6 +85,7 @@ class TestSamplerValidation:
             "auto-points",
             "unknown-sampler",
             "brownian-is-unknown",
+            "finite-infinite-horizon",
             "finite-alpha-zero",
             "constant-alpha-zero",
         ],
@@ -316,7 +319,7 @@ class TestRunBatches:
             raise AssertionError("a batch ran")
 
         with pytest.raises(ValueError, match="at least 1, got 4 and 0"):
-            streams.run_batches(work, 10, 4, 0, what="x", item="items", item_bytes=8)
+            streams.run_batches(work, 10, 4, 0, what="x", item="items", held=0, batch_bytes=8)
 
     def test_negative_batch_index_and_count_refused(self):
         with pytest.raises(ValueError, match="batch_index must be nonnegative"):
@@ -336,7 +339,7 @@ class TestRunBatches:
             return b
 
         with pytest.raises(exc):
-            streams.run_batches(work, 40, 1, 2, what="x", item="items", item_bytes=8)
+            streams.run_batches(work, 40, 1, 2, what="x", item="items", held=0, batch_bytes=8)
         assert len(started) <= 4  # batch 0 and those in flight, not all 40
 
 
@@ -527,7 +530,7 @@ class TestFootprint:
             sample_peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert ps.footprint["setup"] == setup
+        assert ps.held == setup
         # a sample call peaks at path_bytes per path; numpy's inverse FFT
         # takes about 130 kB of its own per call
         assert ps.path_bytes == per_point * 257
