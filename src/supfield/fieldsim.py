@@ -8,18 +8,25 @@ is the Kronecker product R1 (x) R2 and a field sample is
 
 with L1, L2 the small per-axis Cholesky factors.  This is the Gaussian law
 of the dense lattice covariance (no truncation, no approximation) at a
-per-sample cost of two thin matrix products, which is what makes
-10^6-sample runs affordable.  A batch runs over cache-sized blocks of
-samples: each block draws its own normals, then the products, the sigma
-scaling, the trend and the maximum, in two buffers the batch reuses, so no
-array of a batch grows with its size but the maxima.
+per-draw cost of two thin matrix products, which is what makes
+10^6-sample runs affordable.  Each draw gives two samples, X and its
+mirror -X, which has the same law (the antithetic pairs of `streams`), so a
+sample costs half a draw.  A batch runs over cache-sized blocks of draws:
+each block draws its own normals, then the products and the sigma scaling,
+and is reduced to the maxima of X - trend and of -X - trend, in two
+buffers the batch reuses, so no array of a batch grows with its size but
+the maxima.
 
 Monte Carlo estimates are issued in fixed Philox-indexed batches (see
 `streams`), so a run is a pure function of (seed, n_samples, batch size)
-regardless of worker count.  The lattice maximum understates the continuum
-supremum; estimates inherit that negative bias, which shrinks as the
-lattice refines, and every downstream assertion is therefore a ratio-trend
-or band statement rather than an equality.
+regardless of worker count.  The correlation exp(-|d|^alpha) is
+nonnegative, so an exceedance of a draw and of its mirror are nonpositively
+correlated (Pitt's theorem); the standard error of p_hat is the paired one
+of `streams.paired_mean_se`, which counts that correlation.  The lattice
+maximum understates the continuum supremum; estimates inherit that
+negative bias, which shrinks as the lattice refines, and every downstream
+assertion is therefore a ratio-trend or band statement rather than an
+equality.
 """
 
 from __future__ import annotations
@@ -32,7 +39,17 @@ import numpy as np
 from . import asymptotics, pickands, quad
 from .factorization import chol_with_jitter
 from .model import ModelParams, Point2, correlation_scale, variance_loss_at
-from .streams import DEFAULT_BATCH, _refuse_over_budget, batch_generator, block_items, run_batches
+from .streams import (
+    DEFAULT_BATCH,
+    _refuse_over_budget,
+    batch_generator,
+    batch_sizes,
+    block_items,
+    check_run,
+    pair_moments,
+    paired_mean_se,
+    run_batches,
+)
 
 __all__ = [
     "LatticeField",
@@ -89,27 +106,29 @@ class LatticeField:
         self.l2, self.jitter2 = chol_with_jitter(_axis_correlation(params, ys), 1e-9)
         self.sigma_grid = np.exp(-variance_loss_at(params, xs[:, None], ys[None, :]))
         self.held = self.l1.nbytes + self.l2.nbytes + self.sigma_grid.nbytes
-        # samples per block: two buffers of 8 B per cell, in whole `_BLOCK_ALIGN` columns
+        # draws per block: two buffers of 8 B per cell, in whole `_BLOCK_ALIGN` columns
         self.per_block = block_items(16 * n1 * n2, _BLOCK_ALIGN // math.gcd(n2, _BLOCK_ALIGN))
 
     def batch_bytes(self, take: int) -> int:
-        """What a batch of `take` samples holds: two buffers of 8 B per cell for
-        its largest block (the remainder joins the last one, so below two
-        blocks) and 8 B per maximum."""
-        return 16 * len(self.xs) * len(self.ys) * min(take, 2 * self.per_block - 1) + 8 * take
+        """What a batch of `take` samples, ceil(take / 2) draws, holds: two
+        buffers of 8 B per cell for its largest block of draws (the
+        remainder joins the last one, so below two blocks) and 8 B per
+        maximum of a draw or its mirror."""
+        draws = (take + 1) // 2
+        return 16 * len(self.xs) * len(self.ys) * min(draws, 2 * self.per_block - 1) + 16 * draws
 
-    def _blocks(self, rng: np.random.Generator, n: int, trend: tuple[float, float]):
-        """Yield (first sample, field block) for n samples, block by block.
+    def _blocks(self, rng: np.random.Generator, n: int):
+        """Yield (first draw, field block) for n field draws, block by block.
 
-        Blocks hold `per_block` samples each, the remainder joining the
+        Blocks hold `per_block` draws each, the remainder joining the
         last one.  Each block draws its normals from `rng` when it is
-        computed, into a buffer laid out (n1, k * n2), so that sample s of
+        computed, into a buffer laid out (n1, k * n2), so that draw s of
         the block owns columns s n2 ... (s + 1) n2 - 1: the stream fills the
         blocks in order, and the block partition (lattice shape, n,
         `streams._BLOCK_BYTES`, `_BLOCK_ALIGN`) decides which normals each
-        sample gets.  Then come two BLAS products, the second written back
-        over the draw, and the sigma scaling and the trend in place; the two
-        buffers, about `streams._BLOCK_BYTES` together, are allocated once per
+        draw gets.  Then come two BLAS products, the second written back
+        over the draw, and the sigma scaling in place; the two buffers,
+        about `streams._BLOCK_BYTES` together, are allocated once per
         batch.  A block is an (n1, k, n2) view of a reused buffer, valid until
         the next one is yielded.
         """
@@ -118,9 +137,6 @@ class LatticeField:
         size = n1 * (n - bounds[-2]) * n2
         g_buf, a_buf = np.empty(size), np.empty(size)
         sigma = self.sigma_grid[:, None, :]
-        shift = None
-        if trend != (0.0, 0.0):
-            shift = (trend[0] * self.xs[:, None] + trend[1] * self.ys)[:, None, :]
         for s0, s1 in zip(bounds[:-1], bounds[1:]):
             k = s1 - s0
             g = g_buf[: n1 * k * n2].reshape(n1, k * n2)
@@ -130,23 +146,43 @@ class LatticeField:
             np.matmul(a.reshape(n1 * k, n2), self.l2.T, out=g.reshape(n1 * k, n2))
             block = g.reshape(n1, k, n2)
             block *= sigma
-            if shift is not None:
-                block -= shift
             yield s0, block
 
     def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """(len(xs), n, len(ys)) exact field samples."""
+        """(len(xs), n, len(ys)) exact field draws (no mirrors)."""
         out = np.empty((len(self.xs), n, len(self.ys)))
-        for s0, block in self._blocks(rng, n, (0.0, 0.0)):
+        for s0, block in self._blocks(rng, n):
             out[:, s0 : s0 + block.shape[1]] = block
         return out
 
     def maxima_batch(self, rng: np.random.Generator, n: int, trend: tuple[float, float]) -> np.ndarray:
-        """Per-sample lattice maxima of the field minus the trend c1 x + c2 y."""
-        out = np.empty(n)
-        for s0, block in self._blocks(rng, n, trend):
-            block.max(axis=(0, 2), out=out[s0 : s0 + block.shape[1]])
-        return out
+        """Per-sample lattice maxima of the field minus the trend s = c1 x + c2 y,
+        in antithetic pairs: sample 2i is max(X - s) of draw i and sample
+        2i + 1 its mirror's, max(-X - s) = -min(X + s).  n samples take
+        ceil(n / 2) draws; an odd n drops the last mirror.
+
+        Each block is reduced rows first, one pass of `np.maximum.reduce`
+        (and of `np.minimum.reduce`) over its (n1, k n2) layout, then one
+        short reduction per sample.  A trend is taken off in place and
+        added back twice over for the mirror.
+        """
+        n1, n2 = len(self.xs), len(self.ys)
+        out = np.empty(((n + 1) // 2, 2))
+        shift = None
+        if trend != (0.0, 0.0):
+            shift = (trend[0] * self.xs[:, None] + trend[1] * self.ys)[:, None, :]
+            twice = 2.0 * shift
+        for s0, block in self._blocks(rng, len(out)):
+            k = block.shape[1]
+            rows = block.reshape(n1, k * n2)
+            if shift is not None:
+                block -= shift
+            np.maximum.reduce(rows, axis=0).reshape(k, n2).max(axis=1, out=out[s0 : s0 + k, 0])
+            if shift is not None:
+                block += twice
+            np.minimum.reduce(rows, axis=0).reshape(k, n2).min(axis=1, out=out[s0 : s0 + k, 1])
+        np.negative(out[:, 1], out=out[:, 1])
+        return out.reshape(-1)[:n]
 
     def describe(self) -> str:
         return f"lattice {len(self.xs)}x{len(self.ys)}"
@@ -189,7 +225,8 @@ def side_emphasis_axis(params: ModelParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """Excursion probability estimate with binomial standard error."""
+    """Excursion probability estimate p_hat = k / n with the paired standard
+    error of its antithetic samples (`streams.paired_mean_se`)."""
 
     p_hat: float
     std_err: float
@@ -264,8 +301,9 @@ def excursion_maxima(
     batch_size: int = DEFAULT_BATCH,
     workers: int = 1,
 ) -> np.ndarray:
-    """Per-sample lattice maxima of X(t) - c1 t1 - c2 t2, in replicate order;
-    a run whose draws in flight `streams.run_batches` refuses draws nothing."""
+    """Per-sample lattice maxima of X(t) - c1 t1 - c2 t2, batch after batch,
+    each batch in the antithetic pairs of `LatticeField.maxima_batch`; a run
+    whose draws in flight `streams.check_run` refuses draws nothing."""
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     trend = (float(trend[0]), float(trend[1]))
@@ -275,16 +313,26 @@ def excursion_maxima(
     def work(b: int, take: int) -> np.ndarray:
         return field.maxima_batch(batch_generator(seed, b), take, trend)
 
-    parts = run_batches(
-        work, n_samples, batch_size, workers, what=field.describe(), item="samples",
-        held=field.held, batch_bytes=field.batch_bytes(min(batch_size, n_samples)),
-    )
+    sizing = _run_size(field, n_samples, batch_size)
+    parts = run_batches(work, n_samples, batch_size, workers, **sizing)
     return np.concatenate(parts)
 
 
-def _estimate_from_maxima(maxima: np.ndarray, u: float) -> MCEstimate:
-    p = float((maxima > u).mean())
-    return MCEstimate(p_hat=p, std_err=math.sqrt(p * (1.0 - p) / len(maxima)))
+def _run_size(field: LatticeField, n_samples: int, batch_size: int) -> dict:
+    """What `streams.check_run` sizes a lattice run by."""
+    return dict(
+        what=field.describe(), item="samples", held=field.held,
+        batch_bytes=field.batch_bytes(min(batch_size, n_samples)),
+    )
+
+
+def _estimate_from_maxima(maxima: np.ndarray, u: float, batch_size: int) -> MCEstimate:
+    """p_hat = k / n and its paired SE, from `excursion_maxima`'s maxima."""
+    hits = maxima > u
+    edges = np.cumsum([0] + batch_sizes(len(maxima), batch_size))
+    moments = sum(pair_moments(hits[a:b].astype(float)) for a, b in zip(edges[:-1], edges[1:]))
+    p, se = paired_mean_se(moments, len(maxima), batch_size)
+    return MCEstimate(p_hat=float(p), std_err=float(se))
 
 
 def mc_excursion(
@@ -300,7 +348,7 @@ def mc_excursion(
     if not math.isfinite(u):
         raise ValueError("u must be finite")
     maxima = excursion_maxima(field, n_samples, seed, trend, batch_size, workers)
-    return _estimate_from_maxima(maxima, u)
+    return _estimate_from_maxima(maxima, u, batch_size)
 
 
 def mc_block_exceedance(
@@ -320,14 +368,17 @@ def mc_block_exceedance(
     block itself uses, so both sides of the comparison carry the same
     discretization bias; degenerate sides (S = 0) contribute the exact
     factor H(0) = 1.  `spec.bounds` refuses a trended model or a block
-    outside [0, T]^2 before anything is drawn.  The lattice is set up before
-    the H factors and sampled after them, so a refused H factor draws no field.
+    outside [0, T]^2 before anything is drawn.  The lattice is set up and its
+    run sized (`streams.check_run`) before the H factors, and sampled after
+    them, so an over-budget lattice draws no path and a refused H factor
+    draws no field.
     """
     x0, x1, y0, y1 = spec.bounds(params)
     u = spec.level_u
     xs = np.linspace(x0, x1, n_grid) if spec.s1 > 0 else np.array([x0])
     ys = np.linspace(y0, y1, n_grid) if spec.s2 > 0 else np.array([y0])
     field = LatticeField(params, xs, ys)
+    check_run(n_samples, batch_size, workers, **_run_size(field, n_samples, batch_size))
 
     def h_of(s_mult: float, n_axis: int, sub_seed: int) -> float:
         if s_mult <= 0:
@@ -339,7 +390,7 @@ def mc_block_exceedance(
     h1 = h_of(spec.s1, len(xs), seed + 1)
     h2 = h1 if (spec.s2 == spec.s1) else h_of(spec.s2, len(ys), seed + 2)
     maxima = excursion_maxima(field, n_samples, seed, (0.0, 0.0), batch_size, workers)
-    est = _estimate_from_maxima(maxima, u)
+    est = _estimate_from_maxima(maxima, u, batch_size)
     v_base = variance_loss_at(params, x0, y0)
     prediction = h1 * h2 * quad.normal_survival(u) * math.exp(-u * u * v_base)
     return BlockResult(estimate=est, prediction=prediction, h1=h1, h2=h2)
@@ -392,7 +443,7 @@ def ratio_harness(
     maxima = excursion_maxima(field, n_samples, seed, trend, batch_size, workers)
     rows = []
     for u, pv in zip(u_ladder, predictions):
-        est = _estimate_from_maxima(maxima, u)
+        est = _estimate_from_maxima(maxima, u, batch_size)
         rows.append(RatioRow(u, est.p_hat, est.std_err, pv, ratio_to_prediction(est.p_hat, pv)))
     return rows
 

@@ -14,10 +14,19 @@ S-ladder, which cancels the O(1) boundary term that makes the naive ratio
 H(S)/S converge slowly.  All rungs are read off the same simulated paths
 (prefix maxima), so rung estimates share paths and the slope is a paired
 difference with far smaller variance than independent rungs would give.
+
+Each drawn path B gives two replicates, B and its mirror -B, which is fBm
+too (the antithetic pairs of `streams`), so a replicate costs half a path.
+The fBm covariance (t^alpha + s^alpha - |t - s|^alpha) / 2 is nonnegative,
+so by Pitt's theorem exp(sup) of a path and of its mirror are nonpositively
+correlated; every standard error is the paired one of
+`streams.paired_mean_se`, which also holds for the slope, a difference of
+two such functionals whose pair correlation has no sign.
+
 A batch draws its paths in chunks of about `streams._BLOCK_BYTES` of
-sampling work, into buffers it reuses, and keeps only each path's maximum
-on every rung segment, so its memory grows with the number of paths and
-rungs, not with the grid.
+sampling work, into buffers it reuses, and keeps only each replicate's
+maximum on every rung segment, so its memory grows with the number of
+replicates and rungs, not with the grid.
 Every sampler draws path-major (path i takes the i-th run of normals of
 the batch's stream), so the chunks together give the paths of one
 whole-batch draw, up to the last bit of a cholesky GEMM row on grids where
@@ -56,7 +65,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factorization import chol_with_jitter
-from .streams import DEFAULT_BATCH, _refuse_over_budget, batch_generator, block_items, run_batches
+from .streams import (
+    DEFAULT_BATCH,
+    _refuse_over_budget,
+    batch_generator,
+    block_items,
+    pair_moments,
+    paired_mean_se,
+    run_batches,
+)
 
 __all__ = [
     "PickandsEstimate",
@@ -68,9 +85,11 @@ __all__ = [
 _SAMPLERS = ("auto", "cholesky", "davies-harte")
 MAX_RUNG_MULTIPLE = 4096  # largest grid on which an s_ladder's rungs must all fall
 # largest total n_points * n_replicates a Pickands estimate may ask for,
-# about five minutes of sampling at the cost below
+# about two and a half minutes of sampling at the cost below
 MAX_PATH_POINTS = 10 ** 10
-_NS_PER_PATH_POINT = 29.0  # Brownian paths, one core of a 2-vCPU Xeon host
+# Brownian paths, two replicates (a path and its mirror) to a drawn path,
+# one core of a 2-vCPU Xeon host
+_NS_PER_PATH_POINT = 14.5
 # Peak bytes per path point of one `_PathSampler.sample` call (tracemalloc):
 # the draws and the paths, and for davies-harte the half spectrum and its
 # transform.  They size a chunk.
@@ -244,9 +263,10 @@ class ExtrapolationProtocol:
 
     s_ladder       : increasing horizons; the slope uses the top two rungs
     spacing_factor : grid spacing h satisfies h^(alpha/2) <= spacing_factor
-    n_replicates   : Monte Carlo paths (all rungs share each path)
+    n_replicates   : Monte Carlo replicates, drawn paths and their mirrors
+                     (all rungs share each replicate)
     sampler        : "auto" | "cholesky" | "davies-harte"
-    batch_size     : paths per Monte Carlo batch
+    batch_size     : replicates per Monte Carlo batch
 
     It is also the `pickands:` section of an experiment config.  Ladders
     whose rungs share no grid of at most MAX_RUNG_MULTIPLE increments are
@@ -299,13 +319,6 @@ class ExtrapolationProtocol:
         return n_incr + 1, idx
 
 
-def _mean_se(acc: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error of each column of `_ladder_sums` over n paths."""
-    mean = acc[0] / n
-    var = np.maximum(acc[1] / n - mean * mean, 0.0)
-    return mean, np.sqrt(var / n)
-
-
 def _ladder_sums(
     ps: _PathSampler,
     rungs: tuple[float, ...],
@@ -315,20 +328,25 @@ def _ladder_sums(
     batch_size: int,
     workers: int,
 ) -> np.ndarray:
-    """(2, m) sums over all paths of m per-path statistics and of their squares.
+    """(3, m) `streams.pair_moments` of m per-replicate statistics, summed
+    over the batches: read them with `streams.paired_mean_se`.
 
-    The table's first k columns are exp(max of sqrt(2) B(t) - t^alpha up to
-    each rung), read off the prefix maxima of one path per replicate.  With
+    Replicate 2i of a batch is its i-th path B, replicate 2i + 1 the mirror
+    -B.  The table's first k columns are exp(max of sqrt(2) B(t) - t^alpha
+    up to each rung), read off the prefix maxima of one replicate.  With
     two or more rungs three more follow: the slope across the top two
     rungs, the naive ratio at the top rung and their difference.  Fewer
     than two replicates, more than MAX_PATH_POINTS path points, or batches
     in flight over the memory budget are refused before any path.
 
-    A batch draws its paths from its one stream `ps.chunk` at a time, into
-    buffers it reuses, and keeps only each path's maxima on the k rung
-    segments, so it holds one chunk of paths plus its table, whatever the
-    grid.  The prefix maxima, exp and every sum are taken over the whole
-    batch.
+    A batch draws its ceil(take / 2) paths from its one stream `ps.chunk`
+    at a time, into buffers it reuses, and keeps only each replicate's
+    maxima on the k rung segments, so it holds one chunk of paths plus its
+    table, whatever the grid.  A chunk's segment maxima of
+    sqrt(2) B - t^alpha are taken first; adding 2 t^alpha in place then
+    gives sqrt(2) B + t^alpha, whose segment minima are the mirror's
+    maxima negated, so the mirror takes no buffer.  The prefix maxima, exp
+    and every sum are taken over the whole batch.
     """
     if n_replicates < 2:
         raise ValueError("need at least 2 replicates")
@@ -345,21 +363,25 @@ def _ladder_sums(
     k = len(rungs)
     # rung i's segment of a path runs from just past rung i-1 to rung i
     starts = [0] + [i + 1 for i in rung_idx[:-1]]
+    twice_drift = 2.0 * ps.drift
 
     def work(b: int, take: int) -> np.ndarray:
-        # sqrt(2) B(t) - t^alpha chunk by chunk, and its maximum on each rung's
-        # segment; then their running maximum: the prefix maxima at the rungs
+        # sqrt(2) B(t) -+ t^alpha chunk by chunk, and its maximum (minimum) on each
+        # rung's segment; then their running maximum: the prefix maxima at the rungs
         rng = batch_generator(seed, b)
         chunks = ps.with_scratch()
-        seg = np.empty((take, k))
-        for c0 in range(0, take, ps.chunk):
-            paths = chunks.sample(rng, min(ps.chunk, take - c0))
+        pairs = np.empty(((take + 1) // 2, 2, k))  # [path, mirror] segment maxima
+        for c0 in range(0, len(pairs), ps.chunk):
+            paths = chunks.sample(rng, min(ps.chunk, len(pairs) - c0))
+            c1 = c0 + len(paths)
             paths *= math.sqrt(2.0)
             paths -= ps.drift
-            np.maximum.reduceat(
-                paths[:, : rung_idx[-1] + 1], starts, axis=1, out=seg[c0 : c0 + len(paths)]
-            )
+            np.maximum.reduceat(paths[:, : rung_idx[-1] + 1], starts, axis=1, out=pairs[c0:c1, 0])
+            paths += twice_drift
+            np.minimum.reduceat(paths[:, : rung_idx[-1] + 1], starts, axis=1, out=pairs[c0:c1, 1])
         del chunks, paths  # before the table below
+        np.negative(pairs[:, 1], out=pairs[:, 1])
+        seg = pairs.reshape(-1, k)[:take]  # an odd batch drops its last mirror
         # column-major, so each column sums pairwise as one contiguous vector
         table = np.empty((take, k + 3 if k > 1 else 1), order="F")
         vals = np.exp(np.maximum.accumulate(seg, axis=1, out=seg), out=table[:, :k])
@@ -367,14 +389,14 @@ def _ladder_sums(
             table[:, k] = (vals[:, -1] - vals[:, -2]) / (rungs[-1] - rungs[-2])
             table[:, k + 1] = vals[:, -1] / rungs[-1]
             table[:, k + 2] = table[:, k] - table[:, k + 1]
-        return np.stack([table.sum(axis=0), (table * table).sum(axis=0)])
+        return pair_moments(table)
 
-    # a batch holds one chunk of paths, and per path the segment maxima, the
-    # table and its square (tracemalloc: at most 3k + 6 floats)
+    # a batch holds one chunk of paths, and per replicate the segment maxima,
+    # the table and its square (tracemalloc: at most 3k + 6 floats)
     take = min(batch_size, n_replicates)
     parts = run_batches(
         work, n_replicates, batch_size, workers, what=ps.what, item="paths", held=ps.held,
-        batch_bytes=min(ps.chunk, take) * ps.path_bytes + 8 * (3 * k + 6) * take,
+        batch_bytes=min(ps.chunk, (take + 1) // 2) * ps.path_bytes + 8 * (3 * k + 6) * take,
     )
     return sum(parts)
 
@@ -392,12 +414,14 @@ def pickands_finite(
 
     The discrete maximum understates the continuous supremum, so the
     estimate carries a negative bias that shrinks as the grid refines.
-    This is the one-rung case of the ladder behind `pickands_constant`, at
-    the automatic sampler choice, and is sized and refused as that is.
+    Its replicates are antithetic pairs of paths, and its standard error is
+    the paired one.  This is the one-rung case of the ladder behind
+    `pickands_constant`, at the automatic sampler choice, and is sized and
+    refused as that is.
     """
     ps = _PathSampler(alpha, S, n_points)
     acc = _ladder_sums(ps, (S,), [ps.n_points - 1], n_replicates, seed, batch_size, workers)
-    mean, se = _mean_se(acc, n_replicates)
+    mean, se = paired_mean_se(acc, n_replicates, batch_size)
     return PickandsEstimate(
         value=float(mean[0]),
         std_err=float(se[0]),
@@ -415,12 +439,12 @@ def pickands_constant(
 ) -> PickandsEstimate:
     """Slope estimator of the Pickands constant H_alpha.
 
-    Simulates paths on the top-rung grid once per replicate, reads every
-    rung's functional from prefix maxima of the same path, and returns the
-    paired-difference slope across the top two rungs.  The naive ratio
-    H(S_max)/S_max is reported alongside; a warning is raised when slope and
-    naive disagree by more than 3 joint standard errors (the usual sign that
-    S_max is still far from the limit).
+    Simulates paths on the top-rung grid, one per antithetic pair of
+    replicates, reads every rung's functional from prefix maxima of the
+    same replicate, and returns the paired-difference slope across the top
+    two rungs.  The naive ratio H(S_max)/S_max is reported alongside; a
+    warning is raised when slope and naive disagree by more than 3 joint
+    standard errors (the usual sign that S_max is still far from the limit).
     """
     n_points, rung_idx = protocol.grid_for(alpha)
     s_ladder = protocol.s_ladder
@@ -429,7 +453,7 @@ def pickands_constant(
     k = len(s_ladder)
     ps = _PathSampler(alpha, s_max, n_points, protocol.sampler)
     acc = _ladder_sums(ps, s_ladder, rung_idx, n, seed, protocol.batch_size, workers)
-    mean, se = (x.tolist() for x in _mean_se(acc, n))
+    mean, se = (x.tolist() for x in paired_mean_se(acc, n, protocol.batch_size))
     (slope, naive, cons), (slope_se, naive_se, cons_se) = mean[k:], se[k:]
     consistent = bool(abs(cons) <= 3.0 * cons_se) if cons_se > 0 else True
     if not consistent:

@@ -231,8 +231,8 @@ def _critical_constant(beta: float, c1: float, c2: float, cfg: QuadratureConfig)
     (A&S 7.4.2), give K(c1, c2).  Both fold onto [0, pi/4] by t -> pi/2 - t, which
     swaps c1 and c2, so the swap symmetry is exact; t = (pi/4) v^p, p = max(1, 1/q),
     takes the endpoint factor t^(q-1) dt to v^max(q-1, 0) dv, bounded on [0, 1]."""
-    if not (2.0 / 171.0 < beta < math.inf):
-        raise ValueError(f"K_beta needs a finite beta > 2/171 (Gamma(2/beta) a float); got {beta}")
+    if not (0.0 < beta < math.inf):
+        raise ValueError(f"K_beta needs a finite beta > 0; got {beta}")
     if (c1, c2) == (0.0, 0.0):
         q = 2.0 / beta
         p = max(1.0, 1.0 / q)
@@ -243,6 +243,18 @@ def _critical_constant(beta: float, c1: float, c2: float, cfg: QuadratureConfig)
             cos_sinc = cos_t * (sin_t / t if t > 0.0 else 1.0)
             return v ** max(q - 1.0, 0.0) * cos_sinc ** (q - 1.0) / (1.0 + cos_t * sin_t) ** q
 
+        if beta < 1.0:
+            # Gamma(q) overflows from beta = 2/171, long before K_beta does: the
+            # prefactor is summed in logs and only K_beta itself must be a float
+            log_scale = math.lgamma(q) + q * math.log(_QUARTER_PI) + math.log(q * q * p)
+            value, err = _integrate_panels(
+                f, [0.0, 1.0], cfg.abs_tol * math.exp(-log_scale), cfg.rel_tol
+            )
+            log_k = log_scale + math.log(value)
+            if log_k >= _LOG_MAX:
+                raise ValueError(f"K_beta = exp({log_k:.6g}) overflows a float at beta = {beta}")
+            k = math.exp(log_k)
+            return _check_converged(k, k * (err / value), cfg, "critical-constant angle integral")
         scale, hi = math.gamma(q) * _QUARTER_PI ** q * q * q * p, 1.0
     else:
 

@@ -57,6 +57,29 @@ def i_log_ratio_second_order(u: float, gamma: float, beta: float, a: float) -> f
     return j_ratio_second_order(lam, p, 1.0 / beta, gamma)
 
 
+def log_k_beta_oracle(beta: float) -> float:
+    """log K_beta from the angle form in the variable w = cos t sin t.
+
+    K_beta = (q^2 Gamma(q)/2) int_0^(pi/2) (cos t sin t)^(q-1) (1 + cos t sin t)^-q dt,
+    q = 2/beta.  Folding at t = pi/4 and setting w = sin(2t)/2, with
+    dt = dw / sqrt(1 - 4 w^2) and 1 - 4 w^2 = 2 (1/2 - w)(1 + 2w), gives
+    sqrt(2) int_0^(1/2) w^(q-1) (1 + w)^-q (1 + 2w)^(-1/2) (1/2 - w)^(-1/2) dw,
+    whose endpoint singularity QUADPACK takes as an algebraic weight.  Gamma(q)
+    enters as its log, so the value stays finite where K_beta overflows.
+    """
+    q = 2.0 / beta
+
+    def f(w: float) -> float:
+        if w <= 0.0:
+            return 0.0
+        return math.exp((q - 1.0) * math.log(w) - q * math.log1p(w) - 0.5 * math.log1p(2.0 * w))
+
+    val, _ = integrate.quad(
+        f, 0.0, 0.5, weight="alg", wvar=(0.0, -0.5), epsabs=0.0, epsrel=1e-13, limit=200
+    )
+    return math.log(q * q / 2.0) + float(special.gammaln(q)) + math.log(math.sqrt(2.0) * val)
+
+
 def k_beta_series(beta: float) -> float:
     """K_beta by the binomial series of (1 + cos t sin t)^-q, q = 2/beta.
 

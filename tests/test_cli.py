@@ -568,10 +568,11 @@ class TestManifestOnEveryExit:
         assert "more than half of physical memory" in status
 
     def test_block_h_factor_refusal_exits_2(self, tmp_path, monkeypatch):
-        # the 32 x 1 lattice's batch is one block, 16 B x 32 x 2048 + 8 B x 2048
-        # = 1.06 MB, and passes beside its 8.5 kB of factors; its H factor's batch,
-        # a 1.05 MB chunk of paths and 72 B of maxima per path = 1.20 MB, does not
-        monkeypatch.setattr(streams, "memory_budget", lambda: 1_100_000)
+        # the 32 x 1 lattice's 2048-sample batch is one block of 1024 draws,
+        # 16 B x 32 x 1024 + 8 B x 2048 = 0.54 MB, and passes beside its 8.5 kB of
+        # factors; its H factor's batch, a 0.52 MB chunk of 1024 paths and 72 B of
+        # maxima per replicate = 0.67 MB, does not
+        monkeypatch.setattr(streams, "memory_budget", lambda: 600_000)
         cfg = write_cfg(
             tmp_path,
             "blocks: {s2: 0.0, u_values: [3.0], n_samples: [4096], n_grid: 32, "

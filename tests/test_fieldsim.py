@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from supfield import fieldsim, pickands, streams
 from supfield.fieldsim import (
@@ -96,9 +97,9 @@ class RecordingGenerator:
 
 
 def drawn_normals(lat, rng, n):
-    """The (n1, n, n2) normals a batch of n drew, block by block: each block's
-    draw is laid out (n1, k * n2), sample s of the block owning columns
-    s n2 ... (s + 1) n2 - 1, and the blocks cover the samples in order."""
+    """The (n1, n, n2) normals of n field draws, block by block: each block's
+    draw is laid out (n1, k * n2), draw s of the block owning columns
+    s n2 ... (s + 1) n2 - 1, and the blocks cover the draws in order."""
     n1, n2 = len(lat.xs), len(lat.ys)
     assert sum(d.size for d in rng.drawn) == n1 * n * n2
     return np.concatenate([d.reshape(n1, -1, n2) for d in rng.drawn], axis=1)
@@ -110,6 +111,14 @@ def unblocked_field(lat, g):
     a1 = np.tensordot(lat.l1, g, axes=(1, 0))
     a2 = (a1.reshape(n1 * n, n2) @ lat.l2.T).reshape(n1, n, n2)
     return lat.sigma_grid[:, None, :] * a2
+
+
+def antithetic_maxima(f, shift, n):
+    """The first n samples of the antithetic layout from (n1, m, n2) field draws
+    f: sample 2i is the maximum of draw i minus the trend, 2i + 1 that of its
+    mirror -f minus the trend."""
+    pairs = np.stack([(f - shift).max(axis=(0, 2)), (-f - shift).max(axis=(0, 2))], axis=1)
+    return pairs.reshape(-1)[:n]
 
 
 def small_lattice(shape):
@@ -127,8 +136,8 @@ class TestBlockedKernel:
         monkeypatch.setattr(streams, "_BLOCK_BYTES", request.param)
         return request.param
 
-    # the shipped partition decides which normals each sample gets, so it
-    # pins every seeded lattice value: the acceptance criteria's draws among them
+    # the shipped partition decides which normals each draw gets, so it pins
+    # every seeded lattice value: the acceptance criteria's draws among them
     @pytest.mark.parametrize(
         "shape,per_block",
         [((16, 16), 512), ((32, 32), 128), ((64, 64), 32), ((256, 256), 2), ("side", 12)],
@@ -142,9 +151,10 @@ class TestBlockedKernel:
         else:
             lat = build_lattice(P_CLASSICAL, n_per_axis=shape[0])
         assert lat.per_block == per_block
-        # 2 blocks and 1 over: the second block takes the remainder
+        # 2 blocks of draws and 1 over, at two samples (a draw and its mirror) per
+        # draw: the second block takes the remainder
         rng = RecordingGenerator(batch_generator(1, 0))
-        lat.maxima_batch(rng, 2 * per_block + 1, (0.0, 0.0))
+        lat.maxima_batch(rng, 2 * (2 * per_block + 1), (0.0, 0.0))
         n1, n2 = len(lat.xs), len(lat.ys)
         assert [d.shape for d in rng.drawn] == [(n1, per_block * n2), (n1, (per_block + 1) * n2)]
 
@@ -153,12 +163,14 @@ class TestBlockedKernel:
     )
     @pytest.mark.parametrize("trend", [(0.0, 0.0), (0.7, 1.3)])
     def test_maxima_match_unblocked(self, block_bytes, shape, n, trend):
+        # n samples are ceil(n / 2) draws and their mirrors; an odd n drops the last mirror
         lat = small_lattice(shape)
         rng = RecordingGenerator(batch_generator(21, 3))
         got = lat.maxima_batch(rng, n, trend)
-        f = unblocked_field(lat, drawn_normals(lat, rng, n))
-        f = f - (trend[0] * lat.xs[:, None] + trend[1] * lat.ys[None, :])[:, None, :]
-        expected = f.max(axis=(0, 2))
+        f = unblocked_field(lat, drawn_normals(lat, rng, (n + 1) // 2))
+        shift = (trend[0] * lat.xs[:, None] + trend[1] * lat.ys[None, :])[:, None, :]
+        expected = antithetic_maxima(f, shift, n)
+        assert got.shape == (n,)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
         for u in (0.5, 1.5, 2.5):
             assert int((got > u).sum()) == int((expected > u).sum())
@@ -177,6 +189,41 @@ class TestBlockedKernel:
         m1 = excursion_maxima(lat, 5001, seed=8, trend=(0.0, 1.5), batch_size=700, workers=1)
         m2 = excursion_maxima(lat, 5001, seed=8, trend=(0.0, 1.5), batch_size=700, workers=2)
         assert np.array_equal(m1, m2)
+
+
+class TestAntitheticPairs:
+    def test_two_by_two_against_multivariate_normal_cdf(self):
+        # P(max of 4 > u) = 1 - Phi_4(u, ..., u; Sigma), the covariance taken point by
+        # point from the model; odd batches leave unpaired samples in the estimate
+        xs, ys = np.array([0.0, 0.5]), np.array([0.0, 0.3])
+        lat = LatticeField(P_CLASSICAL, xs, ys)
+        pts = [Point2(x, y) for x in xs for y in ys]
+        cov = np.array([[covariance(P_CLASSICAL, s, t) for t in pts] for s in pts])
+        for u in (0.5, 1.5, 2.5):
+            below = stats.multivariate_normal.cdf(
+                np.full(4, u), mean=np.zeros(4), cov=cov, abseps=1e-6, releps=1e-6,
+                rng=np.random.default_rng(0),
+            )
+            est = mc_excursion(lat, u, (0.0, 0.0), 100_001, seed=5, batch_size=4095)
+            assert abs(est.p_hat - (1.0 - below)) <= 3.0 * est.std_err, u
+
+    def test_paired_se_matches_the_seed_to_seed_spread(self):
+        # the spread of p_hat over 30 seeds against the mean reported paired SE
+        lat = build_lattice(P_CLASSICAL, n_per_axis=16)
+        ests = [mc_excursion(lat, 2.0, (0.0, 0.0), 4000, seed=100 + s) for s in range(30)]
+        spread = np.std([e.p_hat for e in ests], ddof=1)
+        assert 0.7 <= spread / np.mean([e.std_err for e in ests]) <= 1.4
+
+    @pytest.mark.parametrize("trend", [(0.0, 0.0), (0.7, 1.3)])
+    def test_draw_and_mirror_not_positively_correlated(self, trend):
+        # Pitt's theorem: the correlation is nonnegative, so an increasing functional
+        # of X and a decreasing one are nonpositively correlated
+        lat = build_lattice(P_CLASSICAL, n_per_axis=12)
+        m = lat.maxima_batch(batch_generator(4, 0), 40_000, trend)
+        draw, mirror = m[0::2], m[1::2]
+        for f_draw, f_mirror in ((draw, mirror), (draw > 1.0, mirror > 1.0)):
+            prod = (f_draw - f_draw.mean()) * (f_mirror - f_mirror.mean())
+            assert prod.mean() <= 3.0 * prod.std() / math.sqrt(len(prod))
 
 
 class TestSideEmphasisAxis:
@@ -234,9 +281,10 @@ class TestMcExcursion:
         assert (coarse > u).mean() <= (fine > u).mean()
 
     def test_draws_in_flight_larger_than_memory_refused(self, monkeypatch):
-        # a 64 x 64 lattice runs in blocks of 32 samples, the remainder joining the
-        # last, so a 2048-sample batch declares two buffers of 16 B x 4096 x 63 and
-        # 8 B per maximum, 4.15 MB, beside the 98.3 kB the lattice holds
+        # a 64 x 64 lattice runs in blocks of 32 draws, the remainder joining the
+        # last, so a 2048-sample batch, 1024 draws, declares two buffers of
+        # 16 B x 4096 x 63 and 8 B per maximum, 4.15 MB, beside the 98.3 kB the
+        # lattice holds
         monkeypatch.setattr(streams, "memory_budget", lambda: 6 * 10 ** 6)
         lat = build_lattice(P_CLASSICAL, n_per_axis=64)
         drawn = []
@@ -253,21 +301,20 @@ class TestMcExcursion:
 
     def test_held_factors_count_beside_the_draws(self, monkeypatch):
         # a 64 x 64 lattice holds 8 B x 3 x 64^2 = 98.3 kB (l1, l2, sigma); one
-        # 16-sample batch is one block, 16 B x 4096 x 16 + 8 B x 16 = 1.05 MB, which
-        # fits in 1.1 MB alone but not beside what the lattice holds
+        # 32-sample batch is one block of 16 draws, 16 B x 4096 x 16 + 8 B x 32 =
+        # 1.05 MB, which fits in 1.1 MB alone but not beside what the lattice holds
         lat = build_lattice(P_CLASSICAL, n_per_axis=64)
         held = lat.l1.nbytes + lat.l2.nbytes + lat.sigma_grid.nbytes
         assert lat.held == held == 98_304
         monkeypatch.setattr(streams, "memory_budget", lambda: 1_100_000)
         monkeypatch.setattr(lat, "maxima_batch", lambda rng, n, trend: pytest.fail("drawn"))
-        message = r"16 samples per batch = 0\.00105 GB; with 1 in flight the run needs 0\.00115 GB"
+        message = r"32 samples per batch = 0\.00105 GB; with 1 in flight the run needs 0\.00115 GB"
         with pytest.raises(ValueError, match=message):
-            excursion_maxima(lat, 100, seed=0, batch_size=16)
+            excursion_maxima(lat, 100, seed=0, batch_size=32)
 
     def test_batch_memory_does_not_grow_with_the_batch(self):
-        # one 2048-sample batch on 64 x 64 holds two 32-sample block buffers of
-        # 1 MiB each and its maxima (tracemalloc: 2.9 MB), within the bytes it
-        # declares to the memory check
+        # one 2048-sample batch on 64 x 64 holds two 32-draw block buffers of
+        # 1 MiB each and its maxima, within the bytes it declares to the memory check
         lat = build_lattice(P_CLASSICAL, n_per_axis=64)
         tracemalloc.start()
         try:
@@ -360,6 +407,19 @@ class TestBlocks:
         spec = BlockSpec(Point2(0.0, 0.0), 0.0, 2.0, 3.0)
         with pytest.raises(ValueError, match="MAX_PATH_POINTS"):
             mc_block_exceedance(p, spec, 4000, seed=3, n_grid=12, h_replicates=4000)
+
+    def test_lattice_over_budget_refused_before_the_h_factors(self, monkeypatch):
+        # a 32 x 32 corner block: one 2048-sample batch, 1024 draws in blocks of 128,
+        # declares 16 B x 1024 x 255 + 8 B x 2048 = 4.19 MB, over a 2 MB budget; the
+        # lattice run is sized before the H(S) factors, so no path is drawn
+        monkeypatch.setattr(streams, "memory_budget", lambda: 2 * 10 ** 6)
+        monkeypatch.setattr(pickands, "pickands_finite", lambda *args: pytest.fail("H drawn"))
+        monkeypatch.setattr(LatticeField, "maxima_batch", lambda *args: pytest.fail("drawn"))
+        p = ModelParams(1.0, 2.0, 1.0)
+        spec = BlockSpec(Point2(0.0, 0.0), 2.0, 2.0, 3.0)
+        message = r"lattice 32x32 x 2048 samples per batch = 0\.00419 GB"
+        with pytest.raises(ValueError, match=message):
+            mc_block_exceedance(p, spec, 200_000, seed=3, n_grid=32, h_replicates=2_000_000)
 
     def test_h_factor_refused_before_the_lattice_draws(self, monkeypatch):
         # one H replicate is refused by the H factor; the lattice is set up first

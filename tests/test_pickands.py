@@ -253,8 +253,9 @@ class TestPickandsFinite:
         assert a.value == b.value and a.std_err == b.std_err
 
     def test_refused_as_pickands_constant_is(self, monkeypatch):
-        # one 100-path batch on 33 points is one chunk of 16 B x 33 x 100 = 52.8 kB,
-        # plus 8 x (3k + 6) B per path for k rungs: 60.0 kB at k = 1, 62.4 kB at k = 2
+        # one 100-path batch on 33 points draws 50 paths, one chunk of 16 B x 33 x 50
+        # = 26.4 kB, plus 8 x (3k + 6) B per replicate for k rungs: 33.6 kB at k = 1,
+        # 36.0 kB at k = 2
         monkeypatch.setattr(streams, "memory_budget", lambda: 10 ** 4)
 
         def message(gb):
@@ -265,10 +266,10 @@ class TestPickandsFinite:
                 r"coarser grid"
             )
 
-        with pytest.raises(ValueError, match=message(r"6e-05")):
+        with pytest.raises(ValueError, match=message(r"3\.36e-05")):
             pickands_finite(1.0, 2.0, 33, 100, seed=0)
         proto = ExtrapolationProtocol(s_ladder=(1.0, 2.0), spacing_factor=0.25, n_replicates=100)
-        with pytest.raises(ValueError, match=message(r"6\.24e-05")):
+        with pytest.raises(ValueError, match=message(r"3\.6e-05")):
             pickands_constant(1.0, proto)
 
     def test_path_point_cap_enforced(self, monkeypatch):
@@ -438,17 +439,31 @@ class TestProtocol:
         admitted(monkeypatch, alpha, ExtrapolationProtocol())
 
 
-def statistics_table(ps, rungs, rung_idx, rng, take):
-    """(take, m) per-path statistics of `_ladder_sums`, from one whole-batch
-    path array: exp of the prefix maxima at the rungs, then, with two or
-    more rungs, the slope, the naive ratio and their difference."""
-    y = math.sqrt(2.0) * ps.sample(rng, take) - ps.drift
-    vals = np.exp(np.maximum.accumulate(y, axis=1)[:, rung_idx])
+def statistics_table(ps, rungs, rung_idx, rng, take, mirror):
+    """(take, m) per-replicate statistics of `_ladder_sums`, from one
+    whole-batch path array of ceil(take / 2) paths: replicate 2i is path i,
+    y = sqrt(2) B - t^alpha, and 2i + 1 its mirror `mirror(y, drift)`; an odd
+    take drops the last mirror.  Columns: exp of the prefix maxima at the
+    rungs, then, with two or more rungs, the slope, the naive ratio and
+    their difference."""
+    y = math.sqrt(2.0) * ps.sample(rng, (take + 1) // 2) - ps.drift
+    reps = np.stack([y, mirror(y, ps.drift)], axis=1).reshape(-1, ps.n_points)[:take]
+    vals = np.exp(np.maximum.accumulate(reps, axis=1)[:, rung_idx])
     if len(rungs) == 1:
         return vals
     slope = (vals[:, -1] - vals[:, -2]) / (rungs[-1] - rungs[-2])
     naive = vals[:, -1] / rungs[-1]
     return np.column_stack([vals, slope, naive, slope - naive])
+
+
+def mirror_path(y, drift):
+    """-sqrt(2) B - t^alpha, from y = sqrt(2) B - t^alpha."""
+    return -(y + drift) - drift
+
+
+def mirror_as_kernel(y, drift):
+    """The same, in the kernel's arithmetic: y + 2 t^alpha, negated."""
+    return -(y + 2.0 * drift)
 
 
 class TestLadderSums:
@@ -457,19 +472,21 @@ class TestLadderSums:
         [(1.0, "auto", 401), (1.4, "cholesky", 65), (1.4, "davies-harte", 257)],
     )
     def test_matches_sums_recomputed_from_paths(self, alpha, sampler, n_points):
+        # two odd batches: each drops its last mirror
         ps = _PathSampler(alpha, 2.0, n_points, sampler)
         rungs = (0.5, 1.0, 2.0)
         idx = [(n_points - 1) // 4, (n_points - 1) // 2, n_points - 1]
-        n, batch, seed = 2500, 1000, 9
+        n, batch, seed = 2501, 1001, 9
         acc = _ladder_sums(ps, rungs, idx, n, seed, batch, workers=1)
-        table = np.concatenate(
-            [
-                statistics_table(ps, rungs, idx, batch_generator(seed, b), take)
-                for b, take in enumerate(batch_sizes(n, batch))
+        expected = np.zeros((3, 6))
+        for b, take in enumerate(batch_sizes(n, batch)):
+            rng = batch_generator(seed, b)
+            table = statistics_table(ps, rungs, idx, rng, take, mirror_path)
+            assert table.shape == (take, 6)
+            draw, mirror = table[0 : take - 1 : 2], table[1::2]
+            expected += [
+                table.sum(axis=0), (table * table).sum(axis=0), (draw * mirror).sum(axis=0)
             ]
-        )
-        assert table.shape == (n, 6)
-        expected = np.stack([table.sum(axis=0), (table * table).sum(axis=0)])
         np.testing.assert_allclose(acc, expected, rtol=1e-12)
 
     @pytest.mark.parametrize(
@@ -489,21 +506,28 @@ class TestLadderSums:
     ):
         # a batch drawn chunk by chunk: its segment maxima and their running
         # maximum are the prefix maxima at the rungs of the whole batch's
-        # paths, and each column of its table sums as one contiguous vector
+        # paths and their mirrors, and each column of its table sums as one
+        # contiguous vector
         ps = _PathSampler(alpha, 4.0, n_points, sampler)
+        draws = (batch + 1) // 2
         if n_points > 10_000:  # a chunk is one path
             assert ps.chunk == 1 and 2 * ps.path_bytes > streams._BLOCK_BYTES
         else:  # several chunks, the last one short
-            assert 1 < ps.chunk < batch and batch % ps.chunk
+            assert 1 < ps.chunk < draws and draws % ps.chunk
         rungs = tuple(4.0 * i / (n_points - 1) for i in rung_idx)
         seed = 3
         acc = _ladder_sums(ps, rungs, rung_idx, n, seed, batch, workers=1)
-        assert acc.shape == (2, len(rungs) + 3 if len(rungs) > 1 else 1)
+        assert acc.shape == (3, len(rungs) + 3 if len(rungs) > 1 else 1)
         expected = np.zeros_like(acc)
         for b, take in enumerate(batch_sizes(n, batch)):
-            table = statistics_table(ps, rungs, rung_idx, batch_generator(seed, b), take)
+            rng = batch_generator(seed, b)
+            table = statistics_table(ps, rungs, rung_idx, rng, take, mirror_as_kernel)
             cols = [np.ascontiguousarray(x) for x in table.T]
-            expected += [[x.sum() for x in cols], [(x * x).sum() for x in cols]]
+            expected += [
+                [x.sum() for x in cols],
+                [(x * x).sum() for x in cols],
+                [(x[0 : take - 1 : 2] * x[1::2]).sum() for x in cols],
+            ]
         assert acc.tobytes() == expected.tobytes()
 
 
@@ -573,6 +597,32 @@ class TestFootprint:
         ps = _PathSampler(1.4, 4.0, 257, "cholesky")
         acc = _ladder_sums(ps, (4.0,), [256], 10, seed=0, batch_size=10, workers=1)
         assert acc[0] / 10 >= 1.0
+
+
+class TestPairedReplicates:
+    def test_paired_se_matches_the_seed_to_seed_spread(self):
+        # the spread of H(1) over 30 seeds against the mean reported paired SE
+        ests = [pickands_finite(1.0, 1.0, 101, 4000, seed=200 + s) for s in range(30)]
+        spread = np.std([e.value for e in ests], ddof=1)
+        assert 0.7 <= spread / np.mean([e.std_err for e in ests]) <= 1.4
+
+    def test_path_and_mirror_not_positively_correlated(self):
+        # Pitt's theorem: exp of the supremum of sqrt(2) B - t and of -sqrt(2) B - t
+        ps = _PathSampler(1.0, 1.0, 101)
+        y = math.sqrt(2.0) * ps.sample(batch_generator(6, 0), 20_000)
+        draw = np.exp((y - ps.drift).max(axis=1))
+        mirror = np.exp((-y - ps.drift).max(axis=1))
+        prod = (draw - draw.mean()) * (mirror - mirror.mean())
+        assert prod.mean() <= 3.0 * prod.std() / math.sqrt(len(prod))
+
+    def test_two_replicates_are_one_pair(self):
+        # one pair: the independent-sample SE of its two replicates
+        est = pickands_finite(1.0, 1.0, 9, 2, seed=1)
+        ps = _PathSampler(1.0, 1.0, 9)
+        y = math.sqrt(2.0) * ps.sample(batch_generator(1, 0), 1)[0]
+        pair = np.exp([(y - ps.drift).max(), (-y - ps.drift).max()])
+        assert est.value == pytest.approx(pair.mean(), rel=1e-12)
+        assert est.std_err == pytest.approx(pair.std() / math.sqrt(2.0), rel=1e-9)
 
 
 class TestPickandsConstant:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import warnings
 
 import pytest
@@ -19,7 +20,14 @@ from supfield.quad import (
     trend_l,
 )
 
-from oracles import k_beta_series, mc_k_beta, phi_oracle, trend_k_cartesian, trend_l_closed_form
+from oracles import (
+    k_beta_series,
+    log_k_beta_oracle,
+    mc_k_beta,
+    phi_oracle,
+    trend_k_cartesian,
+    trend_l_closed_form,
+)
 
 CFG = QuadratureConfig()
 
@@ -148,12 +156,21 @@ class TestKBeta:
 
     @pytest.mark.parametrize("beta", [math.inf, math.nan])
     def test_rejects_non_finite(self, beta):
-        with pytest.raises(ValueError, match=f"a finite beta > 2/171 .*; got {beta}"):
+        with pytest.raises(ValueError, match=f"a finite beta > 0; got {beta}"):
             k_beta(beta)
 
-    def test_refuses_beta_where_gamma_overflows(self):
-        with pytest.raises(ValueError, match="beta > 2/171"):
-            k_beta(0.0116)  # Gamma(2/0.0116) is past the float range
+    @pytest.mark.parametrize("beta", [0.5, 0.2, 0.0116, 0.01, 0.0094])
+    def test_small_beta_against_log_oracle(self, beta):
+        # below beta = 2/171 Gamma(2/beta) overflows a float while K_beta does not;
+        # at 0.0094, K_beta = 2e304, just inside the float range
+        expected = log_k_beta_oracle(beta)
+        assert math.log(k_beta(beta)) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_refuses_beta_where_k_beta_overflows(self):
+        # the oracle puts the overflow between beta = 0.0094 and 0.0093
+        assert log_k_beta_oracle(0.0093) > math.log(sys.float_info.max)
+        with pytest.raises(ValueError, match="overflows a float at beta = 0.0093"):
+            k_beta(0.0093)
 
     def test_beta_two_is_the_nearest_double(self):
         assert k_beta(2.0) == 0.6045997880780726  # pi / (3 sqrt 3), correctly rounded
