@@ -26,16 +26,18 @@ term tends to 1 like O(1/log lam).
 Numerical strategy: every integral is a sum of QUADPACK panels between
 breakpoints (`_integrate_panels`), each asked for the tolerances its caller
 states, whose summed error estimate is checked against the configured ones
-(`_check_converged`).  The one 2-D integral left, `i_gamma`, is iterated 1-D
-with the inner integral adaptive per outer node (J is one integral over the
-closed-form A).  Domains [0, delta] whose integrand lives on scales far below
-delta are pre-split dyadically toward 0 so the adaptive routine never has to
-discover the scale separation on its own; infinite domains are cut where an
-envelope exp(-s) drops below 1e-16.  On the finite square, whose integrand
-falls along both axes, a panel loop stops once a bound on the panels left is
-below 2^-60 of its sum, where they could not change a bit of it
-(`tail_bound`).  Only the tolerances are settable; `MAX_SUBDIVISIONS` and the
-cut are fixed.
+(`_check_converged`).  The one 2-D integral left, `i_gamma`, is iterated 1-D:
+QUADPACK over x, and over y QUADPACK's fixed 21-point Gauss-Kronrod rule on
+finer panels, one numpy expression per row x whose error estimate is carried
+into the check (J is one integral over the closed-form A).  Domains [0, delta]
+whose integrand lives on scales far below delta are pre-split dyadically toward
+0 so the adaptive routine never has to discover the scale separation on its
+own; infinite domains are cut where an envelope exp(-s) drops below 1e-16.  On
+the finite square, whose integrand falls along both axes, the outer panel loop
+stops once a bound on the panels left is below 2^-60 of its sum, where they
+could not change a bit of it (`tail_bound`).  Only the tolerances are
+settable; `MAX_SUBDIVISIONS`, the cut and the inner rule's depth
+(`_INNER_HALVINGS`) are fixed.
 
 scipy is imported by the functions that call it, on first use: scipy.special
 by the closed forms (G_beta, the log prefactor, log Psi where a prediction
@@ -51,6 +53,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .model import _boundary_cmp
 
@@ -77,6 +81,34 @@ _QUARTER_PI = math.pi / 4.0
 _LOG_MAX = 709.782712893384  # log of the largest float
 MAX_SUBDIVISIONS = 2000  # QUADPACK subdivision limit per panel
 _TAIL_CUT_LOG = math.log(1.0 / 1e-16)  # infinite domains end where an envelope exp(-s) is 1e-16
+# i_gamma's inner panels go this many halvings below its outer ones, into the (xy)^a cusp
+# at y = 0; at 40, dqk21's estimate on the first panel fails the deep log branch at a = 0.2
+_INNER_HALVINGS = 60
+
+# QUADPACK's 21-point Gauss-Kronrod rule (dqk21) on [-1, 1]: the nodes from -1 to 1, the
+# Kronrod weights, and the 10-point Gauss weights at every second node (0 at the others)
+_QK21_HALF = (  # (node, Kronrod weight, Gauss weight) from the end to the centre, as in dqk21
+    (0.995657163025808080735527280689003, 0.011694638867371874278064396062192, 0.0),
+    (0.973906528517171720077964012084452, 0.032558162307964727478818972459390,
+     0.066671344308688137593568809893332),
+    (0.930157491355708226001207180059508, 0.054755896574351996031381300244580, 0.0),
+    (0.865063366688984510732096688423493, 0.075039674810919952767043140916190,
+     0.149451349150580593145776339657697),
+    (0.780817726586416897063717578345042, 0.093125454583697605535065465083366, 0.0),
+    (0.679409568299024406234327365114874, 0.109387158802297641899210590325805,
+     0.219086362515982043995534934228163),
+    (0.562757134668604683339000099272694, 0.123491976262065851077600548929500, 0.0),
+    (0.433395394129247190799265943165784, 0.134709217311473325928054001771707,
+     0.269266719309996355091226921569469),
+    (0.294392862701460198131126603103866, 0.142775938577060080797094273138717, 0.0),
+    (0.148874338981631210884826001129720, 0.147739104901338491374841515972068,
+     0.295524224714752870173892994651338),
+    (0.0, 0.149445554002916905664936468389821, 0.0),
+)
+_QK21_X, _QK21_WK, _QK21_WG = (
+    np.array([sign * v for v in col] + list(col[-2::-1]))
+    for sign, col in zip((-1.0, 1.0, 1.0), zip(*_QK21_HALF))
+)
 
 
 def load_scipy(integrate: bool = True) -> None:
@@ -166,13 +198,27 @@ def _integrate_panels(
     return total, err
 
 
-def _check_converged(value: float, err: float, cfg: QuadratureConfig, what: str) -> float:
+def _check_converged(
+    value: float, err: float, cfg: QuadratureConfig, what: str, relative: bool = False
+) -> float:
+    """`value` if `err` is within the configured tolerances, `rel_tol` alone if
+    `relative`; else ConvergenceError."""
     # QUADPACK error estimates overstate the true error by orders of
     # magnitude near machine precision; the 10x slack avoids spurious
     # failures without materially loosening the guarantee.
-    if err > max(cfg.abs_tol, cfg.rel_tol * abs(value)) * 10.0:
+    tol = cfg.rel_tol * abs(value) if relative else max(cfg.abs_tol, cfg.rel_tol * abs(value))
+    if err > tol * 10.0:
         raise ConvergenceError(f"{what} did not converge to tolerance", value, err)
     return value
+
+
+def _qk21_error(kronrod: np.ndarray, gauss: np.ndarray, spread: np.ndarray) -> np.ndarray:
+    """dqk21's error estimate of each panel per unit half width (it scales with the width)
+    from the panel's Kronrod and Gauss sums and sum of w_k |f - mean f|, for f >= 0."""
+    err = np.abs(kronrod - gauss)
+    ratio = np.divide(200.0 * err, spread, out=np.zeros_like(err), where=spread > 0.0)
+    err = np.where(spread > 0.0, spread * np.minimum(1.0, ratio ** 1.5), err)
+    return np.maximum(err, 50.0 * 2.0 ** -52 * kronrod)  # at least 50 eps of the result
 
 
 def _dyadic_down(hi: float, floor: float) -> list[float]:
@@ -399,39 +445,56 @@ def i_gamma(spec: IntegralSpec, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float
     """Direct quadrature of the corner integral of f(x, y) = exp(-g2 (x^beta + y^beta
     + (xy)^a) - u(c1 x + c2 y)) over [0, delta]^2, g2 = gamma u^2, iterated 1-D.
 
-    row(x) computes the terms in x alone once and returns y -> f(x, y); a trend is
-    stated for beta = 2 only, where the sides are squared as x * x.  f lives on scales
-    g2^(-1/beta), g2^(-1/(2a)) and below, so both axes are split dyadically from delta
-    down past the smallest and each panel sees a single scale.  f decreases in each
-    variable, so the panels from y on hold at most (delta - y) f(x, y) and those from
-    x on at most (delta - x) delta f(x, 0): the tail bounds that let `_integrate_panels`
-    skip the panels that cannot change a bit of the sum, among them all that underflow.
+    f lives on scales g2^(-1/beta), g2^(-1/(2a)) and below, so [0, delta] is split
+    dyadically from delta down past the smallest, and each panel sees a single scale.
+    A trend is stated for beta = 2 only, where the sides are squared as t * t.  The
+    outer integral over x is QUADPACK on those panels.  f decreases in each variable,
+    so the panels from x on hold at most (delta - x) delta f(x, 0): the tail bound
+    that lets `_integrate_panels` skip the panels that cannot change a bit of the sum,
+    among them all that underflow.
+
+    The inner integral over y is QUADPACK's fixed 21-point Gauss-Kronrod rule (qk21)
+    on the same panels, halved `_INNER_HALVINGS` more times toward 0: the nodes, the
+    weights and the terms in y alone are computed once, and each row x is one numpy
+    expression over them.  Its error is qk21's estimate summed over the panels;
+    integrated along x by the trapezoid rule over the rows the outer quadrature asked
+    for, it joins the outer estimate, and the sum is checked against `rel_tol` alone,
+    since the value can be far below any absolute tolerance.
     """
     g2, beta, a, delta = spec.gamma * spec.u * spec.u, spec.beta, spec.a, spec.delta
     u, c1, c2 = spec.u, spec.c1, spec.c2
-    if (c1, c2) == (0.0, 0.0):
+    trend = (c1, c2) != (0.0, 0.0)
 
-        def row(x: float) -> Callable[[float], float]:
-            xb = x ** beta
-            return lambda y: math.exp(-g2 * (xb + y ** beta + (x * y) ** a))
-
-    else:
-
-        def row(x: float) -> Callable[[float], float]:
-            xx, cx = x * x, c1 * x
-            return lambda y: math.exp(-g2 * (xx + y * y + (x * y) ** a) - u * (cx + c2 * y))
+    def side(t: float | np.ndarray) -> float | np.ndarray:
+        return t * t if trend else t ** beta
 
     floor = min(g2 ** (-1.0 / beta), g2 ** (-1.0 / (2.0 * a)), delta)
     pts = _dyadic_down(delta, floor / 64.0)
+    below = [math.ldexp(pts[1], -k) for k in range(_INNER_HALVINGS, 0, -1)]
+    ypts = np.array([0.0] + below + pts[1:])
+    half = 0.5 * np.diff(ypts)
+    y = ypts[:-1, None] + half[:, None] * (1.0 + _QK21_X)  # (panels, 21)
+    rows, row_errs = [], []
+    with np.errstate(over="ignore"):  # an exponent that overflows is -inf, and f = 0 its limit
+        y_exp, y_a = -g2 * side(y) - u * c2 * y, y ** a
 
-    def inner(x: float) -> float:
-        fx = row(x)
-        return _integrate_panels(fx, pts, 0.0, cfg.rel_tol, lambda y: (delta - y) * fx(y))[0]
+        def inner(x: float) -> float:
+            f = np.exp(y_exp - g2 * (side(x) + x ** a * y_a) - u * c1 * x)
+            kronrod = (f * _QK21_WK).sum(axis=1)
+            gauss = (f * _QK21_WG).sum(axis=1)
+            spread = (np.abs(f - 0.5 * kronrod[:, None]) * _QK21_WK).sum(axis=1)
+            rows.append(x)
+            row_errs.append(float((_qk21_error(kronrod, gauss, spread) * half).sum()))
+            return float((kronrod * half).sum())
 
-    value, err = _integrate_panels(
-        inner, pts, 0.0, cfg.rel_tol, lambda x: (delta - x) * delta * row(x)(0.0)
-    )
-    return _check_converged(value, err, cfg, "finite-domain double integral")
+        value, err = _integrate_panels(
+            inner, pts, 0.0, cfg.rel_tol,
+            lambda x: (delta - x) * delta * math.exp(-g2 * side(x) - u * c1 * x),
+        )
+    order = np.argsort(rows)
+    xs, errs = np.array(rows)[order], np.array(row_errs)[order]
+    err += float(xs[0] * errs[0] + np.trapezoid(errs, xs))  # [0, first row] as a rectangle
+    return _check_converged(value, err, cfg, "finite-domain double integral", relative=True)
 
 
 def i_gamma_asymptote(

@@ -1,13 +1,13 @@
 import math
-import warnings
 
 import pytest
-from scipy import integrate
 
 from supfield import quad
 from supfield.quad import (
+    ConvergenceError,
     IntegralSpec,
     QuadratureConfig,
+    _dyadic_down,
     _integrate_panels,
     i_gamma,
     i_gamma_asymptote,
@@ -18,6 +18,8 @@ from supfield.quad import (
 )
 
 from oracles import (
+    i_gamma_log_trapezoid,
+    i_gamma_nested_quadpack,
     i_log_ratio_second_order,
     inner_a_cosh_form,
     j_ratio_second_order,
@@ -90,69 +92,44 @@ class TestIGamma:
 
 
 def i_gamma_all_panels(sp):
-    """i_gamma's nested quadrature summed over every dyadic panel, none skipped."""
-    b, a, u = sp.beta, sp.a, sp.u
-    g2 = sp.gamma * u * u
-    floor = min(g2 ** (-1.0 / b), g2 ** (-1.0 / (2.0 * a)), sp.delta) / 64.0
-    pts = [sp.delta]
-    while pts[-1] > floor and len(pts) <= 80:
-        pts.append(0.5 * pts[-1])
-    pts = [0.0] + pts[::-1]
+    """i_gamma summed over every outer panel, none skipped: the same inner rule and
+    outer quadrature, with the outer tail bound taken away."""
 
-    def f(x, y):
-        if (sp.c1, sp.c2) == (0.0, 0.0):
-            return math.exp(-g2 * (x ** b + y ** b + (x * y) ** a))
-        return math.exp(-g2 * (x * x + y * y + (x * y) ** a) - u * (sp.c1 * x + sp.c2 * y))
+    def every_panel(f, breakpoints, epsabs, epsrel, tail_bound=None):
+        return _integrate_panels(f, breakpoints, epsabs, epsrel)
 
-    def panels(h):
-        total = 0.0
-        for lo, hi in zip(pts[:-1], pts[1:]):
-            total += integrate.quad(h, lo, hi, epsabs=0.0, epsrel=CFG.rel_tol, limit=2000)[0]
-        return total
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quad, "_integrate_panels", every_panel)
+        return i_gamma(sp, CFG)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        return panels(lambda x: panels(lambda y: f(x, y)))
+
+# the specs whose skipped panels are checked, and the nested-QUADPACK reference
+SKIP_SPECS = {
+    "classical": spec(a=2.0, u=1e3),
+    "critical": spec(a=1.0, u=1e3),
+    "log": spec(a=0.8, u=1e3),
+    "critical-trend": spec(a=1.0, u=1e3, c2=1.5),
+    "classical-1e4": spec(a=2.0, u=1e4),
+    "classical-1e5": spec(a=2.0, u=1e5),
+    "critical-1e4": spec(a=1.0, u=1e4),
+    "critical-1e5": spec(a=1.0, u=1e5),
+    "log-1e4": spec(a=0.8, u=1e4),
+    "log-1e5": spec(a=0.8, u=1e5),
+    "gamma2-trend": spec(gamma=2.0, a=1.0, u=1e3, c1=1.0, c2=1.0),
+    "beta1-delta0.5": spec(beta=1.0, a=0.4, delta=0.5, u=1e3),
+    "beta3-delta0.5": spec(beta=3.0, a=2.0, delta=0.5, u=1e3),
+    "no-underflow": spec(a=2.0, u=30.0),
+}
+# the branches and levels of configs/integrals.yaml, the quick desk run's integrals
+DESK_SPECS = {
+    f"desk-a{a:g}-u{u:g}": spec(a=a, u=u) for a in (2.0, 1.0, 0.8) for u in (10.0, 30.0, 100.0)
+}
 
 
 class TestIGammaSkippedPanels:
     # panels whose tail bound is below 2^-60 of the running sum are skipped,
     # which must leave every bit of the value unchanged
-    @pytest.mark.parametrize(
-        "sp",
-        [
-            spec(a=2.0, u=1e3),
-            spec(a=1.0, u=1e3),
-            spec(a=0.8, u=1e3),
-            spec(a=1.0, u=1e3, c2=1.5),
-            spec(a=2.0, u=1e4),
-            spec(a=2.0, u=1e5),
-            spec(a=1.0, u=1e4),
-            spec(a=1.0, u=1e5),
-            spec(a=0.8, u=1e4),
-            spec(a=0.8, u=1e5),
-            spec(gamma=2.0, a=1.0, u=1e3, c1=1.0, c2=1.0),
-            spec(beta=1.0, a=0.4, delta=0.5, u=1e3),
-            spec(beta=3.0, a=2.0, delta=0.5, u=1e3),
-            spec(a=2.0, u=30.0),
-        ],
-        ids=[
-            "classical",
-            "critical",
-            "log",
-            "critical-trend",
-            "classical-1e4",
-            "classical-1e5",
-            "critical-1e4",
-            "critical-1e5",
-            "log-1e4",
-            "log-1e5",
-            "gamma2-trend",
-            "beta1-delta0.5",
-            "beta3-delta0.5",
-            "no-underflow",
-        ],
-    )
+    @pytest.mark.parametrize("sp", SKIP_SPECS.values(), ids=SKIP_SPECS.keys())
     def test_equals_sum_over_all_panels(self, sp):
         assert i_gamma(sp, CFG) == i_gamma_all_panels(sp)
 
@@ -175,8 +152,62 @@ class TestIGammaSkippedPanels:
 
         monkeypatch.setattr(quad, "_integrate_panels", spy)
         value = i_gamma(sp, CFG)
-        assert reach[-1] < 0.5 * sp.delta  # the outer call comes last
+        assert len(reach) == 1 and reach[0] < 0.5 * sp.delta  # the outer integral alone
         assert value == i_gamma_all_panels(sp)
+
+
+class TestIGammaInnerRule:
+    # the fixed inner rule against nested adaptive QUADPACK, an independent oracle,
+    # and a coarse split that its error estimate must catch
+    @pytest.mark.parametrize(
+        "sp", [*SKIP_SPECS.values(), *DESK_SPECS.values()], ids=[*SKIP_SPECS, *DESK_SPECS]
+    )
+    def test_matches_nested_quadpack(self, sp):
+        assert i_gamma(sp, CFG) == pytest.approx(i_gamma_nested_quadpack(sp), rel=1e-13, abs=0.0)
+
+    def test_log_trapezoid_oracle_has_converged(self):
+        sp = spec(beta=1.5, a=0.2, u=1e4)
+        assert i_gamma_log_trapezoid(sp, 0.08, -110.0) == pytest.approx(
+            i_gamma_log_trapezoid(sp, 0.04, -110.0), rel=1e-14, abs=0.0
+        )
+
+    @pytest.mark.parametrize(
+        "sp,s_lo",
+        [(spec(beta=1.5, a=0.2, u=1e4), -110.0), (spec(beta=1.5, a=0.1, u=1e4), -195.0)],
+        ids=["a0.2", "a0.1-split-capped"],
+    )
+    def test_deep_log_branch_is_right_or_raises(self, sp, s_lo):
+        # the product scale g2^(-1/a) is 1e-40 at a = 0.2 and 1e-80 at a = 0.1, where
+        # the dyadic split stops at its cap of 80 halvings, at 2^-80; nested adaptive
+        # QUADPACK (`i_gamma_nested_quadpack`) gives 6.4952e-37 at a = 0.2, 9 % low
+        oracle = i_gamma_log_trapezoid(sp, 0.04, s_lo)
+        try:
+            value = i_gamma(sp, CFG)
+        except ConvergenceError:
+            return
+        assert value == pytest.approx(oracle, rel=1e-9, abs=0.0)
+
+    def test_split_cap_is_reached_at_a_0_1(self):
+        sp = spec(beta=1.5, a=0.1, u=1e4)
+        g2 = sp.gamma * sp.u * sp.u
+        floor = min(g2 ** (-1.0 / sp.beta), g2 ** (-1.0 / (2.0 * sp.a)), sp.delta)
+        assert len(_dyadic_down(sp.delta, floor / 64.0)) == 82  # 0, then 2^-80 .. 1
+
+    def test_log_branch_matches_oracle(self):
+        # nested adaptive QUADPACK (`i_gamma_nested_quadpack`) gives 7.7597e-25, 5.8e-4 low
+        sp = spec(a=0.3, u=1e4)
+        oracle = i_gamma_log_trapezoid(sp, 0.04, -90.0)
+        assert i_gamma(sp, CFG) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    def test_coarse_inner_split_raises(self, monkeypatch):
+        # stopped at the outer split's floor / 64, the inner rule misses the
+        # (xy)^a cusp at y = 0 by 2e-9 relative, and its error estimate says so
+        sp = spec(a=0.8, u=1e5)
+        right = i_gamma(sp, CFG)
+        monkeypatch.setattr(quad, "_INNER_HALVINGS", 0)
+        with pytest.raises(ConvergenceError) as info:
+            i_gamma(sp, CFG)
+        assert abs(info.value.estimate / right - 1.0) > 1e-9
 
 
 class TestIGammaAsymptote:
