@@ -70,7 +70,7 @@ def predict(
     there, so the trend replaces them by L(c1), L(c2) and K(c1, c2) without
     changing powers; `ModelParams` admits a trend only there.  The product
     regimes scale the asymptote of the corner integral (gamma = 1).  Only
-    K_beta, K(c1, c2) and L(c) integrate, importing scipy.integrate first.
+    K_beta, K(c1, c2) and L(c) integrate.
     """
     h = lookup_h(p.alpha, h_alpha)
     if classify_regime(p) is Regime.SIDE_DOMINATED:

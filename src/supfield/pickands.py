@@ -24,9 +24,9 @@ correlated; every standard error is the paired one of
 two such functionals whose pair correlation has no sign.
 
 A batch draws its paths in chunks of about `streams._BLOCK_BYTES` of
-sampling work, into buffers it reuses, and keeps only each replicate's
-maximum on every rung segment, so its memory grows with the number of
-replicates and rungs, not with the grid.
+sampling work (cholesky: at least the factor's bytes), into buffers it
+reuses, and keeps only each replicate's maximum on every rung segment, so
+its memory grows with the number of replicates and rungs, not with the grid.
 Every sampler draws path-major (path i takes the i-th run of normals of
 the batch's stream), so the chunks together give the paths of one
 whole-batch draw, up to the last bit of a cholesky GEMM row on grids where
@@ -140,8 +140,10 @@ class _PathSampler:
     the diagonal `jitter` it needed); the other methods have no factor.
     Every method's batch loop draws its paths `chunk` at a time: the most,
     and at least one, whose `sample` working set (`path_bytes` each) fits in
-    `streams._BLOCK_BYTES`.  `run_batches` counts what the sampler holds,
-    `held`, beside the batches; a set-up over the memory budget is refused unbuilt.
+    `streams._BLOCK_BYTES`, and for cholesky at least the paths that fit in
+    the factor's bytes, so that each pass over the factor is one long GEMM.
+    `run_batches` counts what the sampler holds, `held`, beside the batches; a
+    set-up over the memory budget is refused unbuilt.
     """
 
     def __init__(self, alpha: float, horizon: float, n_points: int, sampler: str = "auto"):
@@ -180,11 +182,13 @@ class _PathSampler:
             self._root[1:n_incr] /= math.sqrt(2.0)  # the complex bins
         self.drift = np.linspace(0.0, self.horizon, self.n_points) ** self.alpha  # t^alpha
         self.path_bytes = _SAMPLE_BYTES_PER_POINT[self.method] * self.n_points
-        self.chunk = block_items(self.path_bytes)
         self.what = run
         # what a run holds beside its batches: the cholesky factor or the half spectrum
         held = self.factor if self.method == "cholesky" else self._root
         self.held = 0 if held is None else held.nbytes
+        # a chunk reads the whole cholesky factor, so it holds at least as many paths as a
+        # factor-sized buffer; the other methods hold less than one path's bytes
+        self.chunk = max(block_items(self.path_bytes), self.held // self.path_bytes)
         self._scratch: dict[str, np.ndarray] | None = None
 
     def sample(self, rng: np.random.Generator, n_paths: int) -> np.ndarray:

@@ -23,29 +23,31 @@ integral over the angle (`_critical_constant`).  Last comes the family
 whose ratio to the Gamma(q/p)/(p^2 g^(q/p)) * lam^(-q/p) * log(lam) leading
 term tends to 1 like O(1/log lam).
 
-Numerical strategy: every integral is a sum of QUADPACK panels between
-breakpoints (`_integrate_panels`), each asked for the tolerances its caller
-states, whose summed error estimate is checked against the configured ones
-(`_check_converged`).  The one 2-D integral left, `i_gamma`, is iterated 1-D:
-QUADPACK over x, and over y QUADPACK's fixed 21-point Gauss-Kronrod rule on
-finer panels, one numpy expression per row x whose error estimate is carried
-into the check (J is one integral over the closed-form A).  Domains [0, delta]
-whose integrand lives on scales far below delta are pre-split dyadically toward
-0 so the adaptive routine never has to discover the scale separation on its
-own; infinite domains are cut where an envelope exp(-s) drops below 1e-16.  On
-the finite square, whose integrand falls along both axes, the outer panel loop
-stops once a bound on the panels left is below 2^-60 of its sum, where they
-could not change a bit of it (`tail_bound`).  Only the tolerances are
-settable; `MAX_SUBDIVISIONS`, the cut and the inner rule's depth
-(`_INNER_HALVINGS`) are fixed.
+Numerical strategy: every integral is one call to `_gk21`, a global adaptive
+21-point Gauss-Kronrod engine in numpy on QUADPACK's rule (dqk21), over panels
+between breakpoints, asked for the tolerances its caller states; its error
+estimate is checked against the configured ones (`_check_converged`).  It
+evaluates every panel that needs work in one call to a vectorised integrand and
+bisects those with the largest error estimates, so a one-panel integral keeps
+QUADPACK's bits and a bisected one moves in the last digits.  The one 2-D
+integral left, `i_gamma`, is iterated 1-D: the engine over x, and over y the
+fixed 21-point rule on finer panels, a whole outer panel's rows at a time, whose
+error estimate is carried into the check (J is one integral over the
+closed-form A).  Domains [0, delta] whose integrand lives on scales far below
+delta are pre-split dyadically toward 0 so the engine never has to discover the
+scale separation on its own; infinite domains are cut where an envelope exp(-s)
+drops below 1e-16.  On the finite square, whose integrand falls along both axes,
+the outer integral leaves out the panels once a bound on those left is below
+2^-60 of its sum, where they could not change a bit of it (`tail_bound`).  Only
+the tolerances are settable; `MAX_SUBDIVISIONS`, the cut and the inner rule's
+depth (`_INNER_HALVINGS`) are fixed.
 
-scipy is imported by the functions that call it, on first use: scipy.special
-by the closed forms (G_beta, the log prefactor, log Psi where a prediction
-overflows, erfcx for K(c1, c2), K0 for A) and scipy.integrate, whose import
-costs about as much again, by the quadratures.  So a run that calls neither
-(a Pickands or block Monte Carlo run) never loads scipy.  `load_scipy` imports
-the modules a run will call ahead of time, so that the CLI's import stays
-in its set-up; were it to miss one, the import would only move into the work.
+scipy.special is the one scipy module here, imported by the functions that
+call it, on first use: by the closed forms (G_beta, the log prefactor, log Psi
+where a prediction overflows, erfcx for K(c1, c2), K0 for A).  So a run that
+calls none of them (a Pickands or block Monte Carlo run) never loads scipy.
+`load_scipy` imports it ahead of time, so that the CLI's import stays in its
+set-up; were it to miss a run, the import would only move into the work.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _QUARTER_PI = math.pi / 4.0
 _LOG_MAX = 709.782712893384  # log of the largest float
-MAX_SUBDIVISIONS = 2000  # QUADPACK subdivision limit per panel
+_LOG_HALF_TINY = -1075.0 * math.log(2.0)  # below half the smallest subnormal, a value rounds to 0
+MAX_SUBDIVISIONS = 2000  # the most panels of one `_gk21` integral
 _TAIL_CUT_LOG = math.log(1.0 / 1e-16)  # infinite domains end where an envelope exp(-s) is 1e-16
 # i_gamma's inner panels go this many halvings below its outer ones, into the (xy)^a cusp
 # at y = 0; at 40, dqk21's estimate on the first panel fails the deep log branch at a = 0.2
@@ -109,14 +112,12 @@ _QK21_X, _QK21_WK, _QK21_WG = (
     np.array([sign * v for v in col] + list(col[-2::-1]))
     for sign, col in zip((-1.0, 1.0, 1.0), zip(*_QK21_HALF))
 )
+_QK21_PAIRS = np.array([1, 3, 5, 7, 9, 0, 2, 4, 6, 8])  # dqk21's order of the node pairs
 
 
-def load_scipy(integrate: bool = True) -> None:
-    """Import scipy.special, and scipy.integrate if `integrate`, ahead of their first use."""
+def load_scipy() -> None:
+    """Import scipy.special ahead of its first use."""
     import scipy.special  # noqa: F401
-
-    if integrate:
-        import scipy.integrate  # noqa: F401
 
 
 class ConvergenceError(RuntimeError):
@@ -162,40 +163,76 @@ def normal_survival(u: float) -> float:
     return 0.5 * math.erfc(u / _SQRT2)
 
 
-def _integrate_panels(
-    f: Callable[[float], float],
+def _gk21(
+    f: Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, np.ndarray]],
     breakpoints: Sequence[float],
     epsabs: float,
     epsrel: float,
     tail_bound: Callable[[float], float] | None = None,
 ) -> tuple[float, float]:
-    """Sum of QUADPACK panels between consecutive breakpoints: (value, error estimate).
+    """Global adaptive 21-point Gauss-Kronrod quadrature of f >= 0 over the panels
+    between consecutive breakpoints: (value, error estimate).
 
-    Each panel is asked for `epsabs` and `epsrel`; the caller states both.
+    f maps an (m, 21) array, the dqk21 nodes of m panels, to f there.  Each round
+    evaluates every new panel in one call to f, then bisects the panels with the
+    largest error estimates: the fewest whose estimates exceed the summed estimate's
+    excess over max(epsabs, epsrel |value|).  It stops once the sum is within that
+    tolerance, or once there are `MAX_SUBDIVISIONS` panels, and the caller's
+    `_check_converged` judges the estimate.  The value is summed in panel order, and
+    each panel's sums run in dqk21's order, so a one-panel integral has QUADPACK's bits.
+    f may also return an error bound per node beside its values (an inner integral's
+    estimate); integrated with the Kronrod weights it joins the error estimate but
+    steers no bisection, which cannot reduce it.
+
     `tail_bound(lo)` bounds the integral from lo to the last breakpoint, as
-    (end - lo) f(lo) does for a positive non-increasing f.  Once it is at
-    most 2^-60 of the sum so far, the loop adds it to the error and stops.
-    Gauss-Kronrod weights are positive and sum to the panel width, so the
-    skipped panels' estimates total less than half an ulp of the sum, with a
-    64x margin that also covers QAGS's epsilon extrapolation (not a
-    positive-weight sum): the sum keeps every bit.
+    (end - lo) f(lo) does for a positive non-increasing f.  With it the panels are
+    taken from the left in doubling waves (8, 16, ...), each only while its bound
+    exceeds 2^-60 of the sum so far; the first that does not ends the domain, and its
+    bound joins the error.  Gauss-Kronrod weights are positive and sum to the panel
+    width, so the panels left out would add less than half an ulp of the sum, with a
+    64x margin: the sum keeps every bit.
     """
-    from scipy import integrate
-
-    total = 0.0
-    err = 0.0
-    # With full_output=1 QUADPACK reports trouble in its return value, not as
-    # an IntegrationWarning; convergence is judged from abserr by the caller.
-    for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
-        if tail_bound is not None and (bound := tail_bound(lo)) <= total * 2.0 ** -60:
-            err += bound
+    edges = np.asarray(breakpoints, dtype=float)
+    n_panels = len(edges) - 1
+    taken, wave, cut_err = 0, 4, 0.0
+    table = np.empty((5, 0))  # per panel: lo, hi, value, error, inner error
+    while True:
+        total = float(table[2].sum())
+        stop = n_panels
+        if tail_bound is not None:  # the next wave
+            wave *= 2
+            stop = min(taken + wave, n_panels)
+            for k in range(taken, stop):
+                if (bound := tail_bound(float(edges[k]))) <= total * 2.0 ** -60:
+                    stop = n_panels = k
+                    cut_err = bound
+                    break
+        lo, hi = edges[taken:stop], edges[taken + 1 : stop + 1]
+        taken = stop
+        excess = float(table[3].sum()) - max(epsabs, epsrel * abs(total))
+        room = MAX_SUBDIVISIONS - table.shape[1] - len(lo)
+        if excess > 0.0 and room > 0:
+            # a panel within 2x of dqk21's roundoff floor, 50 eps of its value, gains
+            # nothing by halving
+            open_ = np.flatnonzero(table[3] > 100.0 * 2.0 ** -52 * table[2])
+            worst = open_[np.argsort(-table[3, open_], kind="stable")]
+            pick = worst[: min(int(np.searchsorted(np.cumsum(table[3, worst]), excess)) + 1, room)]
+            a, b = table[:2, pick]
+            mid = 0.5 * (a + b)
+            halves = (a < mid) & (mid < b)  # a panel too narrow to halve stays whole
+            table = np.delete(table, pick[halves], axis=1)
+            lo = np.concatenate([lo, a[halves], mid[halves]])
+            hi = np.concatenate([hi, mid[halves], b[halves]])
+        if not len(lo):
             break
-        res = integrate.quad(
-            f, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=MAX_SUBDIVISIONS, full_output=1
-        )
-        total += float(res[0])
-        err += float(res[1])
-    return total, err
+        half = 0.5 * (hi - lo)
+        res = f((0.5 * (lo + hi))[:, None] + half[:, None] * _QK21_X)
+        vals, node_err = res if isinstance(res, tuple) else (res, None)
+        kronrod, err = _qk21(vals)
+        inner = np.zeros_like(half) if node_err is None else (node_err @ _QK21_WK) * half
+        table = np.concatenate([table, [lo, hi, kronrod * half, err * half, inner]], axis=1)
+    value = float(np.cumsum(table[2, np.argsort(table[0])])[-1]) if table.shape[1] else 0.0
+    return value, float(table[3].sum() + table[4].sum()) + cut_err
 
 
 def _check_converged(
@@ -203,7 +240,7 @@ def _check_converged(
 ) -> float:
     """`value` if `err` is within the configured tolerances, `rel_tol` alone if
     `relative`; else ConvergenceError."""
-    # QUADPACK error estimates overstate the true error by orders of
+    # dqk21's error estimates overstate the true error by orders of
     # magnitude near machine precision; the 10x slack avoids spurious
     # failures without materially loosening the guarantee.
     tol = cfg.rel_tol * abs(value) if relative else max(cfg.abs_tol, cfg.rel_tol * abs(value))
@@ -219,6 +256,18 @@ def _qk21_error(kronrod: np.ndarray, gauss: np.ndarray, spread: np.ndarray) -> n
     ratio = np.divide(200.0 * err, spread, out=np.zeros_like(err), where=spread > 0.0)
     err = np.where(spread > 0.0, spread * np.minimum(1.0, ratio ** 1.5), err)
     return np.maximum(err, 50.0 * 2.0 ** -52 * kronrod)  # at least 50 eps of the result
+
+
+def _qk21(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's Kronrod sum and dqk21 error estimate per unit half width, from f >= 0 at
+    the 21 nodes.  The sums run in dqk21's order: the centre, then the pairs
+    f(c - h x_j) + f(c + h x_j) at the Gauss nodes from the end inward, then the others."""
+    pairs = (vals[:, :10] + vals[:, :10:-1])[:, _QK21_PAIRS]
+    terms = [_QK21_WK[10] * vals[:, 10:11], pairs * _QK21_WK[_QK21_PAIRS]]
+    kronrod = np.cumsum(np.concatenate(terms, axis=1), axis=1)[:, -1]
+    gauss = np.cumsum(pairs[:, :5] * _QK21_WG[_QK21_PAIRS[:5]], axis=1)[:, -1]
+    spread = np.abs(vals - 0.5 * kronrod[:, None]) @ _QK21_WK
+    return kronrod, _qk21_error(kronrod, gauss, spread)
 
 
 def _dyadic_down(hi: float, floor: float) -> list[float]:
@@ -250,20 +299,24 @@ def g_beta(beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     return float(special.gamma(1.0 + 1.0 / beta))
 
 
-def _g(z: float) -> float:
+def _g(z: np.ndarray) -> np.ndarray:
     """g(z) = 1 - sqrt(pi) z erfcx(z) for z >= 0.  Past z = 8, where the difference
     loses eps 2z^2 relative, the series sum_{n>=1} (-1)^(n+1) (2n-1)!! (2z^2)^-n
-    (A&S 7.1.23), summed until a term is below an ulp of the sum."""
-    if z <= 8.0:
-        from scipy import special
+    (A&S 7.1.23), each entry summed until a term is below an ulp of its sum."""
+    from scipy import special
 
-        return 1.0 - math.sqrt(math.pi) * z * float(special.erfcx(z))
-    total, term, n = 0.0, 0.5 / (z * z), 1
-    while total + term != total:
-        total += term
+    near = z <= 8.0
+    out = 1.0 - math.sqrt(math.pi) * z * special.erfcx(np.where(near, z, 0.0))
+    far = z[~near]
+    total, term, n = np.zeros_like(far), 0.5 / (far * far), 1
+    going = total + term != total
+    while going.any():
+        total[going] += term[going]
         n += 2
-        term *= -0.5 * n / (z * z)
-    return total
+        term = term * (-0.5 * n / (far * far))
+        going &= total + term != total
+    out[~near] = total
+    return out
 
 
 def _critical_constant(beta: float, c1: float, c2: float, cfg: QuadratureConfig) -> float:
@@ -283,19 +336,17 @@ def _critical_constant(beta: float, c1: float, c2: float, cfg: QuadratureConfig)
         q = 2.0 / beta
         p = max(1.0, 1.0 / q)
 
-        def f(v: float) -> float:
+        def f(v: np.ndarray) -> np.ndarray:
             t = _QUARTER_PI * v ** p
-            cos_t, sin_t = math.cos(t), math.sin(t)
-            cos_sinc = cos_t * (sin_t / t if t > 0.0 else 1.0)
+            cos_t, sin_t = np.cos(t), np.sin(t)
+            cos_sinc = cos_t * np.divide(sin_t, t, out=np.ones_like(t), where=t > 0.0)
             return v ** max(q - 1.0, 0.0) * cos_sinc ** (q - 1.0) / (1.0 + cos_t * sin_t) ** q
 
         if beta < 1.0:
             # Gamma(q) overflows from beta = 2/171, long before K_beta does: the
             # prefactor is summed in logs and only K_beta itself must be a float
             log_scale = math.lgamma(q) + q * math.log(_QUARTER_PI) + math.log(q * q * p)
-            value, err = _integrate_panels(
-                f, [0.0, 1.0], cfg.abs_tol * math.exp(-log_scale), cfg.rel_tol
-            )
+            value, err = _gk21(f, [0.0, 1.0], cfg.abs_tol * math.exp(-log_scale), cfg.rel_tol)
             log_k = log_scale + math.log(value)
             if log_k >= _LOG_MAX:
                 raise ValueError(f"K_beta = exp({log_k:.6g}) overflows a float at beta = {beta}")
@@ -304,14 +355,14 @@ def _critical_constant(beta: float, c1: float, c2: float, cfg: QuadratureConfig)
         scale, hi = math.gamma(q) * _QUARTER_PI ** q * q * q * p, 1.0
     else:
 
-        def f(t: float) -> float:
-            cos_t, sin_t = math.cos(t), math.sin(t)
+        def f(t: np.ndarray) -> np.ndarray:
+            cos_t, sin_t = np.cos(t), np.sin(t)
             a = 1.0 + cos_t * sin_t
-            r = 2.0 * math.sqrt(a)
+            r = 2.0 * np.sqrt(a)
             return (_g((c1 * cos_t + c2 * sin_t) / r) + _g((c2 * cos_t + c1 * sin_t) / r)) / (2 * a)
 
         scale, hi = 1.0, _QUARTER_PI
-    value, err = _integrate_panels(f, [0.0, hi], cfg.abs_tol / scale, cfg.rel_tol)
+    value, err = _gk21(f, [0.0, hi], cfg.abs_tol / scale, cfg.rel_tol)
     return _check_converged(scale * value, scale * err, cfg, "critical-constant angle integral")
 
 
@@ -330,9 +381,7 @@ def trend_l(c: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     if not (0.0 <= c < math.inf):
         raise ValueError(f"c must be nonnegative and finite, got {c}")
     R = math.sqrt(_TAIL_CUT_LOG)
-    value, err = _integrate_panels(
-        lambda x: math.exp(-x * x - c * x), [0.0, R], cfg.abs_tol, cfg.rel_tol
-    )
+    value, err = _gk21(lambda x: np.exp(-x * x - c * x), [0.0, R], cfg.abs_tol, cfg.rel_tol)
     # the integrand is at most e^(-x^2), whose tail past R is (sqrt(pi)/2) erfc(R)
     tail = 0.5 * math.sqrt(math.pi) * math.erfc(R)
     return _check_converged(value, err + tail, cfg, "integral")
@@ -448,21 +497,33 @@ def i_gamma(spec: IntegralSpec, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float
     f lives on scales g2^(-1/beta), g2^(-1/(2a)) and below, so [0, delta] is split
     dyadically from delta down past the smallest, and each panel sees a single scale.
     A trend is stated for beta = 2 only, where the sides are squared as t * t.  The
-    outer integral over x is QUADPACK on those panels.  f decreases in each variable,
-    so the panels from x on hold at most (delta - x) delta f(x, 0): the tail bound
-    that lets `_integrate_panels` skip the panels that cannot change a bit of the sum,
-    among them all that underflow.
+    outer integral over x is `_gk21` on those panels, stopped at a hundredth of
+    `rel_tol` (stopped at `rel_tol`, the log branch lands 1e-13 from its oracle).  f
+    decreases in each variable, so the panels from x on hold at most
+    (delta - x) delta f(x, 0): the tail bound that lets `_gk21` leave out the panels
+    that cannot change a bit of the sum, among them all that underflow.
 
     The inner integral over y is QUADPACK's fixed 21-point Gauss-Kronrod rule (qk21)
     on the same panels, halved `_INNER_HALVINGS` more times toward 0: the nodes, the
-    weights and the terms in y alone are computed once, and each row x is one numpy
-    expression over them.  Its error is qk21's estimate summed over the panels;
-    integrated along x by the trapezoid rule over the rows the outer quadrature asked
-    for, it joins the outer estimate, and the sum is checked against `rel_tol` alone,
-    since the value can be far below any absolute tolerance.
+    weights and the terms in y alone are computed once.  An outer panel's 21 rows are
+    one (21 x inner panels, 21) block, computed in place, whose Kronrod and Gauss sums
+    are one matrix product.  Each row's error is qk21's estimate summed over the
+    panels, integrated along x with the outer Kronrod weights; it joins the outer
+    estimate, and the sum is checked against `rel_tol` alone, since the value can be
+    far below any absolute tolerance.
+
+    I is at most (G_beta g2^(-1/beta))^2, the integral over the quadrant without the
+    product and the trend.  Where that bound rounds to 0 so does I, and 0.0 is
+    returned; otherwise a g2 that overflows is refused, and a sum of 0 (a scale below
+    the split's 2^-80 delta, where every node sees f = 0) raises ConvergenceError.
     """
-    g2, beta, a, delta = spec.gamma * spec.u * spec.u, spec.beta, spec.a, spec.delta
-    u, c1, c2 = spec.u, spec.c1, spec.c2
+    beta, a, delta, u, c1, c2 = spec.beta, spec.a, spec.delta, spec.u, spec.c1, spec.c2
+    log_g2 = math.log(spec.gamma) + 2.0 * math.log(u)
+    if 2.0 * (math.lgamma(1.0 + 1.0 / beta) - log_g2 / beta) < _LOG_HALF_TINY:
+        return 0.0
+    g2 = spec.gamma * u * u
+    if math.isinf(g2):
+        raise ValueError(f"gamma u^2 = exp({log_g2:.6g}) overflows a float at u = {u}")
     trend = (c1, c2) != (0.0, 0.0)
 
     def side(t: float | np.ndarray) -> float | np.ndarray:
@@ -472,29 +533,39 @@ def i_gamma(spec: IntegralSpec, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float
     pts = _dyadic_down(delta, floor / 64.0)
     below = [math.ldexp(pts[1], -k) for k in range(_INNER_HALVINGS, 0, -1)]
     ypts = np.array([0.0] + below + pts[1:])
-    half = 0.5 * np.diff(ypts)
-    y = ypts[:-1, None] + half[:, None] * (1.0 + _QK21_X)  # (panels, 21)
-    rows, row_errs = [], []
+    y_half = 0.5 * np.diff(ypts)
+    y = (0.5 * (ypts[:-1] + ypts[1:]))[:, None] + y_half[:, None] * _QK21_X  # (panels, 21)
     with np.errstate(over="ignore"):  # an exponent that overflows is -inf, and f = 0 its limit
         y_exp, y_a = -g2 * side(y) - u * c2 * y, y ** a
+    weights = np.stack([_QK21_WK, _QK21_WG], axis=1)
 
-        def inner(x: float) -> float:
-            f = np.exp(y_exp - g2 * (side(x) + x ** a * y_a) - u * c1 * x)
-            kronrod = (f * _QK21_WK).sum(axis=1)
-            gauss = (f * _QK21_WG).sum(axis=1)
-            spread = (np.abs(f - 0.5 * kronrod[:, None]) * _QK21_WK).sum(axis=1)
-            rows.append(x)
-            row_errs.append(float((_qk21_error(kronrod, gauss, spread) * half).sum()))
-            return float((kronrod * half).sum())
+    def rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values, errs = np.empty_like(x), np.empty_like(x)
+        block = np.empty((21, *y.shape))  # the f of one outer panel's 21 rows
+        flat = block.reshape(-1, 21)
+        for i, xs in enumerate(x):  # one outer panel
+            with np.errstate(over="ignore"):
+                np.multiply((xs ** a)[:, None, None], y_a, out=block)
+                block += side(xs)[:, None, None]
+                block *= -g2
+                block += y_exp
+                block -= (u * c1 * xs)[:, None, None]
+            np.exp(block, out=block)
+            kronrod, gauss = (flat @ weights).T
+            flat -= 0.5 * kronrod[:, None]
+            spread = np.abs(flat, out=flat) @ _QK21_WK
+            values[i] = kronrod.reshape(21, -1) @ y_half
+            errs[i] = _qk21_error(kronrod, gauss, spread).reshape(21, -1) @ y_half
+        return values, errs
 
-        value, err = _integrate_panels(
-            inner, pts, 0.0, cfg.rel_tol,
-            lambda x: (delta - x) * delta * math.exp(-g2 * side(x) - u * c1 * x),
-        )
-    order = np.argsort(rows)
-    xs, errs = np.array(rows)[order], np.array(row_errs)[order]
-    err += float(xs[0] * errs[0] + np.trapezoid(errs, xs))  # [0, first row] as a rectangle
-    return _check_converged(value, err, cfg, "finite-domain double integral", relative=True)
+    value, err = _gk21(
+        rows, pts, 0.0, cfg.rel_tol / 100.0,
+        lambda x: (delta - x) * delta * math.exp(-g2 * side(x) - u * c1 * x),
+    )
+    what = "finite-domain double integral"
+    if value == 0.0:
+        raise ConvergenceError(f"{what} did not converge: its scale lies below the split", 0.0, err)
+    return _check_converged(value, err, cfg, what, relative=True)
 
 
 def i_gamma_asymptote(
@@ -581,15 +652,16 @@ def j_lambda_ratio(
 
     scale = lam ** (-1.0 / p)
 
-    # J = lam^{-q/p} * int W^{q-1} e^{-gamma W^p} A(scale * W) dW; then V = W^q.
-    def f(V: float) -> float:
+    # J = lam^{-q/p} * int W^{q-1} e^{-gamma W^p} A(scale * W) dW; then V = W^q, and A is
+    # `inner_a`'s closed form on the whole array of nodes
+    def f(V: np.ndarray) -> np.ndarray:
         W = V ** (1.0 / q)
-        return math.exp(-gamma * W ** p) * inner_a(scale * W, gamma=gamma) / q
+        return np.exp(-gamma * W ** p) * (2.0 * special.k0(2.0 * gamma * np.sqrt(scale * W))) / q
 
     w_max = (_TAIL_CUT_LOG / gamma) ** (1.0 / p)
     v_max = w_max ** q
     pts = _dyadic_down(v_max, min(1.0, v_max) * 2.0 ** -20)
-    value, err = _integrate_panels(f, pts, 0.0, max(cfg.rel_tol, 1e-9))
+    value, err = _gk21(f, pts, 0.0, max(cfg.rel_tol, 1e-9))
     _check_converged(value, err, cfg, "outer scale integral")
     j_val = lam ** (-q / p) * value
     leading = (

@@ -12,7 +12,7 @@ import yaml
 import supfield
 from supfield import cli, quad, streams
 from supfield.asymptotics import predict
-from supfield.cli import _INTEGRATING_KINDS, main
+from supfield.cli import main
 from supfield.config import ConfigError, ExperimentConfig, IntegralBranch, load_config
 from supfield.model import ModelParams
 from supfield.output import write_csv
@@ -612,37 +612,34 @@ def run_fresh(code: str, cwd: Path) -> list:
 
 
 LOADED_SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
-# mc models by regime, and whether their prediction integrates
-MC_MODELS = {
-    "": False,  # the default model is classical: G_beta^2
-    "model: {a: 0.5}\n": False,  # side: 2 G_beta
-    "model: {a: 0.8}\n": False,  # log: a closed-form prefactor
-    "model: {a: 1.0}\n": True,  # critical: K_beta
-    "model: {c1: 0.5}\n": True,  # classical with a trend: L(c1) L(c2)
-}
+# mc models by regime: every prediction calls scipy.special, none scipy.integrate
+MC_MODELS = [
+    "",  # the default model is classical: G_beta^2
+    "model: {a: 0.5}\n",  # side: 2 G_beta
+    "model: {a: 0.8}\n",  # log: a closed-form prefactor
+    "model: {a: 1.0}\n",  # critical: K_beta
+    "model: {c1: 0.5}\n",  # classical with a trend: L(c1) L(c2)
+]
 MC_IDS = ["mc", "mc-side", "mc-log", "mc-critical", "mc-trend"]
+MC_KINDS = {
+    "pickands": "seed: 4242\npickands: {s_ladder: [1.0, 2.0], n_replicates: 6000}\n",
+    "blocks": (
+        "seed: 4242\n"
+        "model: {alpha: 1.0, beta: 2.0, a: 2.0}\n"
+        "blocks: {u_values: [3.0], n_samples: [6000], n_grid: 12, h_replicates: 4000}\n"
+    ),
+}
 
 
 class TestScipyImport:
-    """A run loads the scipy modules its work calls, and those during set-up."""
+    """A run loads scipy.special if its work calls it, during set-up, and no run loads
+    scipy.integrate: the quadratures are numpy."""
 
     def test_package_import_leaves_scipy_unloaded(self, tmp_path):
         code = f"import json, sys\nimport supfield, supfield.cli\nprint(json.dumps({LOADED_SCIPY}))"
         assert run_fresh(code, tmp_path) == []
 
-    @pytest.mark.parametrize(
-        "kind,text",
-        [
-            ("pickands", "seed: 4242\npickands: {s_ladder: [1.0, 2.0], n_replicates: 6000}\n"),
-            (
-                "blocks",
-                "seed: 4242\n"
-                "model: {alpha: 1.0, beta: 2.0, a: 2.0}\n"
-                "blocks: {u_values: [3.0], n_samples: [6000], n_grid: 12, h_replicates: 4000}\n",
-            ),
-        ],
-        ids=["pickands", "blocks"],
-    )
+    @pytest.mark.parametrize("kind,text", MC_KINDS.items(), ids=MC_KINDS.keys())
     def test_monte_carlo_kinds_run_without_scipy(self, tmp_path, kind, text):
         cfg = write_cfg(tmp_path, text)
         code = (
@@ -654,18 +651,12 @@ class TestScipyImport:
         assert run_fresh(code, tmp_path) == [0, []]
 
     @pytest.mark.parametrize(
-        "kind,model,integrates",
-        [
-            *((kind, "", True) for kind in _INTEGRATING_KINDS),
-            *(("mc", model, False) for model in MC_MODELS),
-        ],
-        ids=[*_INTEGRATING_KINDS, *MC_IDS],
+        "kind,model",
+        [*((kind, "") for kind in ("constants", "integrals", "sweep")),
+         *(("mc", model) for model in MC_MODELS)],
+        ids=["constants", "integrals", "sweep", *MC_IDS],
     )
-    def test_integrating_kinds_load_scipy_before_their_runner(
-        self, tmp_path, kind, model, integrates
-    ):
-        # every kind here calls scipy.special; mc leaves scipy.integrate to
-        # its prediction
+    def test_integrating_kinds_load_scipy_before_their_runner(self, tmp_path, kind, model):
         cfg = write_cfg(tmp_path, model)
         code = (
             "import json, sys\n"
@@ -676,51 +667,43 @@ class TestScipyImport:
             f"code = cli.main([{kind!r}, '--config', {cfg!r}, '--out', 'out'])\n"
             "print(json.dumps([code, seen]))"
         )
-        assert run_fresh(code, tmp_path) == [0, [True, integrates]]
+        assert run_fresh(code, tmp_path) == [0, [True, False]]
 
-    @pytest.mark.parametrize("model,integrates", MC_MODELS.items(), ids=MC_IDS)
-    def test_mc_prediction_loads_scipy_integrate_before_the_first_draw(
-        self, tmp_path, model, integrates
-    ):
-        cfg = write_cfg(tmp_path, model + "n_samples: 100\ngrid: {n_per_axis: 4}\n")
+    def test_no_kind_loads_scipy_integrate(self, tmp_path):
+        # the six kinds, mc in each regime and with a trend, in one interpreter
+        runs = [(k, write_cfg(tmp_path, text, f"{k}.yaml")) for k, text in MC_KINDS.items()]
+        empty = write_cfg(tmp_path, "", "empty.yaml")
+        runs += [(kind, empty) for kind in ("constants", "integrals", "sweep")]
+        mc = "n_samples: 100\ngrid: {n_per_axis: 4}\n"
+        runs += [("mc", write_cfg(tmp_path, model + mc, f"{i}.yaml"))
+                 for i, model in zip(MC_IDS, MC_MODELS)]
         code = (
             "import json, sys\n"
-            "from supfield import cli, fieldsim\n"
+            "from supfield.cli import main\n"
             "seen = []\n"
-            "draw = fieldsim.batch_generator\n"
-            "def probe(seed, b):\n"
-            "    seen.append('scipy.integrate' in sys.modules)\n"
-            "    return draw(seed, b)\n"
-            "fieldsim.batch_generator = probe\n"
-            f"code = cli.main(['mc', '--config', {cfg!r}, '--out', 'out'])\n"
-            "print(json.dumps([code, seen[:1]]))"
+            f"for i, (kind, cfg) in enumerate({runs!r}):\n"
+            "    code = main([kind, '--config', cfg, '--out', f'out{i}'])\n"
+            "    seen.append([kind, code, 'scipy.integrate' in sys.modules])\n"
+            "print(json.dumps(seen))"
         )
-        assert run_fresh(code, tmp_path) == [0, [integrates]]
+        assert run_fresh(code, tmp_path) == [[kind, 0, False] for kind, _ in runs]
 
-    @pytest.mark.parametrize("trend", [0.0, 0.5], ids=["untrended", "trended"])
-    @pytest.mark.parametrize(
-        "a,regime,integrates",
-        [
-            (0.5, "SideDominated", "trend"),  # 2 G_beta, or L(c1) + L(c2)
-            (0.8, "LogProduct", "never"),  # a closed-form prefactor either way
-            (1.0, "CriticalProduct", "always"),  # K_beta, or K(c1, c2)
-            (2.0, "Classical", "trend"),  # G_beta^2, or L(c1) L(c2)
-        ],
-        ids=["side", "log", "critical", "classical"],
-    )
-    def test_predict_loads_scipy_integrate_exactly_when_it_integrates(
-        self, tmp_path, a, regime, integrates, trend
-    ):
+    def test_predict_never_loads_scipy_integrate(self, tmp_path):
+        # K_beta, K(c1, c2) and L(c) integrate in the critical regime and with a trend
         code = (
             "import json, sys\n"
             "from supfield.asymptotics import predict\n"
             "from supfield.model import ModelParams, classify_regime\n"
-            f"p = ModelParams(1.0, 2.0, {a!r}, c1={trend!r})\n"
-            "pred = predict(p)\n"
-            "print(json.dumps([str(classify_regime(p)), 'scipy.integrate' in sys.modules]))"
+            "seen = []\n"
+            "for a in (0.5, 0.8, 1.0, 2.0):\n"
+            "    for trend in (0.0, 0.5):\n"
+            "        p = ModelParams(1.0, 2.0, a, c1=trend)\n"
+            "        predict(p)\n"
+            "        seen.append([str(classify_regime(p)), 'scipy.integrate' in sys.modules])\n"
+            "print(json.dumps(seen))"
         )
-        expected = integrates == "always" or (integrates == "trend" and trend > 0)
-        assert run_fresh(code, tmp_path) == [regime, expected]
+        regimes = ["SideDominated", "LogProduct", "CriticalProduct", "Classical"]
+        assert run_fresh(code, tmp_path) == [[r, False] for r in regimes for _ in range(2)]
 
     def test_classical_mc_run_ends_without_scipy_integrate(self, tmp_path):
         text = "n_samples: 2000\ngrid: {n_per_axis: 8}\nu_ladder: [2.0, 1.0e+200]\n"

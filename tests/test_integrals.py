@@ -8,7 +8,7 @@ from supfield.quad import (
     IntegralSpec,
     QuadratureConfig,
     _dyadic_down,
-    _integrate_panels,
+    _gk21,
     i_gamma,
     i_gamma_asymptote,
     inner_a,
@@ -59,6 +59,26 @@ class TestIGamma:
         with pytest.raises(ValueError, match=message):
             i_gamma_asymptote(spec(**kwargs), CFG)
 
+    def test_level_whose_rate_overflows_refused(self):
+        # g2 = u^2 = 1e400 is inf, while I is about 7.8e-101 at beta = 8
+        with pytest.raises(ValueError, match="gamma u\\^2 = exp\\(921.034\\) overflows a float"):
+            i_gamma(spec(beta=8.0, a=4.0, u=1e200), CFG)
+
+    @pytest.mark.parametrize("a", [2.0, 1.0, 0.8])
+    def test_level_whose_value_underflows_is_0(self, a):
+        # I <= (G_2 / u)^2 = (pi/4) 1e-400 rounds to 0.0, as I does
+        assert i_gamma(spec(a=a, u=1e200), CFG) == 0.0
+
+    @pytest.mark.parametrize("a", [2.0, 1.0, 0.8])
+    def test_zero_sum_raises(self, a):
+        # at u = 1e30 the scale 1e-30 lies below the split's 2^-80, so every node sees
+        # f = 0; the asymptote is 7.85e-61, 6.05e-61 and 3.9e-74
+        sp = spec(a=a, u=1e30)
+        assert i_gamma_asymptote(sp, CFG).evaluate(sp.u) > 1e-75
+        with pytest.raises(ConvergenceError, match="its scale lies below the split") as info:
+            i_gamma(sp, CFG)
+        assert info.value.estimate == 0.0
+
     def test_small_u_limit_is_area(self):
         val = i_gamma(spec(u=1e-6), CFG)
         assert val == pytest.approx(1.0, rel=1e-6, abs=0.0)
@@ -93,13 +113,14 @@ class TestIGamma:
 
 def i_gamma_all_panels(sp):
     """i_gamma summed over every outer panel, none skipped: the same inner rule and
-    outer quadrature, with the outer tail bound taken away."""
+    outer quadrature, taking the panels in the same waves, with a tail bound that
+    never ends the domain."""
 
     def every_panel(f, breakpoints, epsabs, epsrel, tail_bound=None):
-        return _integrate_panels(f, breakpoints, epsabs, epsrel)
+        return _gk21(f, breakpoints, epsabs, epsrel, lambda lo: math.inf)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quad, "_integrate_panels", every_panel)
+        mp.setattr(quad, "_gk21", every_panel)
         return i_gamma(sp, CFG)
 
 
@@ -143,14 +164,14 @@ class TestIGammaSkippedPanels:
             xs = []
 
             def g(x):
-                xs.append(x)
+                xs.append(x.max())
                 return f(x)
 
-            result = _integrate_panels(g, breakpoints, *args)
+            result = _gk21(g, breakpoints, *args)
             reach.append(max(xs))
             return result
 
-        monkeypatch.setattr(quad, "_integrate_panels", spy)
+        monkeypatch.setattr(quad, "_gk21", spy)
         value = i_gamma(sp, CFG)
         assert len(reach) == 1 and reach[0] < 0.5 * sp.delta  # the outer integral alone
         assert value == i_gamma_all_panels(sp)
@@ -329,23 +350,20 @@ class TestJLambdaRatio:
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return _integrate_panels(*args, **kwargs)
+            return _gk21(*args, **kwargs)
 
-        monkeypatch.setattr(quad, "_integrate_panels", counting)
+        monkeypatch.setattr(quad, "_gk21", counting)
         j_lambda_ratio(1e4, 1.0 / 3.0, 0.5, 1.0, CFG)
         assert len(calls) == 1
 
     def test_a_is_given_no_tolerances(self, monkeypatch):
-        # the closed-form A reads no QuadratureConfig, so J passes it none
-        configs = []
-
-        def spy(Z, cfg=None, gamma=1.0):
-            configs.append(cfg)
-            return inner_a(Z, gamma=gamma)
-
-        monkeypatch.setattr(quad, "inner_a", spy)
-        j_lambda_ratio(1e4, 1.0 / 3.0, 0.5, 2.0, CFG)
-        assert configs and set(configs) == {None}
+        # J takes A's closed form on its whole array of nodes, not through the scalar
+        # `inner_a`, and no tolerance reaches it: only J's own rel_tol moves J
+        calls = []
+        monkeypatch.setattr(quad, "inner_a", lambda *args, **kwargs: calls.append(args))
+        j = j_lambda_ratio(1e4, 1.0 / 3.0, 0.5, 2.0, CFG)
+        assert calls == []
+        assert j_lambda_ratio(1e4, 1.0 / 3.0, 0.5, 2.0, QuadratureConfig(abs_tol=1e-3)) == j
 
 
 class TestITrend:

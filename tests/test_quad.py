@@ -3,6 +3,7 @@ import math
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from scipy import integrate
 
@@ -11,7 +12,8 @@ from supfield.quad import (
     AsymptoticPrediction,
     ConvergenceError,
     QuadratureConfig,
-    _integrate_panels,
+    _check_converged,
+    _gk21,
     g_beta,
     k_beta,
     normal_survival,
@@ -61,6 +63,8 @@ class TestConfig:
 
 
 class TestIntegratePanels:
+    """`_gk21`, the one quadrature engine, on its panels between breakpoints."""
+
     def test_tail_bound_skips_panels_without_changing_a_bit(self):
         # exp(-x) on [0, 80]: past x ~ 46 each panel is below 2^-60 of the
         # sum but far above underflow, so only the bound can skip it
@@ -68,17 +72,17 @@ class TestIntegratePanels:
         nodes = []
 
         def f(x):
-            nodes.append(x)
-            return math.exp(-x)
+            nodes.extend(x.ravel())
+            return np.exp(-x)
 
-        full, _ = _integrate_panels(f, breakpoints, CFG.abs_tol, CFG.rel_tol)
+        full, _ = _gk21(f, breakpoints, CFG.abs_tol, CFG.rel_tol)
         full_nodes = len(nodes)
         nodes.clear()
 
         def bound(lo):
             return (80.0 - lo) * math.exp(-lo)
 
-        value, _ = _integrate_panels(f, breakpoints, CFG.abs_tol, CFG.rel_tol, bound)
+        value, _ = _gk21(f, breakpoints, CFG.abs_tol, CFG.rel_tol, bound)
         assert value == full
         # (80 - 46) e^-46 is the first bound under 2^-60: panels from 46 on are skipped
         assert max(nodes) < 46.0 and len(nodes) < 0.7 * full_nodes
@@ -87,12 +91,54 @@ class TestIntegratePanels:
         nodes = []
 
         def f(x):
-            nodes.append(x)
-            return 0.0
+            nodes.extend(x.ravel())
+            return np.zeros_like(x)
 
-        zero = _integrate_panels(f, [0.0, 1.0, 2.0], CFG.abs_tol, CFG.rel_tol, lambda lo: 0.0)
+        zero = _gk21(f, [0.0, 1.0, 2.0], CFG.abs_tol, CFG.rel_tol, lambda lo: 0.0)
         assert zero == (0.0, 0.0)
         assert nodes == []
+
+    @pytest.mark.parametrize(
+        "f,hi,exact",
+        [
+            (lambda x: -np.log(x), 1.0, 1.0),
+            (lambda x: 1.0 / np.sqrt(x), 1.0, 2.0),
+            (lambda x: np.exp(-x * x), 6.0, 0.5 * math.sqrt(math.pi) * (1.0 - math.erfc(6.0))),
+        ],
+        ids=["log", "inverse-sqrt", "gaussian"],
+    )
+    def test_closed_form_is_reached_or_refused(self, f, hi, exact):
+        # the two endpoint singularities and a bulk far from the end of its panel
+        cfg = QuadratureConfig(abs_tol=0.0, rel_tol=1e-13)
+        value, err = _gk21(f, [0.0, hi], 0.0, cfg.rel_tol)
+        try:
+            _check_converged(value, err, cfg, "closed form", relative=True)
+        except ConvergenceError:
+            return
+        assert value == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    def test_one_panel_is_quadpack_qk21(self):
+        # a first panel that meets its tolerance is dqk21's result, bit for bit
+        def f(x):
+            return np.exp(-x * x - 0.5 * x)
+
+        value, _ = _gk21(f, [0.0, 0.5], 1e-12, 1e-10)
+        assert value == integrate.quad(lambda x: math.exp(-x * x - 0.5 * x), 0.0, 0.5)[0]
+
+    def test_panel_limit_stops_the_bisection(self, monkeypatch):
+        # 1/sqrt(x) needs dozens of halvings toward 0; five panels leave the error
+        # estimate far above the tolerance for the caller's check
+        monkeypatch.setattr(quad, "MAX_SUBDIVISIONS", 5)
+        halves = []
+
+        def f(x):
+            halves.append(len(x))
+            return 1.0 / np.sqrt(x)
+
+        value, err = _gk21(f, [0.0, 1.0], 0.0, 1e-13)
+        assert sum(halves) == 1 + 2 * 4 and err > 1e-6  # four halvings leave five panels
+        with pytest.raises(ConvergenceError):
+            _check_converged(value, err, CFG, "inverse square root")
 
 
 class TestNormalSurvival:
@@ -227,7 +273,7 @@ class TestTrendL:
         assert err.error_bound > 0
 
     def test_convergence_error_is_raised_not_warned(self, monkeypatch):
-        # full_output=1 makes QUADPACK return its message instead of warning
+        # the engine reports a failed tolerance through its error estimate alone
         monkeypatch.setattr(quad, "MAX_SUBDIVISIONS", 1)
         bad_cfg = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14)
         with warnings.catch_warnings():
@@ -274,9 +320,9 @@ class TestCriticalConstantIsOneIntegral:
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return _integrate_panels(*args, **kwargs)
+            return _gk21(*args, **kwargs)
 
-        monkeypatch.setattr(quad, "_integrate_panels", counting)
+        monkeypatch.setattr(quad, "_gk21", counting)
         call()
         assert len(calls) == 1
 
