@@ -688,22 +688,49 @@ class TestScipyImport:
         )
         assert run_fresh(code, tmp_path) == [[kind, 0, False] for kind, _ in runs]
 
-    def test_predict_never_loads_scipy_integrate(self, tmp_path):
-        # K_beta, K(c1, c2) and L(c) integrate in the critical regime and with a trend
+    @pytest.mark.parametrize("model", MC_MODELS, ids=MC_IDS)
+    def test_mc_prediction_loads_scipy_integrate_before_the_first_draw(self, tmp_path, model):
+        # the prediction integrates with numpy, so no regime loads it by then
+        cfg = write_cfg(tmp_path, model + "n_samples: 100\ngrid: {n_per_axis: 4}\n")
+        code = (
+            "import json, sys\n"
+            "from supfield import cli, fieldsim\n"
+            "seen = []\n"
+            "draw = fieldsim.batch_generator\n"
+            "def probe(seed, b):\n"
+            "    seen.append('scipy.integrate' in sys.modules)\n"
+            "    return draw(seed, b)\n"
+            "fieldsim.batch_generator = probe\n"
+            f"code = cli.main(['mc', '--config', {cfg!r}, '--out', 'out'])\n"
+            "print(json.dumps([code, seen[:1]]))"
+        )
+        assert run_fresh(code, tmp_path) == [0, [False]]
+
+    @pytest.mark.parametrize("trend", [0.0, 0.5], ids=["untrended", "trended"])
+    @pytest.mark.parametrize(
+        "a,regime",
+        [
+            (0.5, "SideDominated"),  # 2 G_beta, or L(c1) + L(c2)
+            (0.8, "LogProduct"),  # a closed-form prefactor either way
+            (1.0, "CriticalProduct"),  # K_beta, or K(c1, c2)
+            (2.0, "Classical"),  # G_beta^2, or L(c1) L(c2)
+        ],
+        ids=["side", "log", "critical", "classical"],
+    )
+    def test_predict_loads_scipy_integrate_exactly_when_it_integrates(
+        self, tmp_path, a, regime, trend
+    ):
+        # K_beta, K(c1, c2) and L(c) integrate with the numpy engine: scipy.integrate
+        # stays unloaded whether the prediction integrates or not
         code = (
             "import json, sys\n"
             "from supfield.asymptotics import predict\n"
             "from supfield.model import ModelParams, classify_regime\n"
-            "seen = []\n"
-            "for a in (0.5, 0.8, 1.0, 2.0):\n"
-            "    for trend in (0.0, 0.5):\n"
-            "        p = ModelParams(1.0, 2.0, a, c1=trend)\n"
-            "        predict(p)\n"
-            "        seen.append([str(classify_regime(p)), 'scipy.integrate' in sys.modules])\n"
-            "print(json.dumps(seen))"
+            f"p = ModelParams(1.0, 2.0, {a!r}, c1={trend!r})\n"
+            "pred = predict(p)\n"
+            "print(json.dumps([str(classify_regime(p)), 'scipy.integrate' in sys.modules]))"
         )
-        regimes = ["SideDominated", "LogProduct", "CriticalProduct", "Classical"]
-        assert run_fresh(code, tmp_path) == [[r, False] for r in regimes for _ in range(2)]
+        assert run_fresh(code, tmp_path) == [regime, False]
 
     def test_classical_mc_run_ends_without_scipy_integrate(self, tmp_path):
         text = "n_samples: 2000\ngrid: {n_per_axis: 8}\nu_ladder: [2.0, 1.0e+200]\n"
