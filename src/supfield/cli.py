@@ -19,11 +19,7 @@ MANIFEST: OK (exit 0), or INCOMPLETE and the reason for a ValueError (exit
 2) or a ConvergenceError (exit 1); any other exception propagates after the
 MANIFEST records "INCOMPLETE: run not finished".
 
-The library imports scipy.special on first use, and no other scipy module:
-its quadratures are numpy.  Right after the config loads, a run whose work
-calls scipy.special imports it, so the import is part of its set-up:
-constants, integrals, sweep and mc (its prediction) load it, pickands and
-blocks load no scipy.
+No kind loads scipy: the quadratures and the closed forms are math and numpy.
 """
 
 from __future__ import annotations
@@ -210,9 +206,6 @@ _RUNNERS = {
     "blocks": run_blocks,
     "sweep": run_sweep,
 }
-# Kinds whose work calls scipy.special load it before it starts, so the import is
-# set-up; a kind that gains a quadrature or a prediction belongs here.
-_SCIPY_KINDS = ("constants", "integrals", "sweep", "mc")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -245,8 +238,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.kind in _SCIPY_KINDS:
-        quad.load_scipy()
     out = Path(cfg.out)
     manifest = Manifest(out, args.kind, dataclasses.asdict(cfg), __version__)
     status = "INCOMPLETE: run not finished"

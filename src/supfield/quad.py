@@ -42,17 +42,16 @@ the outer integral leaves out the panels once a bound on those left is below
 the tolerances are settable; `MAX_SUBDIVISIONS`, the cut and the inner rule's
 depth (`_INNER_HALVINGS`) are fixed.
 
-scipy.special is the one scipy module here, imported by the functions that
-call it, on first use: by the closed forms (G_beta, the log prefactor, log Psi
-where a prediction overflows, erfcx for K(c1, c2), K0 for A).  So a run that
-calls none of them (a Pickands or block Monte Carlo run) never loads scipy.
-`load_scipy` imports it ahead of time, so that the CLI's import stays in its
-set-up; were it to miss a run, the import would only move into the work.
+The closed forms are math and numpy as well: Gamma is `math.gamma` (`_gamma`),
+erfcx in g is exp(z^2) erfc(z) with z^2 split exactly, K0 for A is its ascending
+series up to 1 and a trapezoid sum of its cosh integral past it (`_k0`), and log
+Psi where a prediction overflows is `_log_normal_survival`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -75,11 +74,11 @@ __all__ = [
     "side_constants",
     "inner_a",
     "j_lambda_ratio",
-    "load_scipy",
 ]
 
 _SQRT2 = math.sqrt(2.0)
 _QUARTER_PI = math.pi / 4.0
+_EULER_GAMMA = 0.5772156649015329
 _LOG_MAX = 709.782712893384  # log of the largest float
 _LOG_HALF_TINY = -1075.0 * math.log(2.0)  # below half the smallest subnormal, a value rounds to 0
 MAX_SUBDIVISIONS = 2000  # the most panels of one `_gk21` integral
@@ -113,11 +112,6 @@ _QK21_X, _QK21_WK, _QK21_WG = (
     for sign, col in zip((-1.0, 1.0, 1.0), zip(*_QK21_HALF))
 )
 _QK21_PAIRS = np.array([1, 3, 5, 7, 9, 0, 2, 4, 6, 8])  # dqk21's order of the node pairs
-
-
-def load_scipy() -> None:
-    """Import scipy.special ahead of its first use."""
-    import scipy.special  # noqa: F401
 
 
 class ConvergenceError(RuntimeError):
@@ -161,6 +155,64 @@ def normal_survival(u: float) -> float:
     if not math.isfinite(u):
         raise ValueError(f"u must be finite, got {u}")
     return 0.5 * math.erfc(u / _SQRT2)
+
+
+def _log_normal_survival(u: float) -> float:
+    """log Psi(u) for finite u: the log of Psi while Psi is a normal float, past that
+    -u^2/2 - log(u sqrt(2 pi)) + log1p of the tail series sum_{n>=1} (-1)^n (2n-1)!! u^-2n
+    (A&S 26.2.12), summed until a term is below an ulp of its sum."""
+    psi = normal_survival(u)
+    if psi >= sys.float_info.min:
+        return math.log(psi)
+    total, term, n = 0.0, -1.0 / (u * u), 1
+    while total + term != total:
+        total += term
+        n += 2
+        term *= -n / (u * u)
+    return -0.5 * u * u - math.log(u * math.sqrt(2.0 * math.pi)) + math.log1p(total)
+
+
+def _gamma(x: float, where: str) -> float:
+    """Gamma(x) for x > 0; a Gamma that overflows a float is refused, naming `where`."""
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise ValueError(f"Gamma({x:.6g}) overflows a float at {where}") from None
+
+
+def _k0(x: np.ndarray) -> np.ndarray:
+    """The modified Bessel function K0 on an array of x >= 0 (inf at 0).
+
+    Up to x = 1 the ascending series -(log(x/2) + gamma_E) I0(x) + sum_{k>=1} H_k
+    (x^2/4)^k / k!^2 (A&S 9.6.13), summed until a term is below an ulp of its sum.
+    Past 1, K0(x) = int_0^inf exp(-x cosh t) dt (DLMF 10.32.9), with e^-x taken out
+    as int exp(-2x sinh^2(t/2)) dt: the trapezoid sum at step h = 0.25/sqrt(1 + x),
+    the width of its peak, out to where the integrand is e^-40.  The integrand is
+    analytic in the strip |Im t| < pi/2, so the rule's error falls like e^(-pi^2/h),
+    about 1e-17 here.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    near = x <= 1.0
+    xn = x[near]
+    y = 0.25 * xn * xn
+    term, i0, tail, harmonic, k = np.ones_like(y), np.ones_like(y), np.zeros_like(y), 0.0, 0
+    while True:
+        k += 1
+        harmonic += 1.0 / k
+        term = term * y / (k * k)
+        if (tail + harmonic * term == tail).all():  # i0 >= 1 > tail: i0 is done too
+            break
+        i0 += term
+        tail += harmonic * term
+    with np.errstate(divide="ignore"):  # log 0: K0 = inf at 0
+        out[near] = tail - (np.log(0.5 * xn) + _EULER_GAMMA) * i0
+    xf = np.minimum(x[~near], 750.0)  # e^-x underflows to 0 from 745 on
+    h = 0.25 / np.sqrt(1.0 + xf)
+    n = int(np.ceil(np.max(2.0 * np.arcsinh(np.sqrt(20.0 / xf)) / h, initial=0.0))) + 1
+    s = np.sinh(0.5 * h[:, None] * np.arange(n))
+    out[~near] = np.exp(-xf) * h * (np.exp(-2.0 * xf[:, None] * s * s).sum(axis=1) - 0.5)
+    return out
 
 
 def _gk21(
@@ -294,19 +346,24 @@ def g_beta(beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
         raise ValueError(f"beta must be finite, got {beta}")
     if not (beta > 0):
         raise ValueError(f"beta must be positive, got {beta}")
-    from scipy import special
-
-    return float(special.gamma(1.0 + 1.0 / beta))
+    return _gamma(1.0 + 1.0 / beta, f"beta = {beta}")
 
 
 def _g(z: np.ndarray) -> np.ndarray:
-    """g(z) = 1 - sqrt(pi) z erfcx(z) for z >= 0.  Past z = 8, where the difference
-    loses eps 2z^2 relative, the series sum_{n>=1} (-1)^(n+1) (2n-1)!! (2z^2)^-n
-    (A&S 7.1.23), each entry summed until a term is below an ulp of its sum."""
-    from scipy import special
-
+    """g(z) = 1 - sqrt(pi) z erfcx(z) for z >= 0, erfcx(z) = exp(z^2) erfc(z).  z^2 is
+    split exactly into z*z and its rounding error (Veltkamp), so exp(z^2) is as exact as
+    exp.  Past z = 8, where the difference loses eps 2z^2 relative, the series
+    sum_{n>=1} (-1)^(n+1) (2n-1)!! (2z^2)^-n (A&S 7.1.23), each entry summed until a
+    term is below an ulp of its sum."""
     near = z <= 8.0
-    out = 1.0 - math.sqrt(math.pi) * z * special.erfcx(np.where(near, z, 0.0))
+    zn = np.where(near, z, 0.0)
+    split = 134217729.0 * zn  # 2^27 + 1: zn = hi + lo, each with half the bits
+    hi = split - (split - zn)
+    lo = zn - hi
+    sq = zn * zn
+    sq_err = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo
+    erfc = np.array([math.erfc(v) for v in zn.ravel()]).reshape(zn.shape)
+    out = 1.0 - math.sqrt(math.pi) * zn * (np.exp(sq) * (1.0 + sq_err) * erfc)
     far = z[~near]
     total, term, n = np.zeros_like(far), 0.5 / (far * far), 1
     going = total + term != total
@@ -482,11 +539,10 @@ class AsymptoticPrediction:
         val *= math.log(u) if self.log_power else 1.0
         if not math.isinf(val):
             return val * normal_survival(u) if self.uses_psi else val
-        from scipy import special  # a factor overflowed: the product in log space
-
+        # a factor overflowed: the product in log space
         log_val = math.log(self.prefactor) + self.u_power * math.log(u)
         log_val += math.log(math.log(u)) if self.log_power else 0.0
-        log_val += float(special.log_ndtr(-u)) if self.uses_psi else 0.0
+        log_val += _log_normal_survival(u) if self.uses_psi else 0.0
         return math.exp(log_val) if log_val <= _LOG_MAX else math.inf
 
 
@@ -581,15 +637,13 @@ def i_gamma_asymptote(
     c' = c / sqrt(gamma), and C is the critical constant K(c1', c2') (K_beta
     without a trend) at a = beta/2, or L(c1') L(c2') (G_beta^2) above it.
     """
-    from scipy import special
-
     a, beta, gamma = spec.a, spec.beta, spec.gamma
     br = _boundary_cmp(a, beta / 2.0)
     if br < 0:
         pref = (
             2.0
             * (beta - 2.0 * a)
-            * float(special.gamma(1.0 / a))
+            * _gamma(1.0 / a, f"a = {a}")
             / (a * a * beta * gamma ** (1.0 / a))
         )
         return AsymptoticPrediction(pref, -2.0 / a, 1, uses_psi=False)
@@ -611,7 +665,7 @@ def inner_a(Z: float, cfg: QuadratureConfig = DEFAULT_CONFIG, gamma: float = 1.0
     """A(Z) = int_0^inf X^(-1) exp(-g X - g Z/X) dX, with g = gamma.
 
     Evaluated in closed form as 2 K0(2 g sqrt(Z)) (DLMF 10.32.10, A&S 9.6.24)
-    through scipy.special.k0.  Behaves like -log Z + O(1) as Z -> 0 and decays to 0
+    through `_k0`.  Behaves like -log Z + O(1) as Z -> 0 and decays to 0
     exponentially as Z -> infinity.  A fixed trend would move only bounded
     terms of the log branch (see `i_gamma_asymptote`), so A carries none.
     `cfg` is accepted for interface uniformity, as in `g_beta`.
@@ -621,9 +675,7 @@ def inner_a(Z: float, cfg: QuadratureConfig = DEFAULT_CONFIG, gamma: float = 1.0
             raise ValueError(f"{name} must be finite, got {x}")
         if not (x > 0):
             raise ValueError(f"{name} must be positive, got {x}")
-    from scipy import special
-
-    return 2.0 * float(special.k0(2.0 * gamma * math.sqrt(Z)))
+    return 2.0 * float(_k0(2.0 * gamma * math.sqrt(Z)))
 
 
 def j_lambda_ratio(
@@ -648,15 +700,14 @@ def j_lambda_ratio(
         raise ValueError(f"lam must be finite and exceed 1, got {lam}")
     if not all(0.0 < v < math.inf for v in (p, q, gamma)):
         raise ValueError(f"p, q, gamma must be positive and finite, got ({p}, {q}, {gamma})")
-    from scipy import special
-
+    gamma_qp = _gamma(q / p, f"(p, q) = ({p}, {q})")
     scale = lam ** (-1.0 / p)
 
     # J = lam^{-q/p} * int W^{q-1} e^{-gamma W^p} A(scale * W) dW; then V = W^q, and A is
     # `inner_a`'s closed form on the whole array of nodes
     def f(V: np.ndarray) -> np.ndarray:
         W = V ** (1.0 / q)
-        return np.exp(-gamma * W ** p) * (2.0 * special.k0(2.0 * gamma * np.sqrt(scale * W))) / q
+        return np.exp(-gamma * W ** p) * (2.0 * _k0(2.0 * gamma * np.sqrt(scale * W))) / q
 
     w_max = (_TAIL_CUT_LOG / gamma) ** (1.0 / p)
     v_max = w_max ** q
@@ -664,10 +715,5 @@ def j_lambda_ratio(
     value, err = _gk21(f, pts, 0.0, max(cfg.rel_tol, 1e-9))
     _check_converged(value, err, cfg, "outer scale integral")
     j_val = lam ** (-q / p) * value
-    leading = (
-        float(special.gamma(q / p))
-        / (p * p * gamma ** (q / p))
-        * lam ** (-q / p)
-        * math.log(lam)
-    )
+    leading = gamma_qp / (p * p * gamma ** (q / p)) * lam ** (-q / p) * math.log(lam)
     return j_val / leading

@@ -332,6 +332,16 @@ class TestConstantsCommand:
         assert (out / "MANIFEST").exists()
         assert "G_beta" in capsys.readouterr().out
 
+    def test_overflowing_g_beta_is_refused(self, tmp_path, capsys):
+        # Gamma(1 + 1/beta) = Gamma(201) overflows a float: refused, not reported as inf
+        cfg = write_cfg(tmp_path, "model: {alpha: 0.001, beta: 0.005, a: 1.0}\n")
+        out = tmp_path / "o"
+        assert main(["constants", "--config", cfg, "--out", str(out)]) == 2
+        reason = "Gamma(201) overflows a float at beta = 0.005"
+        assert reason in capsys.readouterr().err
+        assert read_manifest(out)["status"] == f"INCOMPLETE: {reason}"
+        assert not (out / "constants.json").exists()
+
     def test_invalid_model_is_validation_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "model: {alpha: 1.0, beta: 0.5, a: 1.0}\n")
         code = main(["constants", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -612,7 +622,7 @@ def run_fresh(code: str, cwd: Path) -> list:
 
 
 LOADED_SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
-# mc models by regime: every prediction calls scipy.special, none scipy.integrate
+# mc models by regime, each prediction with its own closed forms
 MC_MODELS = [
     "",  # the default model is classical: G_beta^2
     "model: {a: 0.5}\n",  # side: 2 G_beta
@@ -631,9 +641,20 @@ MC_KINDS = {
 }
 
 
+def every_kind(tmp_path) -> list:
+    """(kind, config) for the six kinds, mc in each regime and with a trend."""
+    runs = [(k, write_cfg(tmp_path, text, f"{k}.yaml")) for k, text in MC_KINDS.items()]
+    empty = write_cfg(tmp_path, "", "empty.yaml")
+    runs += [(kind, empty) for kind in ("constants", "integrals", "sweep")]
+    mc = "n_samples: 100\ngrid: {n_per_axis: 4}\n"
+    runs += [("mc", write_cfg(tmp_path, model + mc, f"{i}.yaml"))
+             for i, model in zip(MC_IDS, MC_MODELS)]
+    return runs
+
+
 class TestScipyImport:
-    """A run loads scipy.special if its work calls it, during set-up, and no run loads
-    scipy.integrate: the quadratures are numpy."""
+    """No run loads a scipy module: the quadratures and the closed forms (Gamma, K0,
+    erfcx, log Psi) are math and numpy.  scipy is a test dependency only."""
 
     def test_package_import_leaves_scipy_unloaded(self, tmp_path):
         code = f"import json, sys\nimport supfield, supfield.cli\nprint(json.dumps({LOADED_SCIPY}))"
@@ -657,40 +678,47 @@ class TestScipyImport:
         ids=["constants", "integrals", "sweep", *MC_IDS],
     )
     def test_integrating_kinds_load_scipy_before_their_runner(self, tmp_path, kind, model):
+        # the set-up before a runner starts loads no scipy either
         cfg = write_cfg(tmp_path, model)
         code = (
             "import json, sys\n"
             "from supfield import cli\n"
             "seen = []\n"
-            f"cli._RUNNERS[{kind!r}] = lambda *args: seen.extend("
-            "m in sys.modules for m in ('scipy.special', 'scipy.integrate'))\n"
+            f"cli._RUNNERS[{kind!r}] = lambda *args: seen.append({LOADED_SCIPY})\n"
             f"code = cli.main([{kind!r}, '--config', {cfg!r}, '--out', 'out'])\n"
             "print(json.dumps([code, seen]))"
         )
-        assert run_fresh(code, tmp_path) == [0, [True, False]]
+        assert run_fresh(code, tmp_path) == [0, [[]]]
 
     def test_no_kind_loads_scipy_integrate(self, tmp_path):
         # the six kinds, mc in each regime and with a trend, in one interpreter
-        runs = [(k, write_cfg(tmp_path, text, f"{k}.yaml")) for k, text in MC_KINDS.items()]
-        empty = write_cfg(tmp_path, "", "empty.yaml")
-        runs += [(kind, empty) for kind in ("constants", "integrals", "sweep")]
-        mc = "n_samples: 100\ngrid: {n_per_axis: 4}\n"
-        runs += [("mc", write_cfg(tmp_path, model + mc, f"{i}.yaml"))
-                 for i, model in zip(MC_IDS, MC_MODELS)]
+        runs = every_kind(tmp_path)
         code = (
             "import json, sys\n"
             "from supfield.cli import main\n"
             "seen = []\n"
             f"for i, (kind, cfg) in enumerate({runs!r}):\n"
             "    code = main([kind, '--config', cfg, '--out', f'out{i}'])\n"
-            "    seen.append([kind, code, 'scipy.integrate' in sys.modules])\n"
+            f"    seen.append([kind, code, {LOADED_SCIPY}])\n"
             "print(json.dumps(seen))"
         )
-        assert run_fresh(code, tmp_path) == [[kind, 0, False] for kind, _ in runs]
+        assert run_fresh(code, tmp_path) == [[kind, 0, []] for kind, _ in runs]
+
+    def test_every_kind_runs_where_scipy_cannot_be_imported(self, tmp_path):
+        # sys.modules["scipy"] = None makes any `import scipy...` raise ImportError
+        runs = every_kind(tmp_path)
+        code = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from supfield.cli import main\n"
+            "print(json.dumps([[kind, main([kind, '--config', cfg, '--out', f'out{i}'])]\n"
+            f"                  for i, (kind, cfg) in enumerate({runs!r})]))"
+        )
+        assert run_fresh(code, tmp_path) == [[kind, 0] for kind, _ in runs]
 
     @pytest.mark.parametrize("model", MC_MODELS, ids=MC_IDS)
     def test_mc_prediction_loads_scipy_integrate_before_the_first_draw(self, tmp_path, model):
-        # the prediction integrates with numpy, so no regime loads it by then
+        # the prediction is math and numpy, so no regime loads scipy by then
         cfg = write_cfg(tmp_path, model + "n_samples: 100\ngrid: {n_per_axis: 4}\n")
         code = (
             "import json, sys\n"
@@ -698,13 +726,13 @@ class TestScipyImport:
             "seen = []\n"
             "draw = fieldsim.batch_generator\n"
             "def probe(seed, b):\n"
-            "    seen.append('scipy.integrate' in sys.modules)\n"
+            f"    seen.append({LOADED_SCIPY})\n"
             "    return draw(seed, b)\n"
             "fieldsim.batch_generator = probe\n"
             f"code = cli.main(['mc', '--config', {cfg!r}, '--out', 'out'])\n"
             "print(json.dumps([code, seen[:1]]))"
         )
-        assert run_fresh(code, tmp_path) == [0, [False]]
+        assert run_fresh(code, tmp_path) == [0, [[]]]
 
     @pytest.mark.parametrize("trend", [0.0, 0.5], ids=["untrended", "trended"])
     @pytest.mark.parametrize(
@@ -720,19 +748,20 @@ class TestScipyImport:
     def test_predict_loads_scipy_integrate_exactly_when_it_integrates(
         self, tmp_path, a, regime, trend
     ):
-        # K_beta, K(c1, c2) and L(c) integrate with the numpy engine: scipy.integrate
-        # stays unloaded whether the prediction integrates or not
+        # K_beta, K(c1, c2) and L(c) integrate with the numpy engine, and Gamma and the
+        # erfcx of K(c1, c2) are math and numpy: no scipy module loads in any regime
         code = (
             "import json, sys\n"
             "from supfield.asymptotics import predict\n"
             "from supfield.model import ModelParams, classify_regime\n"
             f"p = ModelParams(1.0, 2.0, {a!r}, c1={trend!r})\n"
             "pred = predict(p)\n"
-            "print(json.dumps([str(classify_regime(p)), 'scipy.integrate' in sys.modules]))"
+            f"print(json.dumps([str(classify_regime(p)), {LOADED_SCIPY}]))"
         )
-        assert run_fresh(code, tmp_path) == [regime, False]
+        assert run_fresh(code, tmp_path) == [regime, []]
 
     def test_classical_mc_run_ends_without_scipy_integrate(self, tmp_path):
+        # u = 1e200 overflows u^theta: the prediction is formed with log Psi(u)
         text = "n_samples: 2000\ngrid: {n_per_axis: 8}\nu_ladder: [2.0, 1.0e+200]\n"
         cfg = write_cfg(tmp_path, text)
         code = (
@@ -741,6 +770,4 @@ class TestScipyImport:
             f"code = main(['mc', '--config', {cfg!r}, '--out', 'out'])\n"
             f"print(json.dumps([code, {LOADED_SCIPY}]))"
         )
-        code, loaded = run_fresh(code, tmp_path)
-        assert code == 0 and "scipy.special" in loaded
-        assert "scipy.integrate" not in loaded
+        assert run_fresh(code, tmp_path) == [0, []]

@@ -5,16 +5,20 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from supfield import quad
 from supfield.quad import (
     AsymptoticPrediction,
     ConvergenceError,
+    IntegralSpec,
     QuadratureConfig,
     _check_converged,
     _gk21,
     g_beta,
+    i_gamma_asymptote,
+    inner_a,
+    j_lambda_ratio,
     k_beta,
     normal_survival,
     side_constants,
@@ -23,6 +27,7 @@ from supfield.quad import (
 )
 
 from oracles import (
+    inner_a_cosh_form,
     k_beta_series,
     log_k_beta_oracle,
     mc_k_beta,
@@ -372,3 +377,77 @@ class TestAsymptoticPrediction:
             AsymptoticPrediction(-1.0, 0.0, 0)
         with pytest.raises(ValueError):
             AsymptoticPrediction(1.0, 0.0, 2)
+
+
+class TestClosedFormsAgainstScipy:
+    """The library's math/numpy forms of Gamma, K0, erfcx and log Psi against
+    scipy.special, which only the tests import."""
+
+    def test_k0(self):
+        x = np.geomspace(1e-12, 700.0, 4001)
+        rel = np.abs(quad._k0(x) / special.k0(x) - 1.0)
+        # past x = 100, a relative error eps in x moves K0 by x eps
+        assert np.all(rel <= np.where(x <= 100.0, 1e-14, x * 4e-16))
+
+    @pytest.mark.parametrize("x", np.geomspace(1e-12, 700.0, 12))
+    def test_k0_against_the_cosh_integral(self, x):
+        expected = inner_a_cosh_form((0.5 * x) ** 2)
+        bound = 1e-14 if x <= 100.0 else x * 4e-16
+        assert inner_a((0.5 * x) ** 2) == pytest.approx(expected, rel=bound, abs=0.0)
+
+    def test_k0_ends(self):
+        assert quad._k0(np.array([0.0, 800.0, math.inf])).tolist() == [math.inf, 0.0, 0.0]
+
+    def test_g(self):
+        z = np.linspace(0.0, 8.0, 4001)
+        expected = 1.0 - math.sqrt(math.pi) * z * special.erfcx(z)
+        assert np.all(np.abs(quad._g(z) / expected - 1.0) <= 2e-13)
+
+    def test_g_is_continuous_at_the_series_switch(self):
+        # z = 8 takes exp(z^2) erfc(z), the next double up the A&S 7.1.23 series
+        near, far = quad._g(np.array([8.0, math.nextafter(8.0, 9.0)]))
+        assert far == pytest.approx(near, rel=2e-13, abs=0.0)
+
+    def test_log_normal_survival(self):
+        # Psi(u) is subnormal from u = 37.5 on: the tail series takes over there
+        for u in np.concatenate([np.linspace(30.0, 40.0, 401), np.geomspace(40.0, 1e150, 400)]):
+            expected = float(special.log_ndtr(-u))
+            assert quad._log_normal_survival(float(u)) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("beta", [0.7, 1.5, 2.0, 3.0, 4.0, 8.0])
+    def test_gamma_sites_within_6_ulp(self, monkeypatch, beta):
+        # G_beta, the log-branch prefactor and J's leading term, at the J of that branch.
+        # At these arguments math.gamma and scipy's gamma are each within 3 ulp of the
+        # 200-bit Gamma (mpmath), on opposite sides at 4/3: +2.4 and -2.6 ulp, 5 apart
+        seen = []
+        original = quad._gamma
+
+        def spy(x, where):
+            seen.append((x, original(x, where)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(quad, "_gamma", spy)
+        a = beta / 4.0
+        g_beta(beta)
+        i_gamma_asymptote(IntegralSpec(1.0, beta, a, 1.0, 10.0))
+        j_lambda_ratio(1e4, a / beta, 1.0 / beta, 1.0)
+        assert [x for x, _ in seen] == [1.0 + 1.0 / beta, 1.0 / a, (1.0 / beta) / (a / beta)]
+        for x, value in seen:
+            expected = float(special.gamma(x))
+            assert abs(value - expected) <= 6.0 * math.ulp(expected)
+
+    @pytest.mark.parametrize(
+        "call,match",
+        [
+            (lambda: g_beta(0.005), "Gamma\\(201\\) overflows a float at beta = 0.005"),
+            (lambda: i_gamma_asymptote(IntegralSpec(1.0, 2.0, 0.005, 1.0, 10.0)),
+             "Gamma\\(200\\) overflows a float at a = 0.005"),
+            (lambda: j_lambda_ratio(1e4, 0.001, 0.5, 1.0),
+             "Gamma\\(500\\) overflows a float at \\(p, q\\) = \\(0.001, 0.5\\)"),
+        ],
+        ids=["g_beta", "log-prefactor", "j-leading"],
+    )
+    def test_overflowing_gamma_refused(self, call, match):
+        # scipy's Gamma read inf here, and G_beta(0.005) = inf went into the report
+        with pytest.raises(ValueError, match=match):
+            call()
